@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.bench import SweepConfig, run_adaptive_calibration
 from repro.bench.runner import measure_curves
-from repro.core import ContentionModel, calibrate
+from repro.core import calibrate, sweep_curves
 from repro.topology import get_platform
 
 
@@ -51,11 +51,9 @@ def test_adaptive_calibration(benchmark):
         m_comm=0,
         config=SweepConfig(seed=1),
     )
-    sparse_model = ContentionModel(calibrate(result.curves))
-    full_model = ContentionModel(calibrate(full))
     ns = np.arange(1, platform.cores_per_socket + 1)
-    sparse_comm = np.array([sparse_model.comm_parallel(int(n)) for n in ns])
-    full_comm = np.array([full_model.comm_parallel(int(n)) for n in ns])
+    sparse_comm = sweep_curves(calibrate(result.curves), ns)["comm_par"]
+    full_comm = sweep_curves(calibrate(full), ns)["comm_par"]
     rel = np.abs(sparse_comm - full_comm) / full_comm
     assert float(rel.mean()) < 0.03
 

@@ -1,21 +1,16 @@
-"""Microbenchmark: vectorized model evaluation vs the scalar loop.
+"""Microbenchmark: the model's table lookups vs the scalar loop.
 
-The artefact guarded here is the evaluation-layer PR's claim: a full
-16-placement × 64-core model-prediction grid through the memoized array
-layer is at least 10× faster than the original per-``n`` scalar loop,
-while producing bit-for-bit identical numbers.
+The artefact guarded here: a full 16-placement × 64-core
+model-prediction grid read out of a :class:`PlacementModel`'s tables is
+at least 10× faster than the original per-``n`` scalar loop, while
+producing bit-for-bit identical numbers.
 
 The scalar baseline replays the pre-vectorization implementation
 exactly: three :class:`ScalarOracle` instantiations (local, remote,
 local-with-remote-nominal) queried one core count at a time through the
 selection rules of equations 6 and 7, re-deriving the saturation
 frontier inside every saturated ``comm_parallel`` call — the O(n²)
-behaviour the evaluation layer removes.
-
-The compiled-kernel layer stacks on top: the same grid read back out of
-a :class:`~repro.core.compiled.CompiledModel` table must again be
-bit-identical to the scalar oracle while beating even the vectorized
-evaluator (no per-call piecewise evaluation at all, just indexing).
+behaviour the closed form and the tables remove.
 """
 
 from __future__ import annotations
@@ -24,7 +19,6 @@ import numpy as np
 
 from _common import best_of
 
-from repro.core.compiled import CompiledModel
 from repro.core.oracle import ScalarOracle
 from repro.core.parameters import ModelParameters
 from repro.core.placement import PlacementModel
@@ -101,7 +95,7 @@ def scalar_grid(ns: np.ndarray) -> dict[tuple[int, int], dict[str, np.ndarray]]:
     return grid
 
 
-def vectorized_grid(
+def compiled_grid(
     model: PlacementModel, ns: np.ndarray
 ) -> dict[tuple[int, int], dict[str, np.ndarray]]:
     return {
@@ -114,21 +108,7 @@ def vectorized_grid(
     }
 
 
-def compiled_grid(
-    compiled: CompiledModel, ns: np.ndarray
-) -> dict[tuple[int, int], dict[str, np.ndarray]]:
-    return {
-        key: {
-            "comp_par": pred.comp_parallel,
-            "comm_par": pred.comm_parallel,
-            "comp_alone": pred.comp_alone,
-        }
-        for key, pred in compiled.predict_grid(ns, _placements()).items()
-    }
-
-
 ROUNDS_SCALAR = 3
-ROUNDS_VECTORIZED = 10
 ROUNDS_COMPILED = 10
 
 
@@ -144,26 +124,18 @@ def collect(recorder) -> None:
         nodes_per_socket=NODES_PER_SOCKET, n_numa_nodes=N_NUMA_NODES,
     )
 
-    compiled = CompiledModel.compile(model, n_max=N_CORES)
-
     # Identical outputs first: the speed means nothing otherwise.  The
-    # compiled table is held to the same witness as the evaluator: the
-    # scalar oracle replay of equations 6 and 7.
+    # tables are held to the scalar oracle replay of equations 6 and 7.
     reference = scalar_grid(ns)
-    vectorized = vectorized_grid(model, ns)
-    tabulated = compiled_grid(compiled, ns)
-    assert set(reference) == set(vectorized) == set(tabulated)
+    tabulated = compiled_grid(model, ns)
+    assert set(reference) == set(tabulated)
     for key in reference:
         for curve in ("comp_par", "comm_par", "comp_alone"):
-            assert np.array_equal(reference[key][curve], vectorized[key][curve])
             assert np.array_equal(reference[key][curve], tabulated[key][curve])
 
     t_scalar = best_of(lambda: scalar_grid(ns), rounds=ROUNDS_SCALAR)
-    t_vectorized = best_of(
-        lambda: vectorized_grid(model, ns), rounds=ROUNDS_VECTORIZED
-    )
     t_compiled = best_of(
-        lambda: compiled_grid(compiled, ns), rounds=ROUNDS_COMPILED
+        lambda: compiled_grid(model, ns), rounds=ROUNDS_COMPILED
     )
     # Raw ms timings drift heavily across process invocations on busy
     # or single-core hosts; the speedup ratio (both sides measured in
@@ -173,29 +145,17 @@ def collect(recorder) -> None:
         band=1.5,
     )
     recorder.metric(
-        "grid_vectorized_ms", t_vectorized * 1e3, unit="ms",
-        direction="lower", band=1.5,
-    )
-    recorder.metric(
-        "grid_speedup", t_scalar / t_vectorized, unit="x",
+        "grid_speedup", t_scalar / t_compiled, unit="x",
         direction="higher", band=1.0,
     )
     recorder.metric(
         "grid_compiled_ms", t_compiled * 1e3, unit="ms",
         direction="lower", band=1.5,
     )
-    recorder.metric(
-        # Compiled table vs the vectorized evaluator (both in-process,
-        # same run); wide band — both sides are sub-millisecond.
-        "compiled_vs_vectorized", t_vectorized / t_compiled, unit="x",
-        direction="higher", band=4.0,
-    )
     recorder.context(
         grid=f"{len(_placements())} placements x {N_CORES} cores",
         rounds_scalar=ROUNDS_SCALAR,
-        rounds_vectorized=ROUNDS_VECTORIZED,
         rounds_compiled=ROUNDS_COMPILED,
-        compiled_table_bytes=compiled.table_bytes,
     )
 
 
@@ -207,16 +167,16 @@ def test_vectorized_grid_speedup(benchmark):
     values = recorder.values()
     speedup = values["grid_speedup"]
     assert speedup >= 10.0, (
-        f"vectorized sweep only {speedup:.1f}x faster than the scalar loop "
+        f"table lookups only {speedup:.1f}x faster than the scalar loop "
         f"({values['grid_scalar_ms']:.2f} ms vs "
-        f"{values['grid_vectorized_ms']:.2f} ms)"
+        f"{values['grid_compiled_ms']:.2f} ms)"
     )
 
     benchmark.extra_info.update(
         {
             "grid": f"{len(_placements())} placements x {N_CORES} cores",
             "scalar_ms": round(values["grid_scalar_ms"], 3),
-            "vectorized_ms": round(values["grid_vectorized_ms"], 3),
+            "compiled_ms": round(values["grid_compiled_ms"], 3),
             "speedup": round(speedup, 1),
         }
     )
@@ -226,5 +186,5 @@ def test_vectorized_grid_speedup(benchmark):
         nodes_per_socket=NODES_PER_SOCKET, n_numa_nodes=N_NUMA_NODES,
     )
     benchmark.pedantic(
-        vectorized_grid, args=(model, ns), rounds=10, iterations=1
+        compiled_grid, args=(model, ns), rounds=10, iterations=1
     )

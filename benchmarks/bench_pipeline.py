@@ -29,7 +29,7 @@ CONFIG = SweepConfig(seed=1)
 PLATFORM = "henri-subnuma"  # 16 placements: the largest per-platform grid
 
 #: Conservative floor: the warm path replaces the whole sweep +
-#: calibration with file reads and memoized lookups.
+#: calibration with file reads and table lookups.
 MIN_WARM_SPEEDUP = 3.0
 
 

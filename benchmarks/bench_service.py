@@ -2,8 +2,8 @@
 
 The artefact guarded here is the service PR's claim: answering a
 64-query prediction stream through the batched path (one request
-carrying the whole stream, answered by one ``predict_batch`` pass over
-the memoized tables) beats the unbatched path (64 scalar HTTP round
+carrying the whole stream, answered by one lookup in the model's
+tables) beats the unbatched path (64 scalar HTTP round
 trips) — i.e. the service's batching layer actually amortizes the
 vectorized evaluation core instead of just adding plumbing.
 
@@ -11,11 +11,11 @@ Also reported (untimed assertion-free): the same stream issued by 8
 concurrent clients against the coalescing batcher, the deployment shape
 the server-side batcher exists for.
 
-The compiled-kernel PR adds its claim on top: the same 64-query stream
-answered straight out of a :class:`~repro.core.compiled.CompiledModel`
-table (the in-process hot path ``/predict`` bulk requests now take) is
-at least 10x the batched HTTP throughput measured in the same run, and
-bit-identical to the answers the service returns over the wire.
+A second claim: the same 64-query stream answered straight out of the
+model's tables by ``predict_columns`` (the in-process hot path
+``/predict`` bulk requests take) is at least 10x the batched HTTP
+throughput measured in the same run, and bit-identical to the answers
+the service returns over the wire.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from concurrent.futures import ThreadPoolExecutor
 from _common import best_of, percentile, timed
 
 from repro.bench import SweepConfig
-from repro.core.compiled import CompiledModel
 from repro.evaluation import run_platform_experiment
 from repro.service.client import ServiceClient
 from repro.service.server import ContentionService
@@ -118,9 +117,9 @@ def collect(recorder, benchmark=None) -> None:
                 )
                 return [row for part in parts for row in part]
 
-        # The compiled kernel the server's bulk path reads from — built
-        # from the same calibrated model, so identical by construction.
-        compiled = CompiledModel.compile(reference.model)
+        # The tables the server's bulk path reads from: the same
+        # calibration, so identical by construction.
+        compiled = reference.model
 
         def compiled_kernel() -> dict:
             for _ in range(KERNEL_REPS - 1):
@@ -200,7 +199,6 @@ def collect(recorder, benchmark=None) -> None:
             concurrent_clients=N_CONCURRENT_CLIENTS,
             timed_rounds=TIMED_ROUNDS,
             kernel_reps=KERNEL_REPS,
-            compiled_table_bytes=compiled.table_bytes,
             batch_size_distribution=client.metrics()["batching"]["sizes"],
         )
         if benchmark is not None:

@@ -25,7 +25,6 @@ Layers (bottom-up):
 
 from repro.bench import SweepConfig, run_placement_grid, run_sample_sweeps
 from repro.core import (
-    ContentionModel,
     ModelParameters,
     PlacementModel,
     calibrate,
@@ -42,7 +41,6 @@ from repro.topology import Machine, MachineBuilder, get_platform, platform_names
 __version__ = "1.0.0"
 
 __all__ = [
-    "ContentionModel",
     "Machine",
     "MachineBuilder",
     "ModelParameters",

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import logging
+import math
 
 import numpy as np
 
@@ -42,6 +43,8 @@ class Workload:
     comm_bytes: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.comp_bytes, self.comm_bytes))):
+            raise AdvisorError("workload byte counts must be finite")
         if self.comp_bytes < 0 or self.comm_bytes < 0:
             raise AdvisorError("workload byte counts must be non-negative")
         if self.comp_bytes == 0 and self.comm_bytes == 0:

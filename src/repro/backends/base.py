@@ -30,12 +30,17 @@ the artifact store glue (:mod:`repro.backends.store`) relies on.
 from __future__ import annotations
 
 import abc
+import dataclasses
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.evaluation import as_core_counts
-from repro.core.placement import PlacementPrediction, PointPrediction
+from repro.core.placement import (
+    PlacementPrediction,
+    PointPrediction,
+    select_instantiations,
+)
 from repro.errors import ModelError, PlacementError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -49,6 +54,10 @@ __all__ = [
     "TwoInstantiationBackend",
     "sample_curves",
 ]
+
+
+#: The columns of :meth:`CalibratedBackend.predict_columns`, in order.
+_COLUMNS = tuple(f.name for f in dataclasses.fields(PointPrediction))
 
 
 def sample_curves(
@@ -75,10 +84,11 @@ class CalibratedBackend(abc.ABC):
     """One backend calibrated for one platform.
 
     Implementations must answer the scalar curve queries; the batched
-    surfaces (``predict``/``predict_grid``/``predict_batch``) have
-    default implementations built on them.  Backends with a faster
-    native path (the threshold backend delegates to the vectorized
-    :class:`~repro.core.placement.PlacementModel`) override them.
+    surfaces (``predict``/``predict_grid``/``predict_batch``/
+    ``predict_columns``) have default implementations built on them.
+    Backends with a faster native path (the threshold backend delegates
+    to the tables of :class:`~repro.core.placement.PlacementModel`)
+    override them.
     """
 
     # ---- identity --------------------------------------------------------------
@@ -207,6 +217,19 @@ class CalibratedBackend(abc.ABC):
                 )
         return [results[i] for i in range(len(queries))]
 
+    def predict_columns(
+        self, queries: Sequence[tuple[int, int, int]]
+    ) -> dict[str, np.ndarray]:
+        """:meth:`predict_batch` as columns: the ``n``/``m_comp``/
+        ``m_comm`` echo columns and the four answer columns, 1-D arrays
+        in query order (the service serializes every non-threshold
+        answer from them)."""
+        points = self.predict_batch(queries)
+        return {
+            name: np.array([getattr(p, name) for p in points])
+            for name in _COLUMNS
+        }
+
     # ---- evaluation ------------------------------------------------------------
 
     def error_report(
@@ -289,10 +312,11 @@ class TwoInstantiationBackend(CalibratedBackend):
     Mirrors the paper's placement selection (§III-C): *sides* are
     single-placement predictors exposing ``comp_parallel(n)`` /
     ``comm_parallel(n)`` / ``comp_alone(n)`` / ``b_comm_seq``; the
-    equations 6/7 rules pick which side (and which computation curve)
-    answers each ``(m_comp, m_comm)`` placement.  ``substituted`` is
-    equation 6's middle case — the local side with the remote network
-    nominal substituted in.
+    equations 6/7 rules
+    (:func:`~repro.core.placement.select_instantiations`) pick which
+    side (and which computation curve) answers each ``(m_comp,
+    m_comm)`` placement.  ``substituted`` is equation 6's middle case —
+    the local side with the remote network nominal substituted in.
     """
 
     def __init__(
@@ -326,36 +350,32 @@ class TwoInstantiationBackend(CalibratedBackend):
     def n_numa_nodes(self) -> int:
         return self._n_numa_nodes
 
-    # ---- equation 6 ------------------------------------------------------------
+    # ---- equations 6 and 7 -------------------------------------------------------
 
-    def _comm_side(self, m_comp: int, m_comm: int) -> Any:
-        if self.is_remote(m_comp) and m_comp == m_comm:
-            return self._remote
-        if self.is_remote(m_comm):
-            return self._substituted
-        return self._local
+    def _select(self, m_comp: int, m_comm: int) -> tuple[Any, Any, bool, Any]:
+        self._check_node(m_comp)
+        self._check_node(m_comm)
+        return select_instantiations(
+            m_comp,
+            m_comm,
+            self._nodes_per_socket,
+            self._local,
+            self._remote,
+            self._substituted,
+        )
 
     def comm_parallel(self, n: int, m_comp: int, m_comm: int) -> float:
-        self._check_node(m_comp)
-        self._check_node(m_comm)
-        return float(self._comm_side(m_comp, m_comm).comm_parallel(n))
+        comm, *_ = self._select(m_comp, m_comm)
+        return float(comm.comm_parallel(n))
 
     def comm_alone(self, m_comm: int) -> float:
-        self._check_node(m_comm)
-        side = self._remote if self.is_remote(m_comm) else self._local
-        return float(side.b_comm_seq)
-
-    # ---- equation 7 ------------------------------------------------------------
+        *_, alone = self._select(m_comm, m_comm)
+        return float(alone.b_comm_seq)
 
     def comp_parallel(self, n: int, m_comp: int, m_comm: int) -> float:
-        self._check_node(m_comp)
-        self._check_node(m_comm)
-        side = self._remote if self.is_remote(m_comp) else self._local
-        if m_comp == m_comm:
-            return float(side.comp_parallel(n))
-        return float(side.comp_alone(n))
+        _, comp, shared, _ = self._select(m_comp, m_comm)
+        return float(comp.comp_parallel(n) if shared else comp.comp_alone(n))
 
     def comp_alone(self, n: int, m_comp: int) -> float:
-        self._check_node(m_comp)
-        side = self._remote if self.is_remote(m_comp) else self._local
-        return float(side.comp_alone(n))
+        _, comp, _, _ = self._select(m_comp, m_comp)
+        return float(comp.comp_alone(n))

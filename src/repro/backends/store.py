@@ -6,10 +6,10 @@ Each calibrated backend persists as one flat, versioned artifact
 ``backend-<backend_id>`` with the backend's code version as the stage
 version and a fingerprint combining the sweep-config fingerprint with
 the backend's own config (see
-:meth:`~repro.backends.base.ModelBackend.fingerprint`).  Exactly like
-the ``"compiled"`` stage: a measurement or backend change
-re-fingerprints, so a stale calibration can never be served; a corrupt
-or version-mismatched artifact is logged, discarded and recalibrated.
+:meth:`~repro.backends.base.ModelBackend.fingerprint`).  A measurement
+or backend change re-fingerprints, so a stale calibration can never be
+served; a corrupt or version-mismatched artifact is logged, discarded
+and recalibrated.
 """
 
 from __future__ import annotations

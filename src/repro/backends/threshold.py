@@ -2,10 +2,10 @@
 
 A thin shell around :func:`~repro.core.calibration.calibrate_placement_model`
 and :class:`~repro.core.placement.PlacementModel`: every query method
-delegates verbatim to the live model, so routing through the backend
-protocol is *bit-identical* to calling the model (and therefore to the
-scalar :class:`~repro.core.oracle.ScalarOracle` — the property PR 1
-established and ``tests/backends`` re-proves through this indirection).
+delegates verbatim to the model's tables, so routing through the
+backend protocol is *bit-identical* to calling the model (and
+therefore to the scalar :class:`~repro.core.oracle.ScalarOracle`, which
+``tests/backends`` re-proves through this indirection).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class CalibratedThreshold(CalibratedBackend):
 
     @property
     def model(self) -> PlacementModel:
-        """The live model (advisor/compiled consumers need evaluator access)."""
+        """The calibrated model this backend answers from."""
         return self._model
 
     # ---- topology --------------------------------------------------------------

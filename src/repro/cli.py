@@ -237,21 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cal.add_argument("platform", choices=platform_names())
 
-    p_comp = sub.add_parser(
-        "compile", parents=[pipeline_opts],
-        help="compile a calibrated model into a dense lookup artifact",
-    )
-    p_comp.add_argument("platform", choices=platform_names())
-    p_comp.add_argument(
-        "--n-max", type=int, default=None,
-        help="largest core count covered by the compiled tables "
-        "(default: 256, covering every archived platform)",
-    )
-    p_comp.add_argument(
-        "--force", action="store_true",
-        help="discard any stored compiled artifact and recompile",
-    )
-
     p_pred = sub.add_parser(
         "predict", parents=[pipeline_opts], help="predict one configuration"
     )
@@ -707,57 +692,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> str:
         f"platform {platform.name}\n"
         f"local : {result.model.local.summary()}\n"
         f"remote: {result.model.remote.summary()}"
-    )
-
-
-def _cmd_compile(args: argparse.Namespace) -> str:
-    from repro.bench.config import SweepConfig
-    from repro.core.compiled import (
-        DEFAULT_N_MAX,
-        compiled_key,
-        load_compiled,
-        load_or_compile,
-    )
-    from repro.evaluation.experiments import run_platform_experiment
-    from repro.pipeline.fingerprint import config_fingerprint
-    from repro.pipeline.store import ArtifactStore
-
-    cache_dir = _resolve_cache_dir(args)
-    if cache_dir is None:
-        raise PipelineError(
-            "compile needs an artifact store to publish into: pass "
-            "--cache-dir or set $REPRO_CACHE_DIR"
-        )
-    n_max = DEFAULT_N_MAX if args.n_max is None else args.n_max
-    config = SweepConfig(seed=args.seed)
-    result = run_platform_experiment(
-        args.platform, config=config, cache_dir=cache_dir, jobs=args.jobs
-    )
-    store = ArtifactStore(cache_dir)
-    fingerprint = config_fingerprint(config)
-    key = compiled_key(args.platform, fingerprint)
-    if args.force:
-        store.discard(key)
-        cached = None
-    else:
-        cached = load_compiled(store, args.platform, fingerprint)
-    reused = cached is not None and cached.n_max >= n_max
-    compiled = load_or_compile(
-        store,
-        args.platform,
-        fingerprint,
-        result.model,
-        n_max=n_max,
-        error_average_pct=result.errors.average,
-    )
-    k = compiled.n_numa_nodes
-    return (
-        f"{'reused' if reused else 'compiled'} {args.platform} "
-        f"(seed={args.seed}) -> {key.entry_id}\n"
-        f"  tables: 3 curves x {k * k} placements x "
-        f"{compiled.n_max + 1} core counts "
-        f"({compiled.table_bytes} bytes)\n"
-        f"  store: {store.root}"
     )
 
 
@@ -1570,7 +1504,6 @@ _COMMANDS = {
     "topo": _cmd_topo,
     "sweep": _cmd_sweep,
     "calibrate": _cmd_calibrate,
-    "compile": _cmd_compile,
     "predict": _cmd_predict,
     "tournament": _cmd_tournament,
     "figure": _cmd_figure,

@@ -1,8 +1,8 @@
 """Keep-alive connection pool between the router and its workers.
 
 Every forwarded request used to pay a full TCP open/close round trip on
-top of the worker's answer — pure overhead once the compiled prediction
-kernel made the answer itself nearly free.  :class:`WorkerPool` keeps a
+top of the worker's answer — pure overhead once the model's table
+lookups made the answer itself nearly free.  :class:`WorkerPool` keeps a
 small per-worker stash of idle keep-alive streams: a forward borrows
 one (or opens a fresh connection), runs exactly one HTTP exchange with
 ``Connection: keep-alive``, and parks the stream again when the worker

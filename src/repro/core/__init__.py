@@ -1,38 +1,24 @@
 """The paper's primary contribution: the memory-contention model.
 
 * :mod:`repro.core.parameters` — the model's parameter set (§III-A);
-* :mod:`repro.core.model` — a single model instantiation: equations
-  1–5 and 8 (§III-B);
-* :mod:`repro.core.evaluation` — the vectorized, memoized evaluation
-  layer every consumer goes through;
+* :mod:`repro.core.evaluation` — one model instantiation, equations
+  1–5 and 8 (§III-B), as closed-form array expressions;
 * :mod:`repro.core.oracle` — the scalar reference implementation the
-  vectorized layer is tested against;
+  closed form is tested against;
 * :mod:`repro.core.calibration` — extracting parameters from benchmark
   curves (§IV-A2);
-* :mod:`repro.core.placement` — combining the local and remote
-  instantiations to predict every placement: equations 6 and 7 (§III-C);
-* :mod:`repro.core.compiled` — the compiled prediction kernel: dense
-  per-placement answer tables served by pure table lookup;
+* :mod:`repro.core.placement` — the model of one machine: the local and
+  remote instantiations combined by equations 6 and 7 (§III-C) into
+  per-placement tables that answer every query by lookup;
+* :mod:`repro.core.compiled` — ``CompiledModel``, the former name of
+  :class:`~repro.core.placement.PlacementModel`;
 * :mod:`repro.core.stacked` — the stacked-bandwidth representation of
   Figure 2.
 """
 
 from repro.core.calibration import calibrate, calibrate_placement_model
-from repro.core.compiled import (
-    CompiledModel,
-    compiled_key,
-    load_compiled,
-    load_or_compile,
-    store_compiled,
-)
-from repro.core.evaluation import (
-    ModelEvaluator,
-    as_core_counts,
-    evaluator_for,
-    sweep_curves,
-)
+from repro.core.evaluation import as_core_counts, sweep_curves
 from repro.core.fitting import fit_quality, refine_parameters
-from repro.core.model import ContentionModel
 from repro.core.oracle import ScalarOracle
 from repro.core.parameters import ModelParameters
 from repro.core.placement import PlacementModel, PlacementPrediction
@@ -40,9 +26,6 @@ from repro.core.sensitivity import SensitivityResult, parameter_sensitivity
 from repro.core.stacked import StackedView, stacked_view
 
 __all__ = [
-    "CompiledModel",
-    "ContentionModel",
-    "ModelEvaluator",
     "ModelParameters",
     "PlacementModel",
     "PlacementPrediction",
@@ -52,11 +35,6 @@ __all__ = [
     "as_core_counts",
     "calibrate",
     "calibrate_placement_model",
-    "compiled_key",
-    "evaluator_for",
-    "load_compiled",
-    "load_or_compile",
-    "store_compiled",
     "fit_quality",
     "parameter_sensitivity",
     "refine_parameters",

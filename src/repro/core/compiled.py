@@ -1,590 +1,12 @@
-"""Compiled prediction kernel: the model as a flat columnar artifact.
+"""The former compiled prediction kernel, now the model itself.
 
-The threshold model is piecewise-linear in ``n``, so a calibrated
-:class:`~repro.core.placement.PlacementModel` admits a *finite,
-precomputable* answer set: every curve × every placement × every core
-count up to the platform limit.  :class:`CompiledModel` materializes
-that set once — through the exact same equation-6/7 selection path the
-live model uses, so the tables are bit-identical to both
-:class:`~repro.core.evaluation.ModelEvaluator` and the scalar
-:class:`~repro.core.oracle.ScalarOracle` — and then answers hot-path
-queries by pure fancy-indexed lookup:
-
-* ``predict`` / ``predict_batch`` — :class:`PointPrediction` results,
-  bit-identical to the live model, no evaluator probe per query;
-* ``predict_columns`` — the zero-object columnar path: one vectorized
-  validation pass + four fancy-indexed gathers, returning raw arrays
-  (what the service bulk endpoint serializes from);
-* ``predict_grid`` — per-placement rows sliced straight out of the
-  table.
-
-Queries beyond the compiled ``n_max`` fall back transparently to a
-reconstructed live model, so compilation is a pure optimisation, never
-a behaviour change.
-
-The on-disk form is one flat, versioned artifact: ``tables.npz``
-(dense float64 arrays) + ``compiled.json`` (format version, the two
-parameter sets, topology, table bounds).  Stored content-addressed in
-the pipeline :class:`~repro.pipeline.store.ArtifactStore` under stage
-``"compiled"`` with the *same* config fingerprint as the calibration
-that produced it — a parameter change produces a new fingerprint, so a
-stale compiled table can never be served for fresh parameters.  A
-corrupted or version-mismatched artifact is logged, discarded, and
-recompiled (see :func:`load_compiled` / :func:`load_or_compile`).
+:class:`~repro.core.placement.PlacementModel` is built with its dense
+per-placement answer tables and answers every query by table lookup,
+so there is no separate compiled form left.  ``CompiledModel`` names
+the same class for code written against the kernel's API;
+``CompiledModel.compile(model)`` returns ``model``.
 """
 
-from __future__ import annotations
+from repro.core.placement import PlacementModel as CompiledModel
 
-import io
-import json
-import logging
-import zipfile
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-import numpy as np
-
-from repro.core.evaluation import as_core_counts
-from repro.core.parameters import ModelParameters
-from repro.core.placement import (
-    PlacementModel,
-    PlacementPrediction,
-    PointPrediction,
-)
-from repro.errors import ModelError, PlacementError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.pipeline.stage import StageKey
-    from repro.pipeline.store import ArtifactStore
-
-__all__ = [
-    "COMPILED_FORMAT_VERSION",
-    "COMPILED_STAGE",
-    "COMPILED_STAGE_VERSION",
-    "CompiledModel",
-    "compiled_key",
-    "load_compiled",
-    "load_or_compile",
-    "store_compiled",
-]
-
-log = logging.getLogger("repro.core")
-
-#: Bumped whenever the artifact layout changes; older artifacts are
-#: discarded and recompiled rather than misread.
-COMPILED_FORMAT_VERSION = 1
-
-#: The artifact-store stage name compiled models live under.
-COMPILED_STAGE = "compiled"
-COMPILED_STAGE_VERSION = 1
-
-#: Dense tables cover at least this many core counts.  Every archived
-#: platform tops out at 64 physical cores, so the default table covers
-#: any plausible query while staying ~100 KB per model.
-DEFAULT_N_MAX = 256
-
-_TABLES_FILE = "tables.npz"
-_MANIFEST_FILE = "compiled.json"
-
-#: Row order of the 3-D table's leading axis.  ``comm_alone`` is
-#: constant in ``n`` and stored as its own per-placement vector.
-_CURVES = ("comp_parallel", "comm_parallel", "comp_alone")
-
-
-class CompiledModel:
-    """Dense per-placement answer tables for one calibrated model.
-
-    ``tables`` has shape ``(3, n_placements, n_max + 1)`` — curve ×
-    placement × core count — and ``comm_alone`` shape
-    ``(n_placements,)``.  Placements are ordered row-major:
-    ``index = m_comp * n_numa_nodes + m_comm``.
-    """
-
-    __slots__ = (
-        "_local",
-        "_remote",
-        "_nodes_per_socket",
-        "_n_numa_nodes",
-        "_n_max",
-        "_tables",
-        "_comm_alone",
-        "_error_average_pct",
-        "_live",
-    )
-
-    def __init__(
-        self,
-        *,
-        local: ModelParameters,
-        remote: ModelParameters,
-        nodes_per_socket: int,
-        n_numa_nodes: int,
-        n_max: int,
-        tables: np.ndarray,
-        comm_alone: np.ndarray,
-        error_average_pct: float = float("nan"),
-    ) -> None:
-        expected = (len(_CURVES), n_numa_nodes * n_numa_nodes, n_max + 1)
-        if tables.shape != expected or tables.dtype != np.float64:
-            raise ModelError(
-                f"compiled tables must be float64 of shape {expected}, got "
-                f"{tables.dtype} {tables.shape}"
-            )
-        if comm_alone.shape != (expected[1],) or comm_alone.dtype != np.float64:
-            raise ModelError(
-                f"compiled comm_alone must be float64 of shape ({expected[1]},), "
-                f"got {comm_alone.dtype} {comm_alone.shape}"
-            )
-        self._local = local
-        self._remote = remote
-        self._nodes_per_socket = nodes_per_socket
-        self._n_numa_nodes = n_numa_nodes
-        self._n_max = n_max
-        self._tables = tables
-        self._comm_alone = comm_alone
-        self._error_average_pct = float(error_average_pct)
-        self._live: PlacementModel | None = None
-
-    # ---- construction ----------------------------------------------------------
-
-    @classmethod
-    def compile(
-        cls,
-        model: PlacementModel,
-        *,
-        n_max: int = DEFAULT_N_MAX,
-        error_average_pct: float = float("nan"),
-    ) -> "CompiledModel":
-        """Materialize ``model`` into dense tables.
-
-        Each placement row is produced by :meth:`PlacementModel.predict`
-        itself — the same equation-6/7 selection every live query takes
-        — so the compiled answers are bit-identical to the live model
-        (and therefore to the scalar oracle) by construction.
-        """
-        if n_max < 1:
-            raise ModelError(f"compiled n_max must be >= 1, got {n_max}")
-        k = model.n_numa_nodes
-        ns = np.arange(n_max + 1, dtype=np.int64)
-        tables = np.empty((len(_CURVES), k * k, n_max + 1), dtype=np.float64)
-        comm_alone = np.empty(k * k, dtype=np.float64)
-        for m_comp in range(k):
-            for m_comm in range(k):
-                row = m_comp * k + m_comm
-                pred = model.predict(ns, m_comp, m_comm)
-                tables[0, row] = pred.comp_parallel
-                tables[1, row] = pred.comm_parallel
-                tables[2, row] = pred.comp_alone
-                comm_alone[row] = pred.comm_alone
-        compiled = cls(
-            local=model.local,
-            remote=model.remote,
-            nodes_per_socket=model.nodes_per_socket,
-            n_numa_nodes=k,
-            n_max=n_max,
-            tables=tables,
-            comm_alone=comm_alone,
-            error_average_pct=error_average_pct,
-        )
-        compiled._live = model
-        return compiled
-
-    # ---- accessors -------------------------------------------------------------
-
-    @property
-    def local(self) -> ModelParameters:
-        return self._local
-
-    @property
-    def remote(self) -> ModelParameters:
-        return self._remote
-
-    @property
-    def nodes_per_socket(self) -> int:
-        return self._nodes_per_socket
-
-    @property
-    def n_numa_nodes(self) -> int:
-        return self._n_numa_nodes
-
-    @property
-    def n_max(self) -> int:
-        """Largest core count answered from the table."""
-        return self._n_max
-
-    @property
-    def error_average_pct(self) -> float:
-        return self._error_average_pct
-
-    @property
-    def table_bytes(self) -> int:
-        return self._tables.nbytes + self._comm_alone.nbytes
-
-    def placements(self) -> list[tuple[int, int]]:
-        """Every ``(m_comp, m_comm)`` pair, in table row order."""
-        k = self._n_numa_nodes
-        return [(mc, mm) for mc in range(k) for mm in range(k)]
-
-    def placement_model(self) -> PlacementModel:
-        """The live model this artifact compiles (reconstructed lazily).
-
-        Used for queries the table cannot answer (``n > n_max``) and by
-        consumers that need evaluator access (advise, sensitivity).
-        """
-        if self._live is None:
-            self._live = PlacementModel(
-                self._local,
-                self._remote,
-                nodes_per_socket=self._nodes_per_socket,
-                n_numa_nodes=self._n_numa_nodes,
-            )
-        return self._live
-
-    # ---- hot-path lookups ------------------------------------------------------
-
-    def _coerce_queries(
-        self, queries: Sequence[tuple[int, int, int]]
-    ) -> tuple[np.ndarray, np.ndarray, bool]:
-        """Vectorized validation of a query batch.
-
-        Returns ``(ns, rows, in_table)`` where ``rows`` are placement
-        row indices and ``in_table`` is False when any ``n`` exceeds
-        the compiled range (caller falls back to the live model).
-        """
-        arr = np.asarray(queries)
-        if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
-            raise PlacementError(
-                "batch queries must be a non-empty sequence of "
-                "(n, m_comp, m_comm) triples"
-            )
-        if arr.dtype == np.bool_ or arr.dtype == object:
-            raise PlacementError(
-                "batch queries must be integer (n, m_comp, m_comm) triples"
-            )
-        if np.issubdtype(arr.dtype, np.floating):
-            bad = ~np.isfinite(arr) | (arr != np.floor(arr))
-            if np.any(bad):
-                index = int(np.nonzero(bad.any(axis=1))[0][0])
-                raise PlacementError(
-                    f"batch query {index}: values must be integral, got "
-                    f"{tuple(arr[index])!r}"
-                )
-            arr = arr.astype(np.int64)
-        elif not np.issubdtype(arr.dtype, np.integer):
-            raise PlacementError(
-                f"batch queries must be integers, got dtype {arr.dtype}"
-            )
-        ns = arr[:, 0].astype(np.int64)
-        m_comp = arr[:, 1].astype(np.int64)
-        m_comm = arr[:, 2].astype(np.int64)
-        if np.any(ns < 0):
-            index = int(np.nonzero(ns < 0)[0][0])
-            raise PlacementError(
-                f"batch query {index}: core count must be >= 0, "
-                f"got {int(ns[index])}"
-            )
-        k = self._n_numa_nodes
-        bad_node = (m_comp < 0) | (m_comp >= k) | (m_comm < 0) | (m_comm >= k)
-        if np.any(bad_node):
-            index = int(np.nonzero(bad_node)[0][0])
-            raise PlacementError(
-                f"batch query {index}: NUMA node out of range "
-                f"(machine has {k} nodes), got "
-                f"({int(m_comp[index])}, {int(m_comm[index])})"
-            )
-        return ns, m_comp * k + m_comm, bool(np.all(ns <= self._n_max))
-
-    def predict(self, n: int, m_comp: int, m_comm: int) -> PointPrediction:
-        """One scalar query, answered from the table."""
-        return self.predict_batch([(n, m_comp, m_comm)])[0]
-
-    def predict_batch(
-        self, queries: Sequence[tuple[int, int, int]]
-    ) -> list[PointPrediction]:
-        """Bulk scalar queries, each one a table lookup.
-
-        Bit-identical to :meth:`PlacementModel.predict_batch`; queries
-        beyond ``n_max`` delegate the whole batch to the live model.
-        """
-        ns, rows, in_table = self._coerce_queries(queries)
-        if not in_table:
-            return self.placement_model().predict_batch(
-                [(int(n), int(r) // self._n_numa_nodes,
-                  int(r) % self._n_numa_nodes)
-                 for n, r in zip(ns, rows)]
-            )
-        t = self._tables
-        comp_par = t[0, rows, ns]
-        comm_par = t[1, rows, ns]
-        comp_alone = t[2, rows, ns]
-        comm_alone = self._comm_alone[rows]
-        k = self._n_numa_nodes
-        return [
-            PointPrediction(
-                n=int(ns[i]),
-                m_comp=int(rows[i]) // k,
-                m_comm=int(rows[i]) % k,
-                comp_parallel=float(comp_par[i]),
-                comm_parallel=float(comm_par[i]),
-                comp_alone=float(comp_alone[i]),
-                comm_alone=float(comm_alone[i]),
-            )
-            for i in range(len(ns))
-        ]
-
-    def predict_columns(
-        self, queries: Sequence[tuple[int, int, int]]
-    ) -> dict[str, np.ndarray]:
-        """The zero-object columnar path: raw answer arrays, no
-        :class:`PointPrediction` objects on the hot path.
-
-        Returns ``n``/``m_comp``/``m_comm`` echo columns plus the four
-        answer columns, all 1-D arrays in query order — exactly the
-        values :meth:`predict_batch` would wrap, produced by four
-        fancy-indexed gathers.
-        """
-        ns, rows, in_table = self._coerce_queries(queries)
-        if not in_table:
-            points = self.predict_batch(queries)
-            return {
-                "n": np.array([p.n for p in points], dtype=np.int64),
-                "m_comp": np.array([p.m_comp for p in points], dtype=np.int64),
-                "m_comm": np.array([p.m_comm for p in points], dtype=np.int64),
-                "comp_parallel": np.array(
-                    [p.comp_parallel for p in points]
-                ),
-                "comm_parallel": np.array(
-                    [p.comm_parallel for p in points]
-                ),
-                "comp_alone": np.array([p.comp_alone for p in points]),
-                "comm_alone": np.array([p.comm_alone for p in points]),
-            }
-        t = self._tables
-        k = self._n_numa_nodes
-        return {
-            "n": ns,
-            "m_comp": rows // k,
-            "m_comm": rows % k,
-            "comp_parallel": t[0, rows, ns],
-            "comm_parallel": t[1, rows, ns],
-            "comp_alone": t[2, rows, ns],
-            "comm_alone": self._comm_alone[rows],
-        }
-
-    def predict_grid(
-        self,
-        core_counts: Sequence[int] | np.ndarray,
-        placements: Iterable[tuple[int, int]] | None = None,
-    ) -> dict[tuple[int, int], PlacementPrediction]:
-        """Grid sweep served by row slicing; falls back past ``n_max``."""
-        ns = as_core_counts(core_counts, error=PlacementError)
-        if int(ns.max()) > self._n_max:
-            return self.placement_model().predict_grid(ns, placements)
-        k = self._n_numa_nodes
-        if placements is None:
-            placements = self.placements()
-        out: dict[tuple[int, int], PlacementPrediction] = {}
-        for m_comp, m_comm in placements:
-            if not (0 <= m_comp < k and 0 <= m_comm < k):
-                raise PlacementError(
-                    f"NUMA node out of range (machine has {k} nodes): "
-                    f"({m_comp}, {m_comm})"
-                )
-            row = m_comp * k + m_comm
-            out[(m_comp, m_comm)] = PlacementPrediction(
-                m_comp=m_comp,
-                m_comm=m_comm,
-                core_counts=ns,
-                comp_parallel=self._tables[0, row, ns],
-                comm_parallel=self._tables[1, row, ns],
-                comp_alone=self._tables[2, row, ns],
-                comm_alone=float(self._comm_alone[row]),
-            )
-        return out
-
-    # ---- serialization ---------------------------------------------------------
-
-    def to_payloads(self) -> dict[str, str | bytes]:
-        """The flat artifact: ``compiled.json`` text + ``tables.npz`` bytes."""
-        buffer = io.BytesIO()
-        np.savez(buffer, tables=self._tables, comm_alone=self._comm_alone)
-        manifest = {
-            "format_version": COMPILED_FORMAT_VERSION,
-            "local": self._local.to_dict(),
-            "remote": self._remote.to_dict(),
-            "nodes_per_socket": self._nodes_per_socket,
-            "n_numa_nodes": self._n_numa_nodes,
-            "n_max": self._n_max,
-            "curves": list(_CURVES),
-            "error_average_pct": (
-                None
-                if np.isnan(self._error_average_pct)
-                else self._error_average_pct
-            ),
-        }
-        return {
-            _MANIFEST_FILE: json.dumps(manifest, indent=2, sort_keys=True),
-            _TABLES_FILE: buffer.getvalue(),
-        }
-
-    @classmethod
-    def from_payloads(
-        cls, payloads: dict[str, str | bytes]
-    ) -> "CompiledModel":
-        """Reconstruct a compiled model, validating everything.
-
-        Raises :class:`ModelError` on any defect — missing file, bad
-        JSON, format-version mismatch, wrong array shape or dtype —
-        so callers can log + recompile instead of serving stale or
-        corrupt tables.
-        """
-        manifest_text = payloads.get(_MANIFEST_FILE)
-        tables_raw = payloads.get(_TABLES_FILE)
-        if not isinstance(manifest_text, str) or not isinstance(
-            tables_raw, bytes
-        ):
-            raise ModelError(
-                f"compiled artifact must carry text {_MANIFEST_FILE!r} and "
-                f"binary {_TABLES_FILE!r}"
-            )
-        try:
-            manifest = json.loads(manifest_text)
-        except json.JSONDecodeError as exc:
-            raise ModelError(
-                f"compiled manifest is not valid JSON ({exc})"
-            ) from exc
-        if not isinstance(manifest, dict):
-            raise ModelError("compiled manifest is not a JSON object")
-        if manifest.get("format_version") != COMPILED_FORMAT_VERSION:
-            raise ModelError(
-                f"compiled format version {manifest.get('format_version')!r} "
-                f"!= {COMPILED_FORMAT_VERSION}"
-            )
-        if manifest.get("curves") != list(_CURVES):
-            raise ModelError(
-                f"compiled curve order {manifest.get('curves')!r} != "
-                f"{list(_CURVES)}"
-            )
-        try:
-            local = ModelParameters.from_dict(manifest["local"])
-            remote = ModelParameters.from_dict(manifest["remote"])
-            nodes_per_socket = int(manifest["nodes_per_socket"])
-            n_numa_nodes = int(manifest["n_numa_nodes"])
-            n_max = int(manifest["n_max"])
-            error_pct = manifest.get("error_average_pct")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelError(f"compiled manifest is malformed: {exc}") from exc
-        try:
-            # A truncated .npz surfaces as zipfile.BadZipFile.
-            with np.load(io.BytesIO(tables_raw), allow_pickle=False) as npz:
-                tables = npz["tables"]
-                comm_alone = npz["comm_alone"]
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-            raise ModelError(f"compiled tables are unreadable: {exc}") from exc
-        return cls(
-            local=local,
-            remote=remote,
-            nodes_per_socket=nodes_per_socket,
-            n_numa_nodes=n_numa_nodes,
-            n_max=n_max,
-            tables=tables,
-            comm_alone=comm_alone,
-            error_average_pct=(
-                float("nan") if error_pct is None else float(error_pct)
-            ),
-        )
-
-
-# ---- artifact-store glue ---------------------------------------------------------
-#
-# The store lives one layer up (repro.pipeline); imports are deferred so
-# repro.core keeps no import-time dependency on it.
-
-
-def compiled_key(platform: str, fingerprint: str) -> "StageKey":
-    """The store address of a compiled model.
-
-    Keyed by the *same* config fingerprint as the calibration that
-    produced the parameters: a sweep-config change re-fingerprints and
-    therefore recompiles — stale tables can never be served.
-    """
-    from repro.pipeline.stage import StageKey
-
-    return StageKey(
-        platform=platform,
-        stage=COMPILED_STAGE,
-        version=COMPILED_STAGE_VERSION,
-        fingerprint=fingerprint,
-    )
-
-
-def store_compiled(
-    store: "ArtifactStore",
-    platform: str,
-    fingerprint: str,
-    compiled: CompiledModel,
-) -> None:
-    """Persist one compiled model, content-addressed."""
-    store.save(
-        compiled_key(platform, fingerprint),
-        compiled.to_payloads(),
-        provenance={
-            "platform": platform,
-            "n_max": compiled.n_max,
-            "table_bytes": compiled.table_bytes,
-        },
-    )
-
-
-def load_compiled(
-    store: "ArtifactStore", platform: str, fingerprint: str
-) -> CompiledModel | None:
-    """Load + validate one compiled model; ``None`` means recompile.
-
-    Store-level corruption (checksums, manifest) is already handled by
-    the store; this adds the compiled-format validation pass on top.  A
-    decodable-but-invalid artifact is logged and discarded so the next
-    save replaces it.
-    """
-    key = compiled_key(platform, fingerprint)
-    payloads = store.load(key)
-    if payloads is None:
-        return None
-    try:
-        return CompiledModel.from_payloads(payloads)
-    except ModelError as exc:
-        log.warning(
-            "discarding invalid compiled artifact %s: %s", key.entry_id, exc
-        )
-        store.discard(key)
-        return None
-
-
-def load_or_compile(
-    store: "ArtifactStore | None",
-    platform: str,
-    fingerprint: str,
-    model: PlacementModel,
-    *,
-    n_max: int = DEFAULT_N_MAX,
-    error_average_pct: float = float("nan"),
-) -> CompiledModel:
-    """The compile-on-calibrate entry point.
-
-    Serves the stored artifact when one is present and valid *and*
-    large enough, otherwise compiles from ``model`` and (when a store
-    is given) publishes the result for every other worker sharing it.
-    """
-    if store is not None:
-        cached = load_compiled(store, platform, fingerprint)
-        if cached is not None:
-            if cached.n_max >= n_max:
-                return cached
-            # Too small for the requested range: replace it, or the
-            # save below would lose the publish race to the old entry.
-            store.discard(compiled_key(platform, fingerprint))
-    compiled = CompiledModel.compile(
-        model, n_max=n_max, error_average_pct=error_average_pct
-    )
-    if store is not None:
-        store_compiled(store, platform, fingerprint, compiled)
-    return compiled
+__all__ = ["CompiledModel"]

@@ -1,36 +1,33 @@
-"""Vectorized, memoized evaluation layer for the contention model.
+"""The closed form of equations 1–5 and 8, over arrays of core counts.
 
-Every consumer of the model — calibration, placement prediction,
-sensitivity analysis, the advisor, all figure/table benchmarks —
-ultimately evaluates equations 1–5 and 8 over many core counts.  Doing
-that one ``n`` at a time in Python, recomputing the saturation frontier
-(an O(``n_seq_max``) scan) inside every ``alpha_factor`` call, makes a
-full sweep O(n²).
+Every consumer of the model — the placement tables, calibration and
+fitting, sensitivity analysis, the figures — evaluates the same
+piecewise-linear family over many core counts.  Doing that one ``n`` at
+a time in Python, re-deriving the saturation frontier (an
+O(``n_seq_max``) scan) inside every ``alpha_factor`` call, makes a full
+sweep O(n²).  This module evaluates it as NumPy array expressions:
 
-This module evaluates the whole piecewise-linear family as closed-form
-NumPy array expressions instead:
-
-* :class:`ModelEvaluator` — one per :class:`ModelParameters`, caching
-  the saturation frontier (computed once) and a dense table of every
-  curve over a hot window of core counts.  Scalar queries become O(1)
-  table lookups; sweeps become fancy-indexing.
-* :func:`evaluator_for` — the per-parameter-set memo.  Keyed by the
-  frozen dataclass itself, so value-equal parameter sets share one
-  evaluator and any mutation-by-replacement naturally invalidates.
-* :func:`sweep_curves` — convenience: validated, vectorized sweep for
-  one parameter set.
+* :func:`curves` — the four curves of one instantiation over an array
+  of core counts, in one pass that scans the frontier once;
+* :func:`total_bandwidth`, :func:`last_unsaturated` and
+  :func:`alpha_factor` — equation 1, the saturation frontier and
+  equation 5 on their own;
+* :func:`sweep_curves` — validated :func:`curves` of one parameter set;
 * :func:`as_core_counts` — the integer-core-count contract shared by
-  every array entry point (``sweep``, ``predict``, the measurement
-  runners): non-integral core counts are rejected, never truncated.
+  every array entry point (``sweep_curves``, ``predict``, the
+  measurement runners): non-integral core counts are rejected, never
+  truncated.
 
-The scalar implementation in :mod:`repro.core.oracle` is kept verbatim
-as the reference oracle; the property suite asserts the arrays produced
-here match it bit for bit.
+Nothing here is cached.  :class:`~repro.core.placement.PlacementModel`
+evaluates the closed form once per instantiation when it builds its
+tables; everything else evaluates it on the points it asks for.  The
+scalar implementation in :mod:`repro.core.oracle` is the reference:
+the property suite asserts the arrays produced here match it bit for
+bit.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Type
 
 import numpy as np
@@ -39,23 +36,13 @@ from repro.core.parameters import ModelParameters
 from repro.errors import ModelError, ReproError
 
 __all__ = [
-    "ModelEvaluator",
+    "alpha_factor",
     "as_core_counts",
-    "evaluator_for",
+    "curves",
+    "last_unsaturated",
     "sweep_curves",
+    "total_bandwidth",
 ]
-
-#: Largest core count covered by the dense hot table.  Queries beyond it
-#: fall back to the same closed-form array expressions, evaluated on the
-#: requested points only, so absurdly large ``n`` cannot balloon memory.
-_HOT_LIMIT = 65_536
-
-#: Bounded memo of evaluators, LRU-evicted.
-_EVALUATORS: "OrderedDict[ModelParameters, ModelEvaluator]" = OrderedDict()
-_EVALUATORS_MAX = 128
-
-#: The four curves of one sweep, in the order the figures stack them.
-_CURVES = ("total", "comp_par", "comm_par", "comp_alone")
 
 
 def as_core_counts(
@@ -70,204 +57,100 @@ def as_core_counts(
     arr = np.asarray(core_counts)
     if arr.ndim != 1 or arr.size == 0:
         raise error("core_counts must be a non-empty 1-D sequence")
-    if np.issubdtype(arr.dtype, np.integer):
-        ns = arr.astype(np.int64)
-    elif np.issubdtype(arr.dtype, np.floating):
-        if not np.all(np.isfinite(arr)) or np.any(arr != np.floor(arr)):
-            bad = arr[~np.isfinite(arr) | (arr != np.floor(arr))][:3]
-            raise error(
-                "core counts must be integral, got "
-                f"{', '.join(repr(float(b)) for b in bad)}"
-            )
-        ns = arr.astype(np.int64)
-    else:
+    if arr.dtype.kind not in "iuf":
         raise error(f"core counts must be integers, got dtype {arr.dtype}")
+    with np.errstate(invalid="ignore"):
+        ns = arr.astype(np.int64)
+    if arr.dtype.kind != "i":
+        # Floats and uint64 must convert exactly: no fractions, NaN,
+        # infinities or values past int64.
+        bad = arr[ns != arr][:3].tolist()
+        if bad:
+            raise error(
+                "core counts must be integral and fit in int64, got "
+                f"{', '.join(repr(b) for b in bad)}"
+            )
     if np.any(ns < 0):
         raise error(f"core counts must be >= 0, got {int(ns.min())}")
     return ns
 
 
-class ModelEvaluator:
-    """Closed-form array evaluation of equations 1–5 and 8.
+# ---- the closed form ----------------------------------------------------------
+#
+# Every function takes a 1-D non-negative ``int64`` array (as produced
+# by :func:`as_core_counts`) and returns ``float64`` arrays that match
+# :class:`repro.core.oracle.ScalarOracle` bit for bit.
 
-    All array methods accept a 1-D non-negative ``int64`` array (as
-    produced by :func:`as_core_counts`) and return ``float64`` arrays
-    that match :class:`repro.core.oracle.ScalarOracle` bit for bit.
 
-    ``frontier_scans`` and ``table_builds`` count the expensive
-    operations actually performed — the memoization tests assert they
-    stay at one regardless of how many queries are made.
+def total_bandwidth(p: ModelParameters, ns: np.ndarray) -> np.ndarray:
+    """``T(n)`` (Eq. 1), floored at zero."""
+    mid = p.t_par_max - p.delta_l * (ns - p.n_par_max)
+    right = p.t_par_max2 - p.delta_r * (ns - p.n_seq_max)
+    out = np.where(ns < p.n_seq_max, mid, right)
+    out = np.where(ns == p.n_seq_max, p.t_par_max2, out)
+    out = np.where(ns <= p.n_par_max, p.t_par_max, out)
+    return np.maximum(out, 0.0)
+
+
+def _requested(p: ModelParameters, ns: np.ndarray) -> np.ndarray:
+    """``R(n)`` (Eq. 2)."""
+    return ns * p.b_comp_seq + p.alpha * p.b_comm_seq
+
+
+def last_unsaturated(p: ModelParameters) -> int:
+    """The saturation frontier ``i = max{j | R(j) < T(j)}``.
+
+    ``j = 0`` (communications alone) always fits, so the frontier
+    always exists.
     """
-
-    __slots__ = (
-        "_p",
-        "_last_unsat",
-        "_hot",
-        "_hot_cap",
-        "frontier_scans",
-        "table_builds",
-    )
-
-    def __init__(self, params: ModelParameters) -> None:
-        self._p = params
-        self._last_unsat: int | None = None
-        self._hot: dict[str, np.ndarray] | None = None
-        self._hot_cap = -1
-        self.frontier_scans = 0
-        self.table_builds = 0
-
-    @property
-    def params(self) -> ModelParameters:
-        return self._p
-
-    # ---- closed-form array expressions -----------------------------------------
-
-    def total(self, ns: np.ndarray) -> np.ndarray:
-        """``T(n)`` (Eq. 1) over an array of core counts."""
-        p = self._p
-        mid = p.t_par_max - p.delta_l * (ns - p.n_par_max)
-        right = p.t_par_max2 - p.delta_r * (ns - p.n_seq_max)
-        out = np.where(ns < p.n_seq_max, mid, right)
-        out = np.where(ns == p.n_seq_max, p.t_par_max2, out)
-        out = np.where(ns <= p.n_par_max, p.t_par_max, out)
-        return np.maximum(out, 0.0)
-
-    def requested(self, ns: np.ndarray) -> np.ndarray:
-        """``R(n)`` (Eq. 2) over an array of core counts."""
-        p = self._p
-        return ns * p.b_comp_seq + p.alpha * p.b_comm_seq
-
-    def saturated(self, ns: np.ndarray) -> np.ndarray:
-        """``R(n) >= T(n)`` over an array of core counts."""
-        return self.requested(ns) >= self.total(ns)
-
-    @property
-    def last_unsaturated(self) -> int:
-        """The saturation frontier ``i = max{j | R(j) < T(j)}``, cached.
-
-        ``j = 0`` (communications alone) always fits, so the frontier
-        always exists.  Computed once per parameter set.
-        """
-        if self._last_unsat is None:
-            p = self._p
-            js = np.arange(p.n_seq_max + 1, dtype=np.int64)
-            unsat = self.requested(js) < self.total(js)
-            unsat[0] = True
-            self._last_unsat = int(np.nonzero(unsat)[0][-1])
-            self.frontier_scans += 1
-        return self._last_unsat
-
-    def alpha(self, ns: np.ndarray) -> np.ndarray:
-        """``α(n)`` (Eq. 5) over an array of core counts."""
-        p = self._p
-        out = np.full(ns.shape, p.alpha, dtype=float)
-        if p.n_seq_max - p.n_par_max <= 1:
-            return out
-        i = self.last_unsaturated
-        if i >= p.n_seq_max:
-            return out
-        if i > 0:
-            total_i = float(self.total(np.asarray([i], dtype=np.int64))[0])
-            comm_at_i = min(total_i - i * p.b_comp_seq, p.b_comm_seq)
-        else:
-            comm_at_i = p.b_comm_seq
-        ratio_i = comm_at_i / p.b_comm_seq
-        slope = (ratio_i - p.alpha) / (p.n_seq_max - i)
-        factor = ratio_i - slope * (ns - i)
-        interp = np.minimum(np.maximum(factor, p.alpha), 1.0)
-        return np.where(ns < p.n_seq_max, interp, out)
-
-    def comm_parallel(self, ns: np.ndarray) -> np.ndarray:
-        """``B_comm_par(n)`` (Eq. 4) over an array of core counts."""
-        return self.curves(ns)["comm_par"]
-
-    def comp_parallel(self, ns: np.ndarray) -> np.ndarray:
-        """``B_comp_par(n)`` (Eq. 3) over an array of core counts."""
-        return self.curves(ns)["comp_par"]
-
-    def comp_alone(self, ns: np.ndarray) -> np.ndarray:
-        """``B_comp_seq(n)`` (Eq. 8) over an array of core counts."""
-        p = self._p
-        total = self.total(ns)
-        out = np.minimum(np.minimum(ns * p.b_comp_seq, total), p.t_seq_max)
-        return np.where(ns == 0, 0.0, out)
-
-    def curves(self, ns: np.ndarray) -> dict[str, np.ndarray]:
-        """All four curves in one pass (shared ``T``/saturation work)."""
-        p = self._p
-        total = self.total(ns)
-        sat = self.requested(ns) >= total
-        demand = ns * p.b_comp_seq
-        comm_unsat = np.minimum(total - demand, p.b_comm_seq)
-        comm_sat = np.minimum(self.alpha(ns) * p.b_comm_seq, total)
-        comm = np.where(sat, comm_sat, comm_unsat)
-        comm = np.where(ns == 0, p.b_comm_seq, comm)
-        comp = np.where(sat, total - comm, demand)
-        comp = np.where(ns == 0, 0.0, comp)
-        alone = np.where(
-            ns == 0, 0.0, np.minimum(np.minimum(demand, total), p.t_seq_max)
-        )
-        return {
-            "total": total,
-            "comp_par": comp,
-            "comm_par": comm,
-            "comp_alone": alone,
-        }
-
-    # ---- memoized table --------------------------------------------------------
-
-    def _ensure_hot(self, n_max: int) -> None:
-        if n_max <= self._hot_cap:
-            return
-        cap = min(max(n_max, self._p.n_seq_max + 16, 2 * self._hot_cap), _HOT_LIMIT)
-        self._hot = self.curves(np.arange(cap + 1, dtype=np.int64))
-        self._hot_cap = cap
-        self.table_builds += 1
-
-    def sweep(self, ns: np.ndarray) -> dict[str, np.ndarray]:
-        """The four curves over ``ns``, served from the hot table.
-
-        ``ns`` must already be validated (:func:`as_core_counts`).
-        Fancy indexing copies, so callers may mutate the result freely.
-        """
-        n_max = int(ns.max())
-        if n_max <= _HOT_LIMIT:
-            self._ensure_hot(n_max)
-            assert self._hot is not None
-            return {name: self._hot[name][ns] for name in _CURVES}
-        return self.curves(ns)
-
-    def scalar(self, curve: str, n: int) -> float:
-        """One point of one curve — an O(1) lookup after the first call."""
-        if n <= _HOT_LIMIT:
-            self._ensure_hot(n)
-            assert self._hot is not None
-            return float(self._hot[curve][n])
-        point = np.asarray([n], dtype=np.int64)
-        return float(self.curves(point)[curve][0])
-
-    def alpha_scalar(self, n: int) -> float:
-        """``α(n)`` for one core count, without re-scanning the frontier."""
-        return float(self.alpha(np.asarray([n], dtype=np.int64))[0])
+    js = np.arange(p.n_seq_max + 1, dtype=np.int64)
+    unsat = _requested(p, js) < total_bandwidth(p, js)
+    unsat[0] = True
+    return int(np.nonzero(unsat)[0][-1])
 
 
-def evaluator_for(params: ModelParameters) -> ModelEvaluator:
-    """The memoized evaluator of one parameter set.
-
-    Keyed by the frozen dataclass: value-equal parameter sets share one
-    evaluator (and its tables); any change produces a new key.  The
-    memo is LRU-bounded so optimizer loops generating thousands of
-    candidate parameter sets cannot grow it without bound.
-    """
-    evaluator = _EVALUATORS.get(params)
-    if evaluator is None:
-        evaluator = ModelEvaluator(params)
-        _EVALUATORS[params] = evaluator
-        while len(_EVALUATORS) > _EVALUATORS_MAX:
-            _EVALUATORS.popitem(last=False)
+def alpha_factor(p: ModelParameters, ns: np.ndarray) -> np.ndarray:
+    """``α(n)`` (Eq. 5)."""
+    out = np.full(ns.shape, p.alpha, dtype=float)
+    if p.n_seq_max - p.n_par_max <= 1:
+        return out
+    i = last_unsaturated(p)
+    if i >= p.n_seq_max:
+        return out
+    if i > 0:
+        total_i = float(total_bandwidth(p, np.asarray([i], dtype=np.int64))[0])
+        comm_at_i = min(total_i - i * p.b_comp_seq, p.b_comm_seq)
     else:
-        _EVALUATORS.move_to_end(params)
-    return evaluator
+        comm_at_i = p.b_comm_seq
+    ratio_i = comm_at_i / p.b_comm_seq
+    slope = (ratio_i - p.alpha) / (p.n_seq_max - i)
+    factor = ratio_i - slope * (ns - i)
+    interp = np.minimum(np.maximum(factor, p.alpha), 1.0)
+    return np.where(ns < p.n_seq_max, interp, out)
+
+
+def curves(p: ModelParameters, ns: np.ndarray) -> dict[str, np.ndarray]:
+    """``total`` (Eq. 1), ``comp_par`` (Eq. 3), ``comm_par`` (Eq. 4) and
+    ``comp_alone`` (Eq. 8) in one pass, sharing the ``T``/saturation
+    work."""
+    total = total_bandwidth(p, ns)
+    sat = _requested(p, ns) >= total
+    demand = ns * p.b_comp_seq
+    comm_unsat = np.minimum(total - demand, p.b_comm_seq)
+    comm_sat = np.minimum(alpha_factor(p, ns) * p.b_comm_seq, total)
+    comm = np.where(sat, comm_sat, comm_unsat)
+    comm = np.where(ns == 0, p.b_comm_seq, comm)
+    comp = np.where(sat, total - comm, demand)
+    comp = np.where(ns == 0, 0.0, comp)
+    alone = np.where(
+        ns == 0, 0.0, np.minimum(np.minimum(demand, total), p.t_seq_max)
+    )
+    return {
+        "total": total,
+        "comp_par": comp,
+        "comm_par": comm,
+        "comp_alone": alone,
+    }
 
 
 def sweep_curves(
@@ -276,6 +159,5 @@ def sweep_curves(
     *,
     error: Type[ReproError] = ModelError,
 ) -> dict[str, np.ndarray]:
-    """Validated, vectorized sweep of one parameter set."""
-    ns = as_core_counts(core_counts, error=error)
-    return evaluator_for(params).sweep(ns)
+    """Validated :func:`curves` of one parameter set."""
+    return curves(params, as_core_counts(core_counts, error=error))

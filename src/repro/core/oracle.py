@@ -1,14 +1,15 @@
 """Scalar reference oracle for equations 1–5 and 8.
 
 This is the original one-``n``-at-a-time implementation of the model,
-kept verbatim as the ground truth the vectorized evaluation layer
-(:mod:`repro.core.evaluation`) is tested against bit for bit.  It is
-deliberately *not* memoized: ``alpha_factor`` re-derives the saturation
-frontier on every call, exactly as the equations are written, so the
-microbenchmark can also quantify what the memoized layer buys.
+kept verbatim as the ground truth the closed form
+(:mod:`repro.core.evaluation`) and the tables of
+:class:`~repro.core.placement.PlacementModel` are tested against bit
+for bit.  It is deliberately *not* cached: ``alpha_factor`` re-derives
+the saturation frontier on every call, exactly as the equations are
+written, so the microbenchmark can also quantify what the tables buy.
 
-Production code should use :class:`repro.core.model.ContentionModel`,
-which serves the same values from the cached tables.
+Production code should use :class:`~repro.core.placement.PlacementModel`,
+which serves the same values by table lookup.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.model import ContentionModel
+from repro.core.evaluation import sweep_curves
 from repro.core.parameters import ModelParameters
 from repro.errors import ModelError
 
@@ -53,9 +53,8 @@ def stacked_view(
             f"max_cores={max_cores} hides the inflexion point at "
             f"n_seq_max={params.n_seq_max}"
         )
-    model = ContentionModel(params)
     ns = np.arange(1, max_cores + 1)
-    curves = model.sweep(ns)
+    curves = sweep_curves(params, ns)
     points = {
         "(1, Bcomp_seq)": (1.0, params.b_comp_seq),
         "(Npar_max, Tpar_max)": (float(params.n_par_max), params.t_par_max),

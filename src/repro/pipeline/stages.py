@@ -9,8 +9,8 @@ now a consumer of this module):
 * **calibrate** — §IV-A2 parameter extraction from the two sample
   placements.  Cacheable; persisted as the parameter JSON round trip.
 * **predict** — every placement through the calibrated model.  Pure
-  array lookups in the memoized evaluation layer, so it is cheaper to
-  recompute than to read from disk: ``cacheable = False``.
+  lookups in the model's tables, so it is cheaper to recompute than to
+  read from disk: ``cacheable = False``.
 * **score** — the Table II error breakdown.  Also derived and cheap.
 """
 
@@ -155,7 +155,7 @@ class CalibrateStage(Stage):
 class PredictStage(Stage):
     """Predict every measured placement over the measured core counts.
 
-    One batched pass over the memoized evaluation layer — microseconds —
+    One batched pass over the model's tables — microseconds —
     so caching it would cost more than recomputing.
     """
 

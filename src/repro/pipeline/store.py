@@ -22,7 +22,7 @@ Guarantees:
   correctness.
 * **Bit-identical reload** — payloads are UTF-8 text produced by the
   stages' full-precision serialisers (or raw bytes for binary
-  artifacts such as compiled ``.npz`` tables), so a warm run
+  artifacts), so a warm run
   reconstructs the exact float64 values of the cold run.
 """
 

@@ -1,18 +1,20 @@
 """Coalesce concurrent scalar predictions into one vectorized pass.
 
 A scalar ``/predict`` is one table lookup once the model is calibrated,
-but every request still pays the per-call Python overhead of the
-placement selection rules.  When many clients query the same model
-concurrently, the batcher parks each query for a tiny window (one event
--loop tick by default), then answers the whole accumulated batch with a
-single :meth:`PlacementModel.predict_batch` — the same memoized grid
-path a full sweep uses — and fans the scalars back out.
+but every request still pays the per-call Python overhead of query
+validation and result building.  When many clients query the same
+model concurrently, the batcher parks each query for a tiny window (one
+event-loop tick by default), then answers the whole accumulated batch
+with a single :meth:`PlacementModel.predict_batch` — one vectorized
+lookup — and fans the scalars back out.
 
 Correctness contract: a batched answer is bit-identical to the direct
-scalar call, because ``predict_batch`` reads the very same evaluator
-tables.  A query that fails validation (say an out-of-range NUMA node)
-fails alone: the flush falls back to per-query evaluation so one bad
-request cannot poison the batch it happened to share.
+scalar call, because ``predict_batch`` reads the very same tables. A
+query that fails (say an out-of-range NUMA node) fails alone: the flush
+falls back to per-query evaluation so one bad request cannot poison the
+batch it happened to share.  Every parked query is resolved, with its
+answer or its own error, even when that error is not a
+:class:`~repro.errors.ReproError`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import asyncio
 from dataclasses import dataclass, field
 
 from repro.core.placement import PointPrediction
-from repro.errors import ReproError
 from repro.obs import span
 from repro.service.metrics import ServiceMetrics
 from repro.service.registry import ModelEntry, ModelKey
@@ -101,40 +102,27 @@ class PredictBatcher:
         if not queue.queries:
             return
         self._metrics.observe_batch(len(queue.queries))
-        # Short-circuit into the compiled table when the entry carries
-        # one: the whole batch becomes a fancy-indexed lookup.  The
-        # compiled kernel answers bit-identically (and falls back to
-        # the live model internally past its table range).
-        model = (
-            queue.entry.compiled
-            if queue.entry.compiled is not None
-            else queue.entry.model
-        )
-        if queue.entry.compiled is not None:
-            self._metrics.compiled_queries_total += len(queue.queries)
-        else:
-            self._metrics.evaluator_queries_total += len(queue.queries)
+        model = queue.entry.model
         with span(
-            "service.batch",
-            platform=key.platform,
-            size=len(queue.queries),
-            compiled=queue.entry.compiled is not None,
+            "service.batch", platform=key.platform, size=len(queue.queries)
         ):
             try:
                 results = model.predict_batch(queue.queries)
-            except ReproError:
-                # At least one query is invalid; isolate it by answering
-                # each query on its own.
+            except Exception:
+                # At least one query fails; isolate it by answering each
+                # query on its own.  An unexpected error is handed to its
+                # own request too (a 500) rather than escaping the flush
+                # and leaving every parked future to time out.
                 results = []
                 for query in queue.queries:
                     try:
                         results.append(model.predict_batch([query])[0])
-                    except ReproError as exc:
+                    except Exception as exc:
                         results.append(exc)
         for future, result in zip(queue.futures, results):
             if future.cancelled():
                 continue
-            if isinstance(result, ReproError):
+            if isinstance(result, Exception):
                 future.set_exception(result)
             else:
                 future.set_result(result)

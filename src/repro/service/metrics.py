@@ -63,12 +63,6 @@ class ServiceMetrics:
         self.batched_queries_total = 0
         #: batch size -> number of batches of that size
         self.batch_sizes: dict[int, int] = {}
-        # Compiled prediction kernel.
-        #: Queries answered from a compiled model's dense tables.
-        self.compiled_queries_total = 0
-        #: Queries answered by the live evaluator (no compiled model,
-        #: or a core count beyond the compiled range).
-        self.evaluator_queries_total = 0
         # Model backends.
         #: backend id -> queries served by that backend.  The default
         #: threshold path counts under "threshold"; tournament-routed
@@ -148,10 +142,6 @@ class ServiceMetrics:
                 "batches": self.batches_total,
                 "queries": self.batched_queries_total,
                 "sizes": {str(k): v for k, v in sorted(self.batch_sizes.items())},
-            },
-            "compiled": {
-                "table_queries": self.compiled_queries_total,
-                "evaluator_queries": self.evaluator_queries_total,
             },
             "backends": {
                 "queries": {

@@ -11,6 +11,7 @@ garbage" (4xx) from "the model refused" (422) from "the service broke"
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import (
@@ -88,7 +89,9 @@ def _get(body: dict, field: str, *, default: object = ...) -> object:
 
 def _as_int(value: object, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        if isinstance(value, float) and value == int(value):
+        # ``json.loads`` accepts NaN and Infinity; ``is_integer`` is
+        # False for both, so they are rejected rather than crash int().
+        if isinstance(value, float) and value.is_integer():
             return int(value)
         raise ServiceError(f"field {field!r} must be an integer, got {value!r}")
     return value
@@ -97,7 +100,13 @@ def _as_int(value: object, field: str) -> int:
 def _as_number(value: object, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ServiceError(f"field {field!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ServiceError(f"field {field!r} must be finite, got {value!r}")
+    return number
 
 
 def _as_str(value: object, field: str) -> str:

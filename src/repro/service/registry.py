@@ -2,7 +2,7 @@
 
 Calibration is the only expensive step of serving a query (tens of
 milliseconds of simulated benchmarking + fitting); everything after it
-is an O(1) lookup in the memoized evaluation tables.  The registry
+is an O(1) lookup in the model's tables.  The registry
 therefore keys calibrated :class:`~repro.core.placement.PlacementModel`
 instances by ``(platform, seed)`` and
 
@@ -28,7 +28,6 @@ from typing import Callable, Iterable
 from typing import TYPE_CHECKING, Mapping
 
 from repro.bench.config import SweepConfig
-from repro.core.compiled import CompiledModel
 from repro.core.placement import PlacementModel
 from repro.errors import ServiceError
 from repro.obs import span
@@ -56,11 +55,6 @@ class ModelKey:
 class ModelEntry:
     """One calibrated model plus the platform it belongs to.
 
-    ``compiled`` carries the model's compiled prediction kernel when
-    one exists; the hot paths (batcher, bulk predict, grid) serve from
-    its dense tables and fall back to ``model`` when it is ``None``
-    (e.g. entries produced by a custom test calibrator).
-
     ``backends`` holds every registered model backend calibrated for
     this platform (``backend=`` request selection) and ``tournament``
     the per-regime winner router (``backend=tournament``); both are
@@ -72,7 +66,6 @@ class ModelEntry:
     platform: Platform
     model: PlacementModel
     error_average_pct: float = field(default=float("nan"))
-    compiled: CompiledModel | None = field(default=None)
     backends: "Mapping[str, CalibratedBackend] | None" = field(default=None)
     tournament: "TournamentRouter | None" = field(default=None)
 
@@ -80,23 +73,18 @@ class ModelEntry:
 def _default_calibrator(
     key: ModelKey, cache_dir: Path | str | None = None
 ) -> ModelEntry:
-    """The full §IV pipeline: sweep, calibrate, score, compile.
+    """The full §IV pipeline: sweep, calibrate, score, tournament.
 
     With ``cache_dir`` the pipeline's artifact store backs the run, so
-    a service restart (or a sibling process) reuses the persisted sweep
-    and calibration instead of recomputing them — and the compiled
-    prediction kernel is loaded from (or published to) the same store,
-    keyed by the same config fingerprint, so a parameter change
-    recompiles and a fleet of workers shares one compiled file.
+    a service restart (or a sibling process) reuses the persisted sweep,
+    calibration and backend calibrations instead of recomputing them.
     """
     # Imported lazily: evaluation pulls the whole bench stack.
     from repro.backends.tournament import (
         TournamentRouter,
         run_platform_tournament,
     )
-    from repro.core.compiled import load_or_compile
     from repro.evaluation.experiments import run_platform_experiment
-    from repro.pipeline.fingerprint import config_fingerprint
     from repro.pipeline.store import ArtifactStore
 
     config = SweepConfig(seed=key.seed)
@@ -104,13 +92,6 @@ def _default_calibrator(
         key.platform, config=config, cache_dir=cache_dir
     )
     store = ArtifactStore(cache_dir) if cache_dir is not None else None
-    compiled = load_or_compile(
-        store,
-        key.platform,
-        config_fingerprint(config),
-        result.model,
-        error_average_pct=result.errors.average,
-    )
     # Every registered backend, calibrated through the same store (a
     # warm worker loads them; a cold one publishes for the fleet), and
     # the per-regime tournament router on top.
@@ -122,7 +103,6 @@ def _default_calibrator(
         platform=result.platform,
         model=result.model,
         error_average_pct=result.errors.average,
-        compiled=compiled,
         backends=tournament_run.calibrated,
         tournament=TournamentRouter(
             tournament_run.tournament, tournament_run.calibrated

@@ -28,6 +28,7 @@ import logging
 import time
 
 from repro.advisor import Advisor, Workload, advise_victim_placement
+from repro.core.placement import PointPrediction
 from repro.errors import ReproError, ServiceError
 from repro.topology import get_platform
 from repro.obs import span
@@ -345,105 +346,66 @@ class ContentionService:
             body
         )
         entry = await self.registry.get(platform, seed)
-        if backend is not None and backend != "threshold":
+        echo = {"platform": platform, "seed": seed}
+        if backend is not None:
+            echo["backend"] = backend
+        if backend in (None, "threshold"):
+            model, backend, routes_before = entry.model, "threshold", None
+            if not is_bulk:
+                # A scalar query of the paper's model: coalesced with
+                # concurrent ones by the batcher.
+                result = await self._predict_one(entry, queries[0])
+                self.metrics.observe_backend(backend)
+                return {**result.to_dict(), **echo}
+        else:
             model = self._backend_model(entry, backend)
             routes_before = (
                 dict(entry.tournament.route_counts)
                 if backend == "tournament" and entry.tournament is not None
                 else None
             )
-            with span(
-                "service.batch",
-                platform=platform,
-                size=len(queries),
-                backend=backend,
-            ):
-                results = model.predict_batch(
-                    [q.as_tuple() for q in queries]
-                )
-            self._observe_backend_queries(
-                entry, backend, len(queries), routes_before
-            )
-            if is_bulk:
-                return {
-                    "platform": platform,
-                    "seed": seed,
-                    "backend": backend,
-                    "results": [r.to_dict() for r in results],
-                }
-            out = results[0].to_dict()
-            out.update(
-                {"platform": platform, "seed": seed, "backend": backend}
-            )
-            return out
-        self.metrics.observe_backend("threshold", len(queries))
-        if is_bulk and entry.compiled is not None:
-            # A bulk request is already a batch: skip the batcher and
-            # serialize straight from the compiled kernel's columnar
-            # lookup (no PointPrediction objects on the hot path).
-            self.metrics.compiled_queries_total += len(queries)
-            with span(
-                "service.batch",
-                platform=platform,
-                size=len(queries),
-                compiled=True,
-            ):
-                cols = entry.compiled.predict_columns(
-                    [q.as_tuple() for q in queries]
-                )
-            return {
-                "platform": platform,
-                "seed": seed,
-                "results": [
-                    {
-                        "n": n,
-                        "m_comp": mc,
-                        "m_comm": mm,
-                        "comp_parallel": cp,
-                        "comm_parallel": cm,
-                        "comp_alone": ca,
-                        "comm_alone": cal,
-                    }
-                    for n, mc, mm, cp, cm, ca, cal in zip(
-                        cols["n"].tolist(),
-                        cols["m_comp"].tolist(),
-                        cols["m_comm"].tolist(),
-                        cols["comp_parallel"].tolist(),
-                        cols["comm_parallel"].tolist(),
-                        cols["comp_alone"].tolist(),
-                        cols["comm_alone"].tolist(),
-                    )
-                ],
+        # A bulk request is already a batch, and other backends do not
+        # batch: answer from the model's columns, with no per-query
+        # prediction objects.
+        with span(
+            "service.batch", platform=platform, size=len(queries),
+            backend=backend,
+        ):
+            cols = model.predict_columns([q.as_tuple() for q in queries])
+        self._observe_backend_queries(
+            entry, backend, len(queries), routes_before
+        )
+        rows = [
+            {
+                "n": n,
+                "m_comp": mc,
+                "m_comm": mm,
+                "comp_parallel": cp,
+                "comm_parallel": cm,
+                "comp_alone": ca,
+                "comm_alone": cal,
             }
-        results = await self._predict_queries(entry, queries)
+            for n, mc, mm, cp, cm, ca, cal in zip(
+                cols["n"].tolist(),
+                cols["m_comp"].tolist(),
+                cols["m_comm"].tolist(),
+                cols["comp_parallel"].tolist(),
+                cols["comm_parallel"].tolist(),
+                cols["comp_alone"].tolist(),
+                cols["comm_alone"].tolist(),
+            )
+        ]
         if is_bulk:
-            return {
-                "platform": platform,
-                "seed": seed,
-                "results": [r.to_dict() for r in results],
-            }
-        out = results[0].to_dict()
-        out.update({"platform": platform, "seed": seed})
-        return out
+            return {**echo, "results": rows}
+        return {**rows[0], **echo}
 
-    async def _predict_queries(
-        self, entry: ModelEntry, queries: list[protocol.PredictQuery]
-    ) -> list:
+    async def _predict_one(
+        self, entry: ModelEntry, query: protocol.PredictQuery
+    ) -> PointPrediction:
         if self.batcher is None:
-            if entry.compiled is not None:
-                self.metrics.compiled_queries_total += len(queries)
-                return entry.compiled.predict_batch(
-                    [q.as_tuple() for q in queries]
-                )
-            self.metrics.evaluator_queries_total += len(queries)
-            return entry.model.predict_batch([q.as_tuple() for q in queries])
-        return list(
-            await asyncio.gather(
-                *(
-                    self.batcher.predict(entry, q.n, q.m_comp, q.m_comm)
-                    for q in queries
-                )
-            )
+            return entry.model.predict_batch([query.as_tuple()])[0]
+        return await self.batcher.predict(
+            entry, query.n, query.m_comp, query.m_comm
         )
 
     async def _handle_predict_grid(self, body: object) -> dict:
@@ -451,8 +413,7 @@ class ContentionService:
             body
         )
         entry = await self.registry.get(platform, seed)
-        model = entry.compiled if entry.compiled is not None else entry.model
-        grid = model.predict_grid(core_counts, placements)
+        grid = entry.model.predict_grid(core_counts, placements)
         return {
             "platform": platform,
             "seed": seed,

@@ -24,6 +24,14 @@ class TestWorkload:
         with pytest.raises(AdvisorError):
             Workload(comp_bytes=-1, comm_bytes=1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("side", ["comp_bytes", "comm_bytes"])
+    def test_non_finite_rejected(self, side, value):
+        # NaN passes a ``< 0`` check and would rank garbage; infinity
+        # would make an unencodable makespan.
+        with pytest.raises(AdvisorError, match="finite"):
+            Workload(**{"comp_bytes": 1e9, "comm_bytes": 1e8, side: value})
+
 
 class TestScoring:
     def test_makespan_is_max_of_sides(self, advisor):

@@ -1,6 +1,5 @@
 """Backend calibration artifacts: round trip, cache hits, corruption
-discard, and version/id skew — the ``"compiled"``-stage discipline
-replayed for stage ``backend-<id>``."""
+discard, and version/id skew for stage ``backend-<id>``."""
 
 from __future__ import annotations
 

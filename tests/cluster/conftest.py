@@ -59,8 +59,11 @@ class StubWorker:
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self.port = self.server.server_address[1]
+        # shutdown() waits for the serve loop's next poll: keep it short.
         self._thread = threading.Thread(
-            target=self.server.serve_forever, daemon=True
+            target=self.server.serve_forever,
+            kwargs={"poll_interval": 0.01},
+            daemon=True,
         )
         self._thread.start()
 
@@ -68,6 +71,7 @@ class StubWorker:
         self.server.shutdown()
         self.server.server_close()
         self._thread.join(5)
+        assert not self._thread.is_alive(), "stub worker did not exit"
 
 
 class FakeHandle:
@@ -164,6 +168,7 @@ class RouterThread:
             return
         self.loop.call_soon_threadsafe(self.router.request_shutdown)
         self._thread.join(timeout)
+        assert not self._thread.is_alive(), "router thread did not exit"
 
     def client(self, **kwargs) -> ServiceClient:
         assert self.port is not None

@@ -6,16 +6,16 @@ import pytest
 from repro.bench import ModeCurves
 from repro.bench.runner import measure_curves
 from repro.bench.sweep import run_sample_sweeps
-from repro.core import ContentionModel, ModelParameters, calibrate
+from repro.core import ModelParameters, ScalarOracle, calibrate
 from repro.core.calibration import calibrate_placement_model
+from repro.core.evaluation import sweep_curves
 from repro.errors import CalibrationError
 
 
 def synthetic_curves(params: ModelParameters, max_cores: int = 18) -> ModeCurves:
     """Generate exact curves *from* a model instance."""
-    model = ContentionModel(params)
     ns = np.arange(1, max_cores + 1)
-    curves = model.sweep(ns)
+    curves = sweep_curves(params, ns)
     return ModeCurves(
         core_counts=ns,
         comp_alone=curves["comp_alone"],
@@ -69,7 +69,7 @@ class TestRoundTrip:
     def test_functional_roundtrip(self):
         """The refit model reproduces the observable curves themselves."""
         curves = synthetic_curves(REFERENCE)
-        refit = ContentionModel(calibrate(curves))
+        refit = ScalarOracle(calibrate(curves))
         for i, n in enumerate(curves.core_counts):
             n = int(n)
             assert refit.comm_parallel(n) == pytest.approx(
@@ -84,8 +84,8 @@ class TestRoundTrip:
 
     def test_recovered_model_predicts_identically_past_peak(self):
         fitted = calibrate(synthetic_curves(REFERENCE))
-        original = ContentionModel(REFERENCE)
-        refit = ContentionModel(fitted)
+        original = ScalarOracle(REFERENCE)
+        refit = ScalarOracle(fitted)
         for n in range(REFERENCE.n_seq_max, 19):
             assert refit.comm_parallel(n) == pytest.approx(
                 original.comm_parallel(n), rel=1e-6

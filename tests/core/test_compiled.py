@@ -1,26 +1,27 @@
-"""The compiled prediction kernel: tables vs the scalar oracle, and the
-artifact lifecycle (round trip, corruption, version skew, recompile)."""
+"""The model's answer tables against the scalar oracle.
+
+:class:`~repro.core.placement.PlacementModel` (also importable under
+its former name, ``CompiledModel``) answers every query from tables
+built at construction, and past ``TABLE_N_MAX`` from the closed form on
+the requested points.  Both must equal the scalar oracle's replay of
+equations 6 and 7 bit for bit.
+"""
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
 
-from repro.core import CompiledModel, load_compiled, load_or_compile
-from repro.core.compiled import (
-    COMPILED_FORMAT_VERSION,
-    compiled_key,
-    store_compiled,
-)
+from repro.core.compiled import CompiledModel
 from repro.core.oracle import ScalarOracle
-from repro.core.placement import PlacementModel
-from repro.errors import ModelError, PlacementError
-from repro.pipeline import ArtifactStore
+from repro.core.placement import TABLE_N_MAX, PlacementModel
+from repro.errors import PlacementError
 from repro.topology import get_platform
 
 N_MAX = 48
+
+#: Both sides of the table edge, and far past it.
+EDGE = (TABLE_N_MAX - 1, TABLE_N_MAX, TABLE_N_MAX + 1, 1000)
 
 
 def scalar_reference(model: PlacementModel, n: int, m_comp: int, m_comm: int):
@@ -53,274 +54,111 @@ def scalar_reference(model: PlacementModel, n: int, m_comp: int, m_comm: int):
 
 class TestBitIdentity:
     def test_matches_scalar_oracle_on_every_platform(self, all_experiments):
-        """Every archived platform x every placement x every n: the
-        table answer equals the scalar-oracle replay exactly."""
+        """Every archived platform x every placement x every n up to
+        ``N_MAX`` and on both sides of the table edge: the answer equals
+        the scalar-oracle replay exactly, whether a batch stays inside
+        the table or reaches past it."""
         for name, experiment in all_experiments.items():
             model = experiment.model
-            compiled = CompiledModel.compile(model, n_max=N_MAX)
+            compiled = CompiledModel.compile(model)
+            assert compiled is model
             k = model.n_numa_nodes
-            queries = [
+            placements = [(mc, mm) for mc in range(k) for mm in range(k)]
+            inside = [
                 (n, mc, mm)
-                for n in range(N_MAX + 1)
-                for mc in range(k)
-                for mm in range(k)
+                for n in [*range(N_MAX + 1), *EDGE[:2]]
+                for mc, mm in placements
             ]
-            points = compiled.predict_batch(queries)
-            for (n, mc, mm), point in zip(queries, points):
-                comp, comm, alone, comm_alone = scalar_reference(
-                    model, n, mc, mm
-                )
-                assert point.comp_parallel == comp, (name, n, mc, mm)
-                assert point.comm_parallel == comm, (name, n, mc, mm)
-                assert point.comp_alone == alone, (name, n, mc, mm)
-                assert point.comm_alone == comm_alone, (name, n, mc, mm)
+            beyond = [(n, mc, mm) for n in EDGE[2:] for mc, mm in placements]
+            for queries in (inside, inside + beyond):
+                points = compiled.predict_batch(queries)
+                for (n, mc, mm), point in zip(queries, points):
+                    assert (
+                        point.comp_parallel,
+                        point.comm_parallel,
+                        point.comp_alone,
+                        point.comm_alone,
+                    ) == scalar_reference(model, n, mc, mm), (name, n, mc, mm)
+            for n in EDGE:
+                for mc, mm in placements:
+                    comp, comm, alone, comm_alone = scalar_reference(
+                        model, n, mc, mm
+                    )
+                    where = (name, n, mc, mm)
+                    assert model.comp_parallel(n, mc, mm) == comp, where
+                    assert model.comm_parallel(n, mc, mm) == comm, where
+                    assert model.comp_alone(n, mc) == alone, where
+                    assert model.comm_alone(mm) == comm_alone, where
 
     def test_columns_match_batch(self, all_experiments):
         model = all_experiments["occigen"].model
-        compiled = CompiledModel.compile(model, n_max=N_MAX)
         k = model.n_numa_nodes
-        queries = [(n, n % k, (n + 1) % k) for n in range(N_MAX + 1)]
-        points = compiled.predict_batch(queries)
-        columns = compiled.predict_columns(queries)
-        assert columns["comp_parallel"].tolist() == [
-            p.comp_parallel for p in points
-        ]
-        assert columns["comm_parallel"].tolist() == [
-            p.comm_parallel for p in points
-        ]
-        assert columns["comm_alone"].tolist() == [p.comm_alone for p in points]
-        assert columns["n"].tolist() == [p.n for p in points]
+        queries = [(n, n % k, (n + 1) % k) for n in [*range(N_MAX + 1), *EDGE]]
+        points = model.predict_batch(queries)
+        columns = model.predict_columns(queries)
+        for name in (
+            "n", "m_comp", "m_comm", "comp_parallel", "comm_parallel",
+            "comp_alone", "comm_alone",
+        ):
+            assert columns[name].tolist() == [getattr(p, name) for p in points]
 
     def test_grid_matches_live_model(self, all_experiments):
+        """The grid, the per-placement sweep and the scalar oracle agree."""
         model = all_experiments["henri"].model
-        compiled = CompiledModel.compile(model, n_max=N_MAX)
-        ns = np.arange(1, N_MAX + 1)
-        live = model.predict_grid(ns)
-        tabulated = compiled.predict_grid(ns)
-        assert set(live) == set(tabulated)
-        for key in live:
-            assert np.array_equal(
-                live[key].comp_parallel, tabulated[key].comp_parallel
-            )
-            assert np.array_equal(
-                live[key].comm_parallel, tabulated[key].comm_parallel
-            )
-            assert np.array_equal(
-                live[key].comp_alone, tabulated[key].comp_alone
-            )
+        ns = np.array([*range(1, N_MAX + 1), *EDGE])
+        grid = model.predict_grid(ns)
+        assert set(grid) == set(model.placements())
+        for (mc, mm), pred in grid.items():
+            single = model.predict(ns, mc, mm)
+            assert np.array_equal(pred.comp_parallel, single.comp_parallel)
+            assert np.array_equal(pred.comm_parallel, single.comm_parallel)
+            assert np.array_equal(pred.comp_alone, single.comp_alone)
+            for i, n in enumerate(ns.tolist()):
+                comp, comm, alone, comm_alone = scalar_reference(
+                    model, n, mc, mm
+                )
+                assert pred.comp_parallel[i] == comp, (n, mc, mm)
+                assert pred.comm_parallel[i] == comm, (n, mc, mm)
+                assert pred.comp_alone[i] == alone, (n, mc, mm)
+                assert pred.comm_alone == comm_alone, (n, mc, mm)
 
 
 class TestFallbackAndValidation:
-    @pytest.fixture(scope="class")
-    def compiled(self, all_experiments):
-        return CompiledModel.compile(
-            all_experiments["occigen"].model, n_max=8
-        )
-
     def test_past_n_max_falls_back_to_live_model(self, all_experiments):
+        """Past the table, every entry point answers from the closed
+        form on the requested points, identically."""
         model = all_experiments["occigen"].model
-        compiled = CompiledModel.compile(model, n_max=8)
-        point = compiled.predict(20, 0, 1)
-        assert point == model.predict_batch([(20, 0, 1)])[0]
-        columns = compiled.predict_columns([(2, 0, 0), (20, 0, 1)])
+        n = TABLE_N_MAX + 20
+        point = model.predict_batch([(n, 0, 1)])[0]
+        assert point.comp_parallel == model.comp_parallel(n, 0, 1)
+        assert point.comm_parallel == model.comm_parallel(n, 0, 1)
+        columns = model.predict_columns([(2, 0, 0), (n, 0, 1)])
         assert columns["comp_parallel"][1] == point.comp_parallel
-        grid = compiled.predict_grid(np.arange(1, 21), [(0, 1)])
+        assert columns["comp_parallel"][0] == model.comp_parallel(2, 0, 0)
+        ns = np.arange(TABLE_N_MAX - 5, n + 1)
+        grid = model.predict_grid(ns, [(0, 1)])
+        assert grid[(0, 1)].comp_parallel[-1] == point.comp_parallel
         assert np.array_equal(
-            grid[(0, 1)].comp_parallel,
-            model.predict_grid(np.arange(1, 21), [(0, 1)])[(0, 1)]
-            .comp_parallel,
+            grid[(0, 1)].comp_parallel, model.predict(ns, 0, 1).comp_parallel
         )
 
-    def test_rejects_malformed_batches(self, compiled):
-        with pytest.raises(PlacementError):
-            compiled.predict_batch([])
-        with pytest.raises(PlacementError):
-            compiled.predict_batch([(1, 2)])  # not a triple
-        with pytest.raises(PlacementError, match="query 1"):
-            compiled.predict_batch([(1, 0, 0), (1.5, 0, 0)])
-        with pytest.raises(PlacementError, match="query 0"):
-            compiled.predict_batch([(-1, 0, 0)])
-        with pytest.raises(PlacementError, match="NUMA node"):
-            compiled.predict_batch([(1, 0, 99)])
-
-    def test_constructor_rejects_wrong_shapes(self, all_experiments):
+    def test_rejects_malformed_batches(self, all_experiments):
         model = all_experiments["occigen"].model
-        good = CompiledModel.compile(model, n_max=4)
-        payloads = good.to_payloads()
-        reloaded = CompiledModel.from_payloads(payloads)
-        with pytest.raises(ModelError, match="shape"):
-            CompiledModel(
-                local=reloaded.local,
-                remote=reloaded.remote,
-                nodes_per_socket=reloaded.nodes_per_socket,
-                n_numa_nodes=reloaded.n_numa_nodes,
-                n_max=99,  # does not match the table's last axis
-                tables=good.predict_grid([1])[(0, 0)].comp_parallel,
-                comm_alone=np.zeros(4),
-            )
-
-
-class TestArtifactRoundTrip:
-    def test_payload_round_trip_is_identical(self, all_experiments):
-        model = all_experiments["diablo"].model
-        compiled = CompiledModel.compile(model, n_max=N_MAX)
-        reloaded = CompiledModel.from_payloads(compiled.to_payloads())
-        assert reloaded.local == compiled.local
-        assert reloaded.remote == compiled.remote
-        assert reloaded.n_max == compiled.n_max
-        assert reloaded.n_numa_nodes == compiled.n_numa_nodes
-        queries = [(n, 0, 1) for n in range(N_MAX + 1)]
-        assert reloaded.predict_batch(queries) == compiled.predict_batch(
-            queries
-        )
-
-    def test_error_average_round_trips_including_nan(self, all_experiments):
-        model = all_experiments["occigen"].model
-        with_error = CompiledModel.compile(
-            model, n_max=4, error_average_pct=3.25
-        )
-        assert (
-            CompiledModel.from_payloads(with_error.to_payloads())
-            .error_average_pct
-            == 3.25
-        )
-        without = CompiledModel.compile(model, n_max=4)
-        assert np.isnan(
-            CompiledModel.from_payloads(without.to_payloads())
-            .error_average_pct
-        )
-
-    @pytest.mark.parametrize(
-        "mutate, defect",
-        [
-            (lambda p: p.pop("compiled.json"), "must carry"),
-            (lambda p: p.update({"compiled.json": "{not json"}), "JSON"),
-            (lambda p: p.update({"compiled.json": "[]"}), "JSON object"),
-            (
-                lambda p: p.update({"tables.npz": p["tables.npz"][:40]}),
-                "unreadable",
-            ),
-            (lambda p: p.update({"tables.npz": b"garbage"}), "unreadable"),
-        ],
-    )
-    def test_defective_payloads_raise_model_error(
-        self, all_experiments, mutate, defect
-    ):
-        compiled = CompiledModel.compile(
-            all_experiments["occigen"].model, n_max=4
-        )
-        payloads = dict(compiled.to_payloads())
-        mutate(payloads)
-        with pytest.raises(ModelError, match=defect):
-            CompiledModel.from_payloads(payloads)
-
-    def test_version_mismatch_raises_model_error(self, all_experiments):
-        compiled = CompiledModel.compile(
-            all_experiments["occigen"].model, n_max=4
-        )
-        payloads = dict(compiled.to_payloads())
-        manifest = json.loads(payloads["compiled.json"])
-        manifest["format_version"] = COMPILED_FORMAT_VERSION + 1
-        payloads["compiled.json"] = json.dumps(manifest)
-        with pytest.raises(ModelError, match="format version"):
-            CompiledModel.from_payloads(payloads)
-
-    def test_curve_order_mismatch_raises_model_error(self, all_experiments):
-        compiled = CompiledModel.compile(
-            all_experiments["occigen"].model, n_max=4
-        )
-        payloads = dict(compiled.to_payloads())
-        manifest = json.loads(payloads["compiled.json"])
-        manifest["curves"] = list(reversed(manifest["curves"]))
-        payloads["compiled.json"] = json.dumps(manifest)
-        with pytest.raises(ModelError, match="curve order"):
-            CompiledModel.from_payloads(payloads)
-
-
-class TestStoreLifecycle:
-    FINGERPRINT = "f" * 16
-
-    def test_store_round_trip(self, tmp_path, all_experiments):
-        store = ArtifactStore(tmp_path)
-        model = all_experiments["pyxis"].model
-        compiled = CompiledModel.compile(model, n_max=N_MAX)
-        store_compiled(store, "pyxis", self.FINGERPRINT, compiled)
-        loaded = load_compiled(store, "pyxis", self.FINGERPRINT)
-        assert loaded is not None
-        queries = [(n, 0, 1) for n in range(N_MAX + 1)]
-        assert loaded.predict_batch(queries) == compiled.predict_batch(
-            queries
-        )
-
-    def test_missing_entry_returns_none(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        assert load_compiled(store, "pyxis", self.FINGERPRINT) is None
-
-    def test_invalid_artifact_is_logged_and_discarded(
-        self, tmp_path, all_experiments, caplog
-    ):
-        store = ArtifactStore(tmp_path)
-        compiled = CompiledModel.compile(
-            all_experiments["occigen"].model, n_max=4
-        )
-        payloads = compiled.to_payloads()
-        manifest = json.loads(payloads["compiled.json"])
-        manifest["format_version"] = COMPILED_FORMAT_VERSION + 1
-        payloads["compiled.json"] = json.dumps(manifest)
-        key = compiled_key("occigen", self.FINGERPRINT)
-        store.save(key, payloads)
-        with caplog.at_level("WARNING", logger="repro.core"):
-            assert load_compiled(store, "occigen", self.FINGERPRINT) is None
-        assert any(
-            "discarding invalid compiled artifact" in r.message
-            for r in caplog.records
-        )
-        # Discarded for real: the store no longer returns the entry.
-        assert store.load(key) is None
-
-    def test_load_or_compile_reuses_and_publishes(
-        self, tmp_path, all_experiments
-    ):
-        store = ArtifactStore(tmp_path)
-        model = all_experiments["occigen"].model
-        first = load_or_compile(
-            store, "occigen", self.FINGERPRINT, model, n_max=16
-        )
-        assert load_compiled(store, "occigen", self.FINGERPRINT) is not None
-        second = load_or_compile(
-            store, "occigen", self.FINGERPRINT, model, n_max=16
-        )
-        # Served from the store, not recompiled from the live model.
-        assert second.predict(8, 0, 1) == first.predict(8, 0, 1)
-
-    def test_load_or_compile_recompiles_when_table_too_small(
-        self, tmp_path, all_experiments
-    ):
-        store = ArtifactStore(tmp_path)
-        model = all_experiments["occigen"].model
-        load_or_compile(store, "occigen", self.FINGERPRINT, model, n_max=8)
-        bigger = load_or_compile(
-            store, "occigen", self.FINGERPRINT, model, n_max=32
-        )
-        assert bigger.n_max == 32
-        # The bigger table replaced the stored one (no lost publish).
-        assert (
-            load_compiled(store, "occigen", self.FINGERPRINT).n_max == 32
-        )
-
-    def test_load_or_compile_without_store(self, all_experiments):
-        model = all_experiments["occigen"].model
-        compiled = load_or_compile(
-            None, "occigen", self.FINGERPRINT, model, n_max=8
-        )
-        assert compiled.n_max == 8
+        for predict in (model.predict_batch, model.predict_columns):
+            with pytest.raises(PlacementError):
+                predict([(1, 2)])  # not a triple
+            with pytest.raises(PlacementError, match="query 1"):
+                predict([(1, 0, 0), (1.5, 0, 0)])
+            with pytest.raises(PlacementError, match="query 0"):
+                predict([(-1, 0, 0)])
+            with pytest.raises(PlacementError, match="NUMA node"):
+                predict([(1, 0, 99)])
 
 
 class TestTopologyCoverage:
     def test_default_n_max_covers_every_archived_platform(self):
-        from repro.core.compiled import DEFAULT_N_MAX
         from repro.topology import platform_names
 
         for name in platform_names():
             platform = get_platform(name)
-            assert platform.machine.n_cores <= DEFAULT_N_MAX
+            assert platform.machine.n_cores <= TABLE_N_MAX

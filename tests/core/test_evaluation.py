@@ -1,6 +1,6 @@
-"""The vectorized evaluation layer against the scalar oracle.
+"""The closed form of equations 1–5 and 8 against the scalar oracle.
 
-The contract is bit-for-bit equality: every array the memoized layer
+The contract is bit-for-bit equality: every array the closed form
 produces must equal what the literal per-``n`` implementation
 (:class:`repro.core.oracle.ScalarOracle`) computes, across ordinary,
 degenerate, and randomly drawn parameter sets.
@@ -11,8 +11,15 @@ import random
 import numpy as np
 import pytest
 
-from repro.core import ContentionModel, ModelParameters, PlacementModel
-from repro.core.evaluation import as_core_counts, evaluator_for, sweep_curves
+from repro.core import ModelParameters, PlacementModel
+from repro.core.evaluation import (
+    alpha_factor,
+    as_core_counts,
+    curves,
+    last_unsaturated,
+    sweep_curves,
+    total_bandwidth,
+)
 from repro.core.oracle import ScalarOracle
 from repro.errors import BenchmarkError, ModelError, PlacementError
 
@@ -83,20 +90,21 @@ def random_params(n_sets: int = 150) -> list[ModelParameters]:
 
 
 def assert_matches_oracle(p: ModelParameters) -> None:
-    model = ContentionModel(p)
     oracle = ScalarOracle(p)
     ns = np.arange(0, p.n_seq_max + 9)
-    swept = model.sweep(ns)
+    swept = sweep_curves(p, ns)
     reference = oracle.sweep(ns)
     for name in ("total", "comp_par", "comm_par", "comp_alone"):
         assert np.array_equal(swept[name], reference[name]), (name, p)
-    # Scalar entry points, including far past the table window.
+    # Single points, including far past any table.
     for n in (0, 1, p.n_par_max, p.n_seq_max, p.n_seq_max + 5, 10**9):
-        assert model.total_bandwidth(n) == oracle.total_bandwidth(n)
-        assert model.alpha_factor(n) == oracle.alpha_factor(n)
-        assert model.comp_parallel(n) == oracle.comp_parallel(n)
-        assert model.comm_parallel(n) == oracle.comm_parallel(n)
-        assert model.comp_alone(n) == oracle.comp_alone(n)
+        point = np.array([n], dtype=np.int64)
+        at = curves(p, point)
+        assert total_bandwidth(p, point)[0] == oracle.total_bandwidth(n)
+        assert alpha_factor(p, point)[0] == oracle.alpha_factor(n)
+        assert at["comp_par"][0] == oracle.comp_parallel(n)
+        assert at["comm_par"][0] == oracle.comm_parallel(n)
+        assert at["comp_alone"][0] == oracle.comp_alone(n)
 
 
 class TestBitForBit:
@@ -110,9 +118,7 @@ class TestBitForBit:
 
     def test_frontier_matches_oracle(self):
         for p in EDGE_CASES + random_params(40):
-            assert evaluator_for(p).last_unsaturated == ScalarOracle(
-                p
-            )._last_unsaturated()
+            assert last_unsaturated(p) == ScalarOracle(p)._last_unsaturated()
 
     def test_sweep_curves_helper(self):
         p = params()
@@ -120,59 +126,30 @@ class TestBitForBit:
         assert swept["comm_par"][2] == ScalarOracle(p).comm_parallel(11)
 
 
-class TestMemoization:
-    def test_frontier_scanned_once(self):
-        # Unique values so the module-level memo holds a fresh evaluator.
-        p = params(b_comp_seq=5.0078125)
-        model = ContentionModel(p)
-        for n in (11, 10, 11, 9, 11):
-            model.alpha_factor(n)
-        assert evaluator_for(p).frontier_scans == 1
-
-    def test_table_built_once_for_repeated_sweeps(self):
-        p = params(b_comp_seq=5.015625)
-        model = ContentionModel(p)
-        ns = np.arange(1, p.n_seq_max + 5)
-        for _ in range(4):
-            model.sweep(ns)
-            model.comp_parallel(3)
-        assert evaluator_for(p).table_builds == 1
-
-    def test_evaluator_shared_across_equal_params(self):
-        a = params(b_comp_seq=5.0234375)
-        b = params(b_comp_seq=5.0234375)
-        assert a is not b
-        assert evaluator_for(a) is evaluator_for(b)
-
-    def test_distinct_params_get_distinct_evaluators(self):
-        assert evaluator_for(params(alpha=0.41)) is not evaluator_for(
-            params(alpha=0.42)
-        )
-
-
 class TestIntegerContract:
     """Non-integral core counts are rejected, never truncated."""
 
     def test_sweep_rejects_fractional_cores(self):
         with pytest.raises(ModelError, match="integral"):
-            ContentionModel(params()).sweep([1, 2.7, 3])
+            sweep_curves(params(), [1, 2.7, 3])
 
     def test_sweep_rejects_nan(self):
         with pytest.raises(ModelError, match="integral"):
-            ContentionModel(params()).sweep([1.0, float("nan")])
+            sweep_curves(params(), [1.0, float("nan")])
 
     def test_sweep_rejects_strings(self):
         with pytest.raises(ModelError, match="dtype"):
-            ContentionModel(params()).sweep(["a", "b"])
+            sweep_curves(params(), ["a", "b"])
 
     def test_sweep_rejects_negative(self):
         with pytest.raises(ModelError, match=">= 0"):
-            ContentionModel(params()).sweep([1, -2])
+            sweep_curves(params(), [1, -2])
 
     def test_sweep_accepts_integral_floats(self):
-        model = ContentionModel(params())
-        swept = model.sweep(np.arange(1.0, 5.0))
-        assert np.array_equal(swept["total"], model.sweep([1, 2, 3, 4])["total"])
+        swept = sweep_curves(params(), np.arange(1.0, 5.0))
+        assert np.array_equal(
+            swept["total"], sweep_curves(params(), [1, 2, 3, 4])["total"]
+        )
 
     def test_predict_rejects_fractional_cores(self):
         model = PlacementModel(

@@ -1,9 +1,9 @@
-"""ContentionModel: equations 1–5 and 8, evaluated literally."""
+"""ScalarOracle: equations 1–5 and 8, evaluated literally."""
 
 import numpy as np
 import pytest
 
-from repro.core import ContentionModel, ModelParameters
+from repro.core import ModelParameters, ScalarOracle
 from repro.errors import ModelError
 
 
@@ -26,7 +26,7 @@ def params(**overrides):
 
 @pytest.fixture
 def model():
-    return ContentionModel(params())
+    return ScalarOracle(params())
 
 
 class TestEquation1:
@@ -115,12 +115,12 @@ class TestEquation5:
 
     def test_narrow_gap_skips_interpolation(self):
         # n_seq - n_par = 1: the paper's condition fails -> plain alpha.
-        m = ContentionModel(params(n_par_max=11, t_par_max2=59.0))
+        m = ScalarOracle(params(n_par_max=11, t_par_max2=59.0))
         assert m.alpha_factor(11) == 0.4
 
     def test_always_saturated_falls_back_to_alpha(self):
         # Tiny bus: R(n) >= T(n) from n = 1.
-        m = ContentionModel(
+        m = ScalarOracle(
             params(
                 t_par_max=8.0,
                 t_seq_max=7.0,

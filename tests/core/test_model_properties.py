@@ -3,7 +3,7 @@
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core import ContentionModel, ModelParameters
+from repro.core import ModelParameters, ScalarOracle
 from repro.core.calibration import calibrate
 from tests.core.test_calibration import synthetic_curves
 
@@ -43,14 +43,14 @@ def model_params(draw):
 @settings(max_examples=200, deadline=None)
 @given(p=model_params(), n=st.integers(0, 64))
 def test_total_bandwidth_non_increasing(p, n):
-    model = ContentionModel(p)
+    model = ScalarOracle(p)
     assert model.total_bandwidth(n + 1) <= model.total_bandwidth(n) + 1e-9
 
 
 @settings(max_examples=200, deadline=None)
 @given(p=model_params(), n=st.integers(1, 64))
 def test_split_never_exceeds_total(p, n):
-    model = ContentionModel(p)
+    model = ScalarOracle(p)
     total = model.comp_parallel(n) + model.comm_parallel(n)
     # Unsaturated: total = demand <= T; saturated: total = T exactly.
     assert total <= model.total_bandwidth(n) + 1e-9
@@ -59,7 +59,7 @@ def test_split_never_exceeds_total(p, n):
 @settings(max_examples=200, deadline=None)
 @given(p=model_params(), n=st.integers(0, 64))
 def test_comm_within_bounds(p, n):
-    model = ContentionModel(p)
+    model = ScalarOracle(p)
     comm = model.comm_parallel(n)
     assert comm >= -1e-9
     assert comm <= p.b_comm_seq + 1e-9
@@ -72,14 +72,14 @@ def test_comm_within_bounds(p, n):
 @settings(max_examples=200, deadline=None)
 @given(p=model_params(), n=st.integers(1, 64))
 def test_alpha_factor_within_alpha_and_one(p, n):
-    factor = ContentionModel(p).alpha_factor(n)
+    factor = ScalarOracle(p).alpha_factor(n)
     assert p.alpha - 1e-9 <= factor <= 1.0 + 1e-9
 
 
 @settings(max_examples=200, deadline=None)
 @given(p=model_params(), n=st.integers(0, 64))
 def test_comp_alone_bounds(p, n):
-    model = ContentionModel(p)
+    model = ScalarOracle(p)
     alone = model.comp_alone(n)
     assert alone <= n * p.b_comp_seq + 1e-9
     assert alone <= p.t_seq_max + 1e-9
@@ -89,7 +89,7 @@ def test_comp_alone_bounds(p, n):
 @settings(max_examples=200, deadline=None)
 @given(p=model_params())
 def test_comp_alone_non_decreasing_then_capped(p):
-    model = ContentionModel(p)
+    model = ScalarOracle(p)
     values = [model.comp_alone(n) for n in range(0, p.n_seq_max + 1)]
     for a, b in zip(values, values[1:]):
         assert b >= a - max(p.delta_l, p.delta_r) - 1e-9
@@ -144,8 +144,8 @@ def test_calibration_roundtrip_property(p):
     max_cores = p.n_seq_max + 5
     curves = synthetic_curves(p, max_cores=max_cores)
     fitted = calibrate(curves)
-    original = ContentionModel(p)
-    refit = ContentionModel(fitted)
+    original = ScalarOracle(p)
+    refit = ScalarOracle(fitted)
     assert fitted.b_comm_seq == p.b_comm_seq
     for n in range(p.n_seq_max, p.n_seq_max + 5):
         assert (

@@ -1,9 +1,11 @@
 """PlacementModel: equations 6 and 7, every selection case."""
 
+import re
+
 import numpy as np
 import pytest
 
-from repro.core import ContentionModel, ModelParameters, PlacementModel
+from repro.core import ModelParameters, PlacementModel, ScalarOracle
 from repro.core.placement import PointPrediction
 from repro.errors import PlacementError
 
@@ -60,20 +62,20 @@ class TestConstruction:
 class TestEquation6:
     def test_case1_remote_same_node(self, model):
         """m_comp >= #m and m_comp == m_comm -> remote model."""
-        expected = ContentionModel(REMOTE).comm_parallel(7)
+        expected = ScalarOracle(REMOTE).comm_parallel(7)
         assert model.comm_parallel(7, 2, 2) == expected
         assert model.comm_parallel(7, 3, 3) == expected
 
     def test_case2_comm_remote_substitutes_nominal(self, model):
         """m_comm >= #m otherwise -> local model with remote B_comm_seq."""
-        substituted = ContentionModel(
+        substituted = ScalarOracle(
             LOCAL.with_comm_nominal(REMOTE.b_comm_seq)
         ).comm_parallel(7)
         assert model.comm_parallel(7, 0, 2) == substituted
         assert model.comm_parallel(7, 2, 3) == substituted  # different remote nodes
 
     def test_case3_comm_local(self, model):
-        expected = ContentionModel(LOCAL).comm_parallel(7)
+        expected = ScalarOracle(LOCAL).comm_parallel(7)
         assert model.comm_parallel(7, 0, 0) == expected
         assert model.comm_parallel(7, 2, 1) == expected
         assert model.comm_parallel(7, 0, 1) == expected
@@ -83,8 +85,8 @@ class TestEquation6:
         assert model.comm_parallel(1, 0, 2) == pytest.approx(REMOTE.b_comm_seq)
 
     def test_sample_placements_reduce_to_instantiations(self, model):
-        local_model = ContentionModel(LOCAL)
-        remote_model = ContentionModel(REMOTE)
+        local_model = ScalarOracle(LOCAL)
+        remote_model = ScalarOracle(REMOTE)
         for n in (1, 5, 9, 13):
             assert model.comm_parallel(n, 0, 0) == local_model.comm_parallel(n)
             assert model.comm_parallel(n, 2, 2) == remote_model.comm_parallel(n)
@@ -92,19 +94,19 @@ class TestEquation6:
 
 class TestEquation7:
     def test_local_shared_node(self, model):
-        assert model.comp_parallel(9, 0, 0) == ContentionModel(LOCAL).comp_parallel(9)
-        assert model.comp_parallel(9, 1, 1) == ContentionModel(LOCAL).comp_parallel(9)
+        assert model.comp_parallel(9, 0, 0) == ScalarOracle(LOCAL).comp_parallel(9)
+        assert model.comp_parallel(9, 1, 1) == ScalarOracle(LOCAL).comp_parallel(9)
 
     def test_local_disjoint_uses_alone(self, model):
-        expected = ContentionModel(LOCAL).comp_alone(9)
+        expected = ScalarOracle(LOCAL).comp_alone(9)
         assert model.comp_parallel(9, 0, 1) == expected
         assert model.comp_parallel(9, 1, 2) == expected
 
     def test_remote_shared_node(self, model):
-        assert model.comp_parallel(9, 2, 2) == ContentionModel(REMOTE).comp_parallel(9)
+        assert model.comp_parallel(9, 2, 2) == ScalarOracle(REMOTE).comp_parallel(9)
 
     def test_remote_disjoint_uses_remote_alone(self, model):
-        expected = ContentionModel(REMOTE).comp_alone(9)
+        expected = ScalarOracle(REMOTE).comp_alone(9)
         assert model.comp_parallel(9, 2, 0) == expected
         assert model.comp_parallel(9, 2, 3) == expected
 
@@ -118,8 +120,8 @@ class TestEquation7:
 
 class TestAlonePredictions:
     def test_comp_alone_by_locality(self, model):
-        assert model.comp_alone(6, 0) == ContentionModel(LOCAL).comp_alone(6)
-        assert model.comp_alone(6, 3) == ContentionModel(REMOTE).comp_alone(6)
+        assert model.comp_alone(6, 0) == ScalarOracle(LOCAL).comp_alone(6)
+        assert model.comp_alone(6, 3) == ScalarOracle(REMOTE).comp_alone(6)
 
     def test_comm_alone_by_locality(self, model):
         assert model.comm_alone(1) == LOCAL.b_comm_seq
@@ -221,3 +223,77 @@ class TestPredictBatch:
     def test_every_slot_is_a_prediction(self, model):
         results = model.predict_batch([(4, 0, 0), (8, 1, 2), (2, 3, 3)])
         assert all(isinstance(r, PointPrediction) for r in results)
+
+
+#: One query per field holding a boolean: ``True`` is an ``int`` in
+#: Python, so a query would otherwise silently mean 1 core or node 1.
+BOOL_QUERIES = {
+    "n": (True, 0, 1),
+    "m_comp": (4, True, 1),
+    "m_comm": (4, 0, True),
+}
+
+
+class TestBooleansRejected:
+    # A boolean core count in a batch: TestPredictBatch.
+    @pytest.mark.parametrize("field", ["m_comp", "m_comm"])
+    def test_predict_batch_names_the_query(self, model, field):
+        with pytest.raises(PlacementError, match="batch query 1"):
+            model.predict_batch([(4, 0, 0), BOOL_QUERIES[field]])
+
+    @pytest.mark.parametrize("field", BOOL_QUERIES)
+    def test_scalar_curves_name_the_query(self, model, field):
+        query = BOOL_QUERIES[field]
+        for curve in (model.comp_parallel, model.comm_parallel):
+            with pytest.raises(PlacementError, match=re.escape(repr(query))):
+                curve(*query)
+
+    def test_alone_curves_and_sweeps(self, model):
+        with pytest.raises(PlacementError, match="core count"):
+            model.comp_alone(True, 0)
+        with pytest.raises(PlacementError, match="NUMA node"):
+            model.comp_alone(4, True)
+        with pytest.raises(PlacementError, match="NUMA node"):
+            model.comm_alone(True)
+        with pytest.raises(PlacementError, match="NUMA node"):
+            model.predict([4], True, 0)
+        with pytest.raises(PlacementError, match="NUMA node"):
+            model.predict_grid([4], [(0, True)])
+        with pytest.raises(PlacementError, match="dtype bool"):
+            model.predict([True], 0, 0)
+
+
+#: Core counts past int64: JSON allows integer literals of any length,
+#: and NumPy stores 2**63..2**64-1 as uint64 and longer ones as objects.
+HUGE_CORE_COUNTS = {"2^63": 2**63, "2^64": 2**64, "1e400": 10**400}
+
+
+class TestCoreCountsPastInt64:
+    @pytest.mark.parametrize("name", HUGE_CORE_COUNTS)
+    def test_every_query_method_names_the_query(self, model, name):
+        n = HUGE_CORE_COUNTS[name]
+        with pytest.raises(PlacementError, match="batch query 1: .*at most"):
+            model.predict_batch([(4, 0, 0), (n, 0, 1)])
+        # Named as given, though NumPy may turn the batch into floats.
+        with pytest.raises(PlacementError, match=f"batch query 1: .*{n}"):
+            model.predict_columns([(4, 0, 0), (n, 0, 1)])
+        query = re.escape(f"query ({n}, 0, 1)")
+        with pytest.raises(PlacementError, match=query):
+            model.comm_parallel(n, 0, 1)
+        with pytest.raises(PlacementError, match="core count"):
+            model.predict([4, n], 0, 1)
+
+    def test_float_past_int64_is_not_wrapped(self, model):
+        with pytest.raises(PlacementError, match="batch query 0: .*int64"):
+            model.predict_columns([(1e300, 0, 1)])
+        with pytest.raises(PlacementError, match="at most"):
+            model.predict_batch([(1e300, 0, 1)])
+        with pytest.raises(PlacementError, match="int64, got 1e\\+300"):
+            model.predict([1e300], 0, 1)
+
+    def test_largest_int64_core_count_is_answered(self, model):
+        n = 2**63 - 1
+        (point,) = model.predict_batch([(n, 0, 1)])
+        columns = model.predict_columns([(n, 0, 1)])
+        assert point.n == int(columns["n"][0]) == n
+        assert point.comm_alone == columns["comm_alone"][0]

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ContentionModel, PlacementModel
+from repro.core import PlacementModel, ScalarOracle
 from tests.core.test_model_properties import model_params
 
 
@@ -33,14 +33,14 @@ def test_eq6_case_coverage(setup):
     model, local, remote, n, m_comp, m_comm = setup
     value = model.comm_parallel(n, m_comp, m_comm)
     if model.is_remote(m_comp) and m_comp == m_comm:
-        assert value == ContentionModel(remote).comm_parallel(n)
+        assert value == ScalarOracle(remote).comm_parallel(n)
     elif model.is_remote(m_comm):
-        substituted = ContentionModel(
+        substituted = ScalarOracle(
             local.with_comm_nominal(remote.b_comm_seq)
         )
         assert value == substituted.comm_parallel(n)
     else:
-        assert value == ContentionModel(local).comm_parallel(n)
+        assert value == ScalarOracle(local).comm_parallel(n)
 
 
 @settings(max_examples=150, deadline=None)
@@ -48,7 +48,7 @@ def test_eq6_case_coverage(setup):
 def test_eq7_case_coverage(setup):
     model, local, remote, n, m_comp, m_comm = setup
     value = model.comp_parallel(n, m_comp, m_comm)
-    instantiation = ContentionModel(remote if model.is_remote(m_comp) else local)
+    instantiation = ScalarOracle(remote if model.is_remote(m_comp) else local)
     if m_comp == m_comm:
         assert value == instantiation.comp_parallel(n)
     else:

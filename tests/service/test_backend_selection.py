@@ -92,6 +92,25 @@ class TestPredictBackends:
         for key in RESULT_KEYS:
             assert routed[key] == direct[key]
 
+    def test_failed_queries_are_not_counted(self, server):
+        """``backends.queries`` counts served queries, at one point for
+        every path: a failing request, scalar or bulk, adds nothing."""
+        client = server.client()
+        client.predict("henri", n=8, m_comp=0, m_comm=1)
+        before = client.metrics()["backends"]["queries"]
+        with pytest.raises(ServiceError):
+            client.predict("henri", n=8, m_comp=0, m_comm=99)
+        with pytest.raises(ServiceError):
+            client.predict_many("henri", [(4, 0, 0), (4, 0, 99)])
+        with pytest.raises(ServiceError):
+            client.predict_many(
+                "henri", [(4, 0, 0), (4, 0, 99)], backend="naive"
+            )
+        assert client.metrics()["backends"]["queries"] == before
+        client.predict_many("henri", [(4, 0, 0), (5, 0, 1)])
+        after = client.metrics()["backends"]["queries"]
+        assert after["threshold"] == before["threshold"] + 2
+
     def test_unknown_backend_is_a_structured_400(self, server):
         client = server.client()
         with pytest.raises(ServiceError) as err:

@@ -130,6 +130,54 @@ class TestErrorIsolation:
         assert "out of range" in str(bad)
         assert also_good.comp_parallel == entry.model.comp_parallel(8, 1, 1)
 
+    def test_core_count_past_int64_fails_alone(self, entry):
+        """A JSON integer of any length reaches the batcher: it gets its
+        own PlacementError (a 422) and the batch around it is answered."""
+        batcher = PredictBatcher()
+
+        async def go():
+            return await asyncio.wait_for(
+                asyncio.gather(
+                    batcher.predict(entry, 4, 0, 0),
+                    batcher.predict(entry, 10**400, 0, 0),
+                    return_exceptions=True,
+                ),
+                timeout=5.0,
+            )
+
+        good, bad = asyncio.run(go())
+        assert good.comp_parallel == entry.model.comp_parallel(4, 0, 0)
+        assert isinstance(bad, PlacementError)
+        assert "at most" in str(bad)
+
+    def test_unexpected_error_fails_alone(self, entry):
+        """A non-ReproError still resolves every parked query: the
+        failing one with its error, the others with their answers."""
+
+        class Faulty:
+            def predict_batch(self, queries):
+                if any(n == 13 for n, _, _ in queries):
+                    raise RuntimeError("model bug")
+                return entry.model.predict_batch(queries)
+
+        faulty = ModelEntry(key=entry.key, platform=None, model=Faulty())
+        batcher = PredictBatcher()
+
+        async def go():
+            return await asyncio.wait_for(
+                asyncio.gather(
+                    batcher.predict(faulty, 4, 0, 0),
+                    batcher.predict(faulty, 13, 0, 0),
+                    batcher.predict(faulty, 8, 1, 1),
+                    return_exceptions=True,
+                ),
+                timeout=5.0,
+            )
+
+        good, bad, also_good = asyncio.run(go())
+        assert good.n == 4 and also_good.n == 8
+        assert isinstance(bad, RuntimeError)
+
     def test_drain_flushes_pending(self, entry):
         batcher = PredictBatcher(window_s=60.0)  # would park for a minute
 

@@ -58,8 +58,12 @@ class FlakyListener:
 
     def stop(self) -> None:
         self._stopping.set()
+        # close() alone does not wake a thread blocked in accept();
+        # shutdown() does, so the join below returns at once.
+        self._sock.shutdown(socket.SHUT_RDWR)
         self._sock.close()
         self._thread.join(5)
+        assert not self._thread.is_alive(), "listener thread did not exit"
 
 
 @pytest.fixture

@@ -1,10 +1,9 @@
-"""The compiled kernel wired through the serving tier.
+"""The model's answer tables wired through the serving tier.
 
-Covers the compiled-prediction PR end to end at the service layer:
-calibration produces a compiled table (persisted when a cache dir is
-configured, in-memory otherwise), the server answers bulk and scalar
-queries out of it bit-identically to the live model, and the
-``compiled`` metrics block counts table hits vs evaluator fallbacks.
+Calibration produces a model that answers from its tables, a second
+registry sharing a store warm-starts from it without writing anything
+new, and the server answers bulk, scalar and grid queries out of the
+tables bit-identically to the library.
 """
 
 from __future__ import annotations
@@ -14,47 +13,29 @@ import asyncio
 import pytest
 
 from repro.bench import SweepConfig
-from repro.core import load_compiled
 from repro.evaluation import run_platform_experiment
-from repro.pipeline import ArtifactStore, config_fingerprint
+from repro.pipeline import ArtifactStore
 from repro.service.registry import ModelRegistry
 
 PLATFORM = "occigen"
 
 
 class TestRegistryCompiles:
-    def test_default_calibrator_attaches_compiled_model(self):
-        registry = ModelRegistry()
-        entry = asyncio.run(registry.get(PLATFORM))
-        assert entry.compiled is not None
-        assert entry.compiled.n_max >= 64
-        assert entry.compiled.predict(8, 0, 1) == entry.model.predict_batch(
-            [(8, 0, 1)]
-        )[0]
-
-    def test_cache_dir_persists_the_compiled_artifact(self, tmp_path):
-        registry = ModelRegistry(cache_dir=tmp_path)
-        entry = asyncio.run(registry.get(PLATFORM))
-        assert entry.compiled is not None
-        fingerprint = config_fingerprint(SweepConfig(seed=0))
-        stored = load_compiled(
-            ArtifactStore(tmp_path), PLATFORM, fingerprint
-        )
-        assert stored is not None
-        assert stored.predict(8, 0, 1) == entry.compiled.predict(8, 0, 1)
-
     def test_second_registry_warm_starts_from_the_store(self, tmp_path):
-        first = ModelRegistry(cache_dir=tmp_path)
-        asyncio.run(first.get(PLATFORM))
-        # A fresh registry sharing the store loads the compiled table
-        # instead of recompiling (same answers either way; the store
-        # copy must at least be valid and complete).
-        second = ModelRegistry(cache_dir=tmp_path)
-        entry = asyncio.run(second.get(PLATFORM))
-        assert entry.compiled is not None
-        assert entry.compiled.predict(12, 1, 0) == entry.model.predict_batch(
-            [(12, 1, 0)]
-        )[0]
+        first = asyncio.run(ModelRegistry(cache_dir=tmp_path).get(PLATFORM))
+        stored = {e.entry_id for e in ArtifactStore(tmp_path).entries()}
+        # A fresh registry sharing the store loads every artifact it
+        # needs instead of recomputing it, and the tables it builds
+        # answer identically.
+        second = asyncio.run(ModelRegistry(cache_dir=tmp_path).get(PLATFORM))
+        entries = ArtifactStore(tmp_path).entries()
+        assert {e.entry_id for e in entries} == stored
+        assert all(e.hits >= 1 for e in entries)
+        assert not any(e.key.stage == "compiled" for e in entries)
+        queries = [(12, 1, 0), (8, 0, 1), (300, 1, 1)]
+        assert second.model.predict_batch(queries) == first.model.predict_batch(
+            queries
+        )
 
 
 class TestServedFromTheTable:
@@ -76,9 +57,9 @@ class TestServedFromTheTable:
             assert row["comm_parallel"] == reference.model.comm_parallel(
                 n, mc, mm
             )
-        compiled = client.metrics()["compiled"]
-        assert compiled["table_queries"] >= len(queries)
-        assert compiled["evaluator_queries"] == 0
+        metrics = client.metrics()
+        assert "compiled" not in metrics
+        assert metrics["backends"]["queries"]["threshold"] >= len(queries)
 
     def test_scalar_answers_come_from_the_compiled_table(
         self, server, reference
@@ -87,8 +68,7 @@ class TestServedFromTheTable:
         client.calibrate(PLATFORM)
         row = client.predict(PLATFORM, n=8, m_comp=0, m_comm=1)
         assert row["comp_parallel"] == reference.model.comp_parallel(8, 0, 1)
-        compiled = client.metrics()["compiled"]
-        assert compiled["table_queries"] >= 1
+        assert client.metrics()["batching"]["queries"] >= 1
 
     def test_grid_matches_library(self, server, reference):
         client = server.client()

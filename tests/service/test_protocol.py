@@ -1,5 +1,8 @@
 """Wire-format parsing and the error -> HTTP status mapping."""
 
+import copy
+import math
+
 import pytest
 
 from repro.errors import (
@@ -179,3 +182,92 @@ class TestParseOthers:
             protocol.parse_advise(
                 {"platform": "dahu", "comp_bytes": "lots", "comm_bytes": 0}
             )
+
+
+def _with(body: dict, path: tuple, value: object) -> dict:
+    """A copy of ``body`` with the field at ``path`` set to ``value``."""
+    body = copy.deepcopy(body)
+    target = body
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return body
+
+
+_INLINE = {"platform": "henri", "seed": 0, "n": 4, "m_comp": 0, "m_comm": 1}
+_BULK = {
+    "platform": "henri",
+    "seed": 0,
+    "queries": [{"n": 4, "m_comp": 0, "m_comm": 1}],
+}
+_GRID = {
+    "platform": "henri",
+    "seed": 0,
+    "core_counts": [1, 2],
+    "placements": [[0, 1]],
+}
+_ADVISE = {
+    "platform": "henri",
+    "seed": 0,
+    "comp_bytes": 1e9,
+    "comm_bytes": 2e8,
+    "top": 3,
+}
+_VICTIM = {"platform": "henri", "seed": 0, "victim": True, "top": 3}
+
+#: Every numeric field of every endpoint: (parser, a body valid apart
+#: from that field, the field's path in it, the name the error gives).
+NUMERIC_FIELDS = {
+    "calibrate.seed": (protocol.parse_calibrate, _INLINE, ("seed",), "seed"),
+    "predict.seed": (protocol.parse_predict, _INLINE, ("seed",), "seed"),
+    "predict.n": (protocol.parse_predict, _INLINE, ("n",), "n"),
+    "predict.m_comp": (protocol.parse_predict, _INLINE, ("m_comp",), "m_comp"),
+    "predict.m_comm": (protocol.parse_predict, _INLINE, ("m_comm",), "m_comm"),
+    "bulk.n": (protocol.parse_predict, _BULK, ("queries", 0, "n"), "n"),
+    "bulk.m_comp": (
+        protocol.parse_predict, _BULK, ("queries", 0, "m_comp"), "m_comp"
+    ),
+    "bulk.m_comm": (
+        protocol.parse_predict, _BULK, ("queries", 0, "m_comm"), "m_comm"
+    ),
+    "grid.seed": (protocol.parse_predict_grid, _GRID, ("seed",), "seed"),
+    "grid.core_counts": (
+        protocol.parse_predict_grid, _GRID, ("core_counts", 1), "core_counts"
+    ),
+    "grid.m_comp": (
+        protocol.parse_predict_grid, _GRID, ("placements", 0, 0), "m_comp"
+    ),
+    "grid.m_comm": (
+        protocol.parse_predict_grid, _GRID, ("placements", 0, 1), "m_comm"
+    ),
+    "advise.seed": (protocol.parse_advise, _ADVISE, ("seed",), "seed"),
+    "advise.comp_bytes": (
+        protocol.parse_advise, _ADVISE, ("comp_bytes",), "comp_bytes"
+    ),
+    "advise.comm_bytes": (
+        protocol.parse_advise, _ADVISE, ("comm_bytes",), "comm_bytes"
+    ),
+    "advise.top": (protocol.parse_advise, _ADVISE, ("top",), "top"),
+    "victim.seed": (protocol.parse_advise_victim, _VICTIM, ("seed",), "seed"),
+    "victim.top": (protocol.parse_advise_victim, _VICTIM, ("top",), "top"),
+}
+
+
+class TestNonFiniteNumbers:
+    """``json.loads`` accepts NaN and Infinity: every numeric field
+    rejects them with a ServiceError naming the field (a 400), rather
+    than crashing ``int()`` or passing them to the model."""
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+    )
+    @pytest.mark.parametrize("case", NUMERIC_FIELDS)
+    def test_rejected_naming_the_field(self, case, value):
+        parse, body, path, field = NUMERIC_FIELDS[case]
+        parse(body)  # valid as given
+        with pytest.raises(ServiceError, match=f"field '{field}'"):
+            parse(_with(body, path, value))
+
+    def test_byte_counts_beyond_float_range_rejected(self):
+        with pytest.raises(ServiceError, match="field 'comp_bytes'"):
+            protocol.parse_advise(_with(_ADVISE, ("comp_bytes",), 10**400))

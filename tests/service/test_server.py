@@ -115,6 +115,28 @@ class TestRoundTrip:
         assert excinfo.value.status == 404
         assert excinfo.value.error_type == "TopologyError"
 
+    @pytest.mark.parametrize("bulk", [False, True], ids=["scalar", "bulk"])
+    def test_core_count_past_int64_is_a_422(self, server, bulk):
+        """JSON allows integer literals of any length; a 400-digit core
+        count is answered at once with the PlacementError envelope."""
+        query = {"n": 10**400, "m_comp": 0, "m_comm": 0}
+        body = (
+            {"platform": PLATFORM, "queries": [{**query, "n": 4}, query]}
+            if bulk
+            else {"platform": PLATFORM, **query}
+        )
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        conn.request(
+            "POST", "/predict", body=json.dumps(body).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        payload = json.loads(response.read())
+        conn.close()
+        assert response.status == 422
+        assert payload["error"]["type"] == "PlacementError"
+        assert "core count" in payload["error"]["message"]
+
     def test_unknown_endpoint_and_method(self, server):
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
         conn.request("GET", "/nope")
@@ -139,6 +161,37 @@ class TestRoundTrip:
         assert response.status == 400
         assert payload["error"]["type"] == "ServiceError"
         conn.close()
+
+    @pytest.mark.parametrize(
+        "path, body, field",
+        [
+            (
+                "/predict",
+                b'{"platform": "henri", "n": Infinity, "m_comp": 0, '
+                b'"m_comm": 0}',
+                "n",
+            ),
+            (
+                "/advise",
+                b'{"platform": "henri", "comp_bytes": NaN, "comm_bytes": 1}',
+                "comp_bytes",
+            ),
+        ],
+        ids=["predict-infinity", "advise-nan"],
+    )
+    def test_non_finite_number_is_a_400(self, server, path, body, field):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        conn.request(
+            "POST", path, body=body,
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        payload = json.loads(response.read())
+        conn.close()
+        assert response.status == 400
+        assert payload["error"]["type"] == "ServiceError"
+        assert payload["error"]["status"] == 400
+        assert f"field {field!r}" in payload["error"]["message"]
 
 
 class TestAcceptance:

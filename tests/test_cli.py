@@ -22,6 +22,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig99"])
 
+    def test_compile_is_not_a_command(self, capsys):
+        # Models are built with their tables; there is nothing to compile.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["compile", "occigen"])
+        assert "invalid choice: 'compile'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_platforms(self, capsys):
@@ -291,38 +297,6 @@ class TestCacheCommand:
         args = build_parser().parse_args(["table2", "--jobs", "0"])
         assert args.jobs == 0
         assert args.cache_dir is None
-
-
-class TestCompile:
-    def test_compile_then_reuse(self, tmp_path, capsys):
-        cache = ["--cache-dir", str(tmp_path)]
-        assert main(["compile", "occigen", *cache]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("compiled occigen")
-        assert "3 curves x 4 placements x 257 core counts" in out
-        # A second invocation finds the stored artifact.
-        assert main(["compile", "occigen", *cache]) == 0
-        assert capsys.readouterr().out.startswith("reused occigen")
-
-    def test_n_max_flag_bounds_the_table(self, tmp_path, capsys):
-        assert main(
-            ["compile", "occigen", "--cache-dir", str(tmp_path),
-             "--n-max", "32"]
-        ) == 0
-        assert "33 core counts" in capsys.readouterr().out
-
-    def test_force_recompiles(self, tmp_path, capsys):
-        cache = ["--cache-dir", str(tmp_path)]
-        assert main(["compile", "occigen", *cache]) == 0
-        capsys.readouterr()
-        assert main(["compile", "occigen", "--force", *cache]) == 0
-        assert capsys.readouterr().out.startswith("compiled occigen")
-
-    def test_compile_without_store_exits_12(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        code = main(["compile", "occigen"])
-        assert code == EXIT_CODES[errors.PipelineError] == 12
-        assert "artifact store" in capsys.readouterr().err
 
 
 class TestTraceFlag:
