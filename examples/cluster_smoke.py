@@ -9,8 +9,9 @@ mid-stream, and requires:
 * every request in the stream succeeds — the router fails the victim's
   keys over to a replica, so the client never sees the crash;
 * the health loop restarts the victim (``restarts == 1``) *warm*: its
-  calibration is hydrated from the shared store, so the cache directory
-  gains no new artifacts and the victim's registry reports the preload;
+  calibration, backend calibrations and winner table are hydrated from
+  the shared store, so the cache directory gains no new artifacts and
+  the victim's registry reports the preload;
 * SIGINT drains the whole fleet to a clean exit 0.
 
 CI runs this exact script as its cluster smoke test; run it yourself
@@ -29,8 +30,10 @@ import sys
 import tempfile
 import time
 
+from repro.backends.tournament import run_platform_tournament
 from repro.bench import SweepConfig
 from repro.evaluation import run_platform_experiment
+from repro.pipeline import ArtifactStore
 from repro.service.client import ServiceClient
 
 PLATFORM = "occigen"
@@ -114,10 +117,13 @@ def wait_for_restart(client: ServiceClient, victim: str) -> dict:
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="cluster-smoke-") as cache_dir:
         # Seed the shared store: every worker (and every restart) must
-        # warm-start from these artifacts instead of recalibrating.
-        run_platform_experiment(
-            PLATFORM, config=SweepConfig(seed=SEED), cache_dir=cache_dir
-        )
+        # warm-start from these artifacts instead of recalibrating.  A
+        # worker hydrates the sweep, the calibration, every backend
+        # calibration and the tournament winner table, so seed them all.
+        config = SweepConfig(seed=SEED)
+        store = ArtifactStore(cache_dir)
+        result = run_platform_experiment(PLATFORM, config=config, store=store)
+        run_platform_tournament(result, config=config, store=store)
         seeded = artifact_entries(cache_dir)
         print(f"seeded store: {len(seeded)} artifact file(s)")
 

@@ -10,7 +10,11 @@ staged pipeline end to end, across process boundaries:
    (the persistent per-entry hit counters advance),
 3. ``cache ls`` / ``cache info`` / ``cache clear`` work,
 4. a corrupted manifest degrades to a clean recompute — exit 0, same
-   output, entry re-stored.
+   output, entry re-stored,
+5. backend calibrations and the tournament winner table go through the
+   same cache: a second ``tournament run`` serves all of them from the
+   store, and a corrupted backend payload is recalibrated and
+   republished bit-identically, with the same winner table.
 
 CI runs this exact script as its pipeline smoke test; run it yourself
 with::
@@ -28,6 +32,8 @@ from pathlib import Path
 
 FIGURE = ["figure", "fig6"]  # occigen
 PLATFORM = "occigen"
+TOURNAMENT = ["tournament", "run", PLATFORM]
+ALL_SERVED = "6/6 calibrations and 1/1 winner tables served from the store"
 
 
 def repro(*argv: str) -> subprocess.CompletedProcess:
@@ -55,6 +61,11 @@ def entry_hits(ls_output: str) -> dict[str, int]:
             fields = line.split()
             hits[fields[0]] = int(fields[-1])
     return hits
+
+
+def winner_table(tournament_output: str) -> str:
+    """``tournament run`` output without its cache-statistics line."""
+    return "\n".join(tournament_output.splitlines()[:-1])
 
 
 def main() -> None:
@@ -99,7 +110,36 @@ def main() -> None:
             sys.exit(f"FAIL: corrupted entry was not re-stored: {hits_after}")
         print("ok: corrupted manifest degraded to a clean recompute")
 
-        # 5. clear empties the store.
+        # 5. Backend and tournament artifacts: warm run is all hits.
+        cold_tour = check(repro(*TOURNAMENT, *cache), "cold tournament run")
+        warm_tour = check(repro(*TOURNAMENT, *cache), "warm tournament run")
+        if ALL_SERVED not in warm_tour:
+            sys.exit(f"FAIL: warm tournament run missed: {warm_tour}")
+        if winner_table(warm_tour) != winner_table(cold_tour):
+            sys.exit("FAIL: warm winner table differs from the cold one")
+        print("ok: warm tournament run served every artifact from the store")
+
+        # 6. Corrupt one backend payload: recalibrated and republished.
+        hits = entry_hits(check(repro("cache", "ls", *cache), "cache ls"))
+        backend_id = next(e for e in hits if "/backend-" in e)
+        payload = Path(tmp) / backend_id / "backend.json"
+        original = payload.read_bytes()
+        flipped = bytearray(original)
+        flipped[len(flipped) // 2] ^= 0x01
+        payload.write_bytes(bytes(flipped))
+        recovered_tour = check(
+            repro(*TOURNAMENT, *cache), "tournament run with corrupt backend"
+        )
+        if winner_table(recovered_tour) != winner_table(cold_tour):
+            sys.exit("FAIL: winner table differs after backend corruption")
+        hits_after = entry_hits(
+            check(repro("cache", "ls", *cache), "cache ls (republished)")
+        )
+        if hits_after.get(backend_id) != 0 or payload.read_bytes() != original:
+            sys.exit(f"FAIL: {backend_id} was not republished: {hits_after}")
+        print("ok: corrupted backend payload recalibrated and republished")
+
+        # 7. clear empties the store.
         out = check(repro("cache", "clear", *cache), "cache clear")
         if "removed" not in out:
             sys.exit(f"FAIL: unexpected clear output: {out}")

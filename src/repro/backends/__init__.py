@@ -5,7 +5,8 @@ paper's threshold model, the §II-D / §V baselines, and competing
 formulations from the literature — behind one protocol
 (:class:`~repro.backends.base.ModelBackend` /
 :class:`~repro.backends.base.CalibratedBackend`), with artifact-store
-persistence (:mod:`repro.backends.store`), a registry
+persistence through the store's shared cache policy
+(:func:`~repro.backends.base.load_or_calibrate`), a registry
 (:data:`~repro.backends.registry.BACKENDS`), and a per-regime
 tournament (:mod:`repro.backends.tournament`).  See
 ``docs/BACKENDS.md``.
@@ -15,14 +16,10 @@ from repro.backends.base import (
     CalibratedBackend,
     ModelBackend,
     TwoInstantiationBackend,
+    backend_key,
+    load_or_calibrate,
 )
 from repro.backends.registry import BACKENDS, backend_ids, get_backend
-from repro.backends.store import (
-    backend_key,
-    load_backend,
-    load_or_calibrate,
-    store_backend,
-)
 from repro.backends.tournament import (
     PlatformTournament,
     RegimeScore,
@@ -43,10 +40,8 @@ __all__ = [
     "backend_ids",
     "backend_key",
     "get_backend",
-    "load_backend",
     "load_or_calibrate",
     "render_winner_table",
     "run_tournament",
     "score_backends",
-    "store_backend",
 ]

@@ -23,8 +23,10 @@ model?" as a parameter:
   equations 6/7 rules.
 
 Calibrated backends serialize to a JSON-able ``state_dict`` and
-reconstruct via the owning backend's ``from_state`` — the round trip
-the artifact store glue (:mod:`repro.backends.store`) relies on.
+reconstruct via the owning backend's ``from_state``.  One calibration
+persists as one artifact (:func:`backend_key`, :func:`encode_backend`,
+:func:`decode_backend`) served by the store's shared cache policy;
+:func:`load_or_calibrate` is the calibrate-on-miss entry point.
 """
 
 from __future__ import annotations
@@ -46,14 +48,27 @@ from repro.errors import ModelError, PlacementError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.bench.results import PlacementKey, PlatformDataset
     from repro.evaluation.metrics import ErrorBreakdown
+    from repro.pipeline.stage import StageKey
+    from repro.pipeline.store import ArtifactStore
     from repro.topology.platforms import Platform
 
 __all__ = [
+    "BACKEND_FORMAT_VERSION",
     "CalibratedBackend",
     "ModelBackend",
     "TwoInstantiationBackend",
+    "backend_key",
+    "decode_backend",
+    "encode_backend",
+    "load_or_calibrate",
     "sample_curves",
 ]
+
+#: Bumped whenever the ``backend.json`` layout changes; older artifacts
+#: are discarded and recalibrated rather than misread.
+BACKEND_FORMAT_VERSION = 1
+
+_STATE_FILE = "backend.json"
 
 
 #: The columns of :meth:`CalibratedBackend.predict_columns`, in order.
@@ -298,9 +313,82 @@ class ModelBackend(abc.ABC):
         """Rebuild a calibrated instance from ``state_dict`` output.
 
         Raise :class:`~repro.errors.ModelError` on any defect so the
-        store glue can discard + recalibrate instead of serving a
-        corrupt artifact.
+        store discards and recalibrates instead of serving a corrupt
+        artifact.
         """
+
+
+# ---- persistence ------------------------------------------------------------------
+
+
+def backend_key(
+    platform: str, backend: ModelBackend, fingerprint: str
+) -> "StageKey":
+    """The store address of one backend's calibration for one platform:
+    stage ``backend-<id>``, the code version as stage version, and
+    :meth:`ModelBackend.fingerprint` of the sweep-config fingerprint."""
+    from repro.pipeline.stage import StageKey
+
+    return StageKey(
+        platform=platform,
+        stage=f"backend-{backend.backend_id}",
+        version=str(backend.version),
+        fingerprint=backend.fingerprint(fingerprint),
+    )
+
+
+def _envelope(backend: ModelBackend) -> dict[str, Any]:
+    return {
+        "format_version": BACKEND_FORMAT_VERSION,
+        "backend_id": backend.backend_id,
+        "backend_version": backend.version,
+    }
+
+
+def encode_backend(
+    backend: ModelBackend, calibrated: CalibratedBackend
+) -> dict[str, str]:
+    """The ``backend.json`` payload of one calibration."""
+    from repro.pipeline.store import json_payload
+
+    return json_payload(
+        _STATE_FILE, **_envelope(backend), state=calibrated.state_dict()
+    )
+
+
+def decode_backend(
+    backend: ModelBackend, payloads: Mapping[str, str]
+) -> CalibratedBackend:
+    """Rebuild the calibration :func:`encode_backend` stored for
+    ``backend``; a skewed format version, id or code version raises."""
+    from repro.pipeline.store import json_member
+
+    data = json_member(payloads, _STATE_FILE, **_envelope(backend))
+    return backend.from_state(data["state"])
+
+
+def load_or_calibrate(
+    store: "ArtifactStore | None",
+    backend: ModelBackend,
+    dataset: "PlatformDataset",
+    platform: "Platform",
+    fingerprint: str,
+) -> tuple[CalibratedBackend, bool]:
+    """The calibrate-on-miss entry point: ``(calibrated, cached)``.
+
+    With a store, a miss publishes the fresh calibration so every other
+    worker sharing the store gets a hit.
+    """
+    from repro.pipeline.store import load_or_compute
+
+    return load_or_compute(
+        store,
+        backend_key(platform.name, backend, fingerprint),
+        compute=lambda: backend.calibrate(dataset, platform),
+        encode=lambda calibrated: encode_backend(backend, calibrated),
+        decode=lambda payloads: decode_backend(backend, payloads),
+        provenance={"platform": platform.name, "backend": backend.backend_id},
+    )
 
 
 # ---- shared two-instantiation scaffolding -----------------------------------------

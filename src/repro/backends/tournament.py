@@ -8,7 +8,7 @@ across that knee, and so do the backends' strengths).  The tournament
 
 1. calibrates every registered backend from the archived sweep through
    the :class:`~repro.pipeline.store.ArtifactStore`
-   (:func:`~repro.backends.store.load_or_calibrate` — second run: all
+   (:func:`~repro.backends.base.load_or_calibrate` — second run: all
    cache hits),
 2. scores each backend on each regime with the paper's Table II
    methodology (:func:`~repro.evaluation.metrics.mape`; the regime
@@ -16,7 +16,8 @@ across that knee, and so do the backends' strengths).  The tournament
    MAPE))``, lower is better),
 3. emits a per-regime winner table, persisted as its own versioned
    artifact (stage ``"tournament"``, fingerprinted by the sweep config
-   *and* the full roster, so adding a backend re-runs the tournament).
+   *and* the full roster, so adding a backend re-runs the tournament;
+   :func:`encode_tournament`/:func:`decode_tournament` are its codec).
 
 :class:`TournamentRouter` serves the result: a composite
 :class:`~repro.backends.base.CalibratedBackend` that answers every
@@ -26,16 +27,18 @@ service's ``backend=tournament`` mode runs on.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.backends.base import CalibratedBackend, ModelBackend
+from repro.backends.base import (
+    CalibratedBackend,
+    ModelBackend,
+    load_or_calibrate,
+)
 from repro.backends.registry import BACKENDS
-from repro.backends.store import load_or_calibrate
 from repro.errors import ModelError, PlacementError
 from repro.evaluation.metrics import mape
 
@@ -54,12 +57,11 @@ __all__ = [
     "TOURNAMENT_STAGE",
     "TOURNAMENT_STAGE_VERSION",
     "TournamentRouter",
-    "load_tournament",
+    "decode_tournament",
+    "encode_tournament",
     "render_winner_table",
     "run_tournament",
     "score_backends",
-    "store_tournament",
-    "tournament_fingerprint",
     "tournament_key",
 ]
 
@@ -107,22 +109,19 @@ class RegimeScore:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RegimeScore":
-        try:
-            scores = {
-                str(k): (float("nan") if v is None else float(v))
-                for k, v in dict(data["scores"]).items()
-            }
-            return cls(
-                m_comp=int(data["m_comp"]),
-                m_comm=int(data["m_comm"]),
-                band=str(data["band"]),
-                n_min=int(data["n_min"]),
-                n_max=int(data["n_max"]),
-                scores=scores,
-                winner=str(data["winner"]),
-            )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ModelError(f"regime score is malformed: {exc}") from exc
+        scores = {
+            str(k): (float("nan") if v is None else float(v))
+            for k, v in dict(data["scores"]).items()
+        }
+        return cls(
+            m_comp=int(data["m_comp"]),
+            m_comm=int(data["m_comm"]),
+            band=str(data["band"]),
+            n_min=int(data["n_min"]),
+            n_max=int(data["n_max"]),
+            scores=scores,
+            winner=str(data["winner"]),
+        )
 
 
 @dataclass(frozen=True)
@@ -145,57 +144,6 @@ class PlatformTournament:
         for regime in self.regimes:
             counts[regime.winner] = counts.get(regime.winner, 0) + 1
         return counts
-
-    # ---- serialization ---------------------------------------------------------
-
-    def to_payloads(self) -> dict[str, str]:
-        return {
-            _RESULT_FILE: json.dumps(
-                {
-                    "format_version": TOURNAMENT_FORMAT_VERSION,
-                    "platform": self.platform,
-                    "roster": list(self.roster),
-                    "regimes": [r.to_dict() for r in self.regimes],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        }
-
-    @classmethod
-    def from_payloads(
-        cls, payloads: Mapping[str, str | bytes]
-    ) -> "PlatformTournament":
-        raw = payloads.get(_RESULT_FILE)
-        if not isinstance(raw, str):
-            raise ModelError(
-                f"tournament artifact must carry text {_RESULT_FILE!r}"
-            )
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ModelError(
-                f"tournament artifact is not valid JSON ({exc})"
-            ) from exc
-        if not isinstance(data, dict):
-            raise ModelError("tournament artifact is not a JSON object")
-        if data.get("format_version") != TOURNAMENT_FORMAT_VERSION:
-            raise ModelError(
-                f"tournament format version {data.get('format_version')!r} "
-                f"!= {TOURNAMENT_FORMAT_VERSION}"
-            )
-        try:
-            return cls(
-                platform=str(data["platform"]),
-                roster=tuple(str(b) for b in data["roster"]),
-                regimes=tuple(
-                    RegimeScore.from_dict(r) for r in data["regimes"]
-                ),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ModelError(
-                f"tournament artifact is malformed: {exc}"
-            ) from exc
 
 
 # ---- scoring ----------------------------------------------------------------------
@@ -295,65 +243,58 @@ def score_backends(
 # ---- artifact-store glue ----------------------------------------------------------
 
 
-def tournament_fingerprint(
-    config_fp: str, backends: Mapping[str, ModelBackend]
-) -> str:
-    """Sweep config + full roster (ids and code versions): any change
-    to either re-runs the tournament."""
+def tournament_key(
+    platform: str, config_fp: str, backends: Mapping[str, ModelBackend]
+) -> "StageKey":
+    """The store address of one platform's winner table.  Its
+    fingerprint covers the sweep config and the full roster (ids and
+    code versions): any change to either re-runs the tournament."""
     from repro.pipeline.fingerprint import fingerprint_mapping
-
-    return fingerprint_mapping(
-        {
-            "config_fp": config_fp,
-            "roster": {b.backend_id: b.version for b in backends.values()},
-        }
-    )
-
-
-def tournament_key(platform: str, fingerprint: str) -> "StageKey":
     from repro.pipeline.stage import StageKey
 
+    roster = {b.backend_id: b.version for b in backends.values()}
     return StageKey(
         platform=platform,
         stage=TOURNAMENT_STAGE,
         version=str(TOURNAMENT_STAGE_VERSION),
-        fingerprint=fingerprint,
+        fingerprint=fingerprint_mapping(
+            {"config_fp": config_fp, "roster": roster}
+        ),
     )
 
 
-def store_tournament(
-    store: "ArtifactStore",
-    fingerprint: str,
-    tournament: PlatformTournament,
-) -> None:
-    store.save(
-        tournament_key(tournament.platform, fingerprint),
-        tournament.to_payloads(),
-        provenance={
-            "platform": tournament.platform,
-            "roster": list(tournament.roster),
-            "regimes": len(tournament.regimes),
-        },
+def _envelope(platform: str, roster: Sequence[str]) -> dict[str, Any]:
+    return {
+        "format_version": TOURNAMENT_FORMAT_VERSION,
+        "platform": platform,
+        "roster": list(roster),
+    }
+
+
+def encode_tournament(tournament: PlatformTournament) -> dict[str, str]:
+    """The ``tournament.json`` payload of one winner table."""
+    from repro.pipeline.store import json_payload
+
+    return json_payload(
+        _RESULT_FILE,
+        **_envelope(tournament.platform, tournament.roster),
+        regimes=[r.to_dict() for r in tournament.regimes],
     )
 
 
-def load_tournament(
-    store: "ArtifactStore", platform: str, fingerprint: str
-) -> PlatformTournament | None:
-    key = tournament_key(platform, fingerprint)
-    payloads = store.load(key)
-    if payloads is None:
-        return None
-    try:
-        return PlatformTournament.from_payloads(payloads)
-    except ModelError as exc:
-        log.warning(
-            "discarding invalid tournament artifact %s: %s",
-            key.entry_id,
-            exc,
-        )
-        store.discard(key)
-        return None
+def decode_tournament(
+    payloads: Mapping[str, str], platform: str, roster: Sequence[str]
+) -> PlatformTournament:
+    """Rebuild the winner table :func:`encode_tournament` stored for
+    ``platform`` and ``roster`` (in order); any skew raises."""
+    from repro.pipeline.store import json_member
+
+    data = json_member(payloads, _RESULT_FILE, **_envelope(platform, roster))
+    return PlatformTournament(
+        platform=platform,
+        roster=tuple(roster),
+        regimes=tuple(RegimeScore.from_dict(r) for r in data["regimes"]),
+    )
 
 
 # ---- the runner -------------------------------------------------------------------
@@ -386,6 +327,7 @@ def run_platform_tournament(
     """
     from repro.bench.config import SweepConfig
     from repro.pipeline.fingerprint import config_fingerprint
+    from repro.pipeline.store import load_or_compute
 
     roster = dict(backends if backends is not None else BACKENDS)
     config_fp = config_fingerprint(config or SweepConfig())
@@ -400,24 +342,21 @@ def run_platform_tournament(
             )
         )
 
-    fingerprint = tournament_fingerprint(config_fp, roster)
-    if store is not None:
-        stored = load_tournament(store, platform.name, fingerprint)
-        if stored is not None and stored.roster == tuple(roster):
-            return TournamentRun(
-                tournament=stored,
-                calibrated=calibrated,
-                backend_cached=backend_cached,
-                cached=True,
-            )
-    tournament = score_backends(result, calibrated)
-    if store is not None:
-        store_tournament(store, fingerprint, tournament)
+    tournament, cached = load_or_compute(
+        store,
+        tournament_key(platform.name, config_fp, roster),
+        compute=lambda: score_backends(result, calibrated),
+        encode=encode_tournament,
+        decode=lambda payloads: decode_tournament(
+            payloads, platform.name, tuple(roster)
+        ),
+        provenance={"platform": platform.name, "roster": list(roster)},
+    )
     return TournamentRun(
         tournament=tournament,
         calibrated=calibrated,
         backend_cached=backend_cached,
-        cached=False,
+        cached=cached,
     )
 
 

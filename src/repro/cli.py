@@ -491,16 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="hydrate a model before accepting traffic (repeatable); "
         "with --cache-dir this is a warm start from the artifact store",
     )
-    p_serve.add_argument(
-        "--prefetch-artifact",
-        action="append",
-        default=[],
-        metavar="ENTRY_ID",
-        help="fault a stored artifact (backend calibration, tournament "
-        "table) into the cache before preloading (repeatable); missing "
-        "entries are skipped — the cluster supervisor passes each "
-        "worker its shard-assigned backend artifacts this way",
-    )
 
     p_cluster = sub.add_parser(
         "cluster", help="sharded multi-worker serving tier"
@@ -755,12 +745,12 @@ def _cmd_predict(args: argparse.Namespace) -> str:
 def _cmd_tournament(args: argparse.Namespace) -> str:
     from repro.backends import BACKENDS, render_winner_table
     from repro.backends.tournament import (
-        load_tournament,
+        decode_tournament,
         run_tournament,
-        tournament_fingerprint,
+        tournament_key,
     )
     from repro.pipeline.fingerprint import config_fingerprint
-    from repro.pipeline.store import ArtifactStore
+    from repro.pipeline.store import ArtifactStore, load_decoded
 
     cache_dir = _resolve_cache_dir(args)
     config = SweepConfig(seed=args.seed)
@@ -798,12 +788,16 @@ def _cmd_tournament(args: argparse.Namespace) -> str:
                 "--cache-dir or set $REPRO_CACHE_DIR"
             )
         store = ArtifactStore(cache_dir)
-        fingerprint = tournament_fingerprint(
-            config_fingerprint(config), BACKENDS
-        )
+        config_fp = config_fingerprint(config)
         stored = {}
         for name in platforms:
-            tournament = load_tournament(store, name, fingerprint)
+            tournament = load_decoded(
+                store,
+                tournament_key(name, config_fp, BACKENDS),
+                lambda payloads: decode_tournament(
+                    payloads, name, tuple(BACKENDS)
+                ),
+            )
             if tournament is not None:
                 stored[name] = tournament
         if not stored:
@@ -1182,39 +1176,6 @@ def _parse_preload_keys(values: list[str]) -> list[tuple[str, int]]:
     return keys
 
 
-def _prefetch_artifacts(
-    cache_dir: Path | None, entry_ids: list[str]
-) -> int:
-    """Fault listed artifact entries into the store before preload.
-
-    The cluster supervisor hands each worker the entry ids of its
-    shard-assigned backend calibrations and tournament tables; reading
-    them here warms the page cache (and records a store hit) so the
-    subsequent ``--preload`` hydration is pure warm reads.  Missing
-    entries are skipped: a first-boot fleet has nothing to prefetch.
-    """
-    from repro.errors import PipelineError as _PipelineError
-    from repro.pipeline.store import ArtifactStore
-
-    if not entry_ids:
-        return 0
-    if cache_dir is None:
-        raise ServiceError(
-            "--prefetch-artifact needs an artifact store: pass "
-            "--cache-dir or set $REPRO_CACHE_DIR"
-        )
-    store = ArtifactStore(cache_dir)
-    warmed = 0
-    for entry_id in entry_ids:
-        try:
-            key = store.find(entry_id)
-        except _PipelineError:
-            continue  # not published yet; preload will calibrate it
-        if store.load(key) is not None:
-            warmed += 1
-    return warmed
-
-
 def _cmd_serve(args: argparse.Namespace) -> str:
     import asyncio
     import signal
@@ -1223,13 +1184,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
 
     cache_dir = _resolve_cache_dir(args)
     preload_keys = _parse_preload_keys(args.preload)
-    if args.prefetch_artifact:
-        warmed = _prefetch_artifacts(cache_dir, args.prefetch_artifact)
-        print(
-            f"prefetched {warmed}/{len(args.prefetch_artifact)} "
-            "artifact(s)",
-            flush=True,
-        )
 
     async def _serve() -> None:
         service = ContentionService(

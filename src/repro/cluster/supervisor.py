@@ -181,38 +181,6 @@ class Supervisor:
             if worker_id in self.shardmap.owners(*key)
         ]
 
-    def backend_artifacts_for(self, worker_id: str) -> list[str]:
-        """The store entry ids of this worker's shard-assigned model
-        backends: every roster calibration plus the tournament winner
-        table of each preload key it owns.
-
-        Passed to the worker as ``--prefetch-artifact`` hints so its
-        warm start faults the tournament winners in alongside the sweep
-        and calibration artifacts — the first ``backend=`` query is
-        then a pure in-memory answer instead of a cold store read.
-        """
-        from repro.backends import BACKENDS, backend_key
-        from repro.backends.tournament import (
-            tournament_fingerprint,
-            tournament_key,
-        )
-        from repro.bench.config import SweepConfig
-        from repro.pipeline.fingerprint import config_fingerprint
-
-        entry_ids: list[str] = []
-        for platform, seed in self.preload_keys_for(worker_id):
-            config_fp = config_fingerprint(SweepConfig(seed=seed))
-            for backend in BACKENDS.values():
-                entry_ids.append(
-                    backend_key(platform, backend, config_fp).entry_id
-                )
-            entry_ids.append(
-                tournament_key(
-                    platform, tournament_fingerprint(config_fp, BACKENDS)
-                ).entry_id
-            )
-        return entry_ids
-
     # ---- spawning --------------------------------------------------------------
 
     def worker_command(self, handle: WorkerHandle) -> list[str]:
@@ -235,8 +203,6 @@ class Supervisor:
         ]
         if not self._batching:
             command.append("--no-batching")
-        for entry_id in self.backend_artifacts_for(handle.worker_id):
-            command += ["--prefetch-artifact", entry_id]
         for platform, seed in self.preload_keys_for(handle.worker_id):
             command += ["--preload", f"{platform}:{seed}"]
         return command

@@ -64,9 +64,6 @@ class Allocation:
     resource_usage: Mapping[str, float]
     #: Effective capacity of each resource under the final traffic mix.
     effective_capacity: Mapping[str, float]
-    #: Solver passes used (constant 3 for the cascade; kept for
-    #: diagnostics and API stability).
-    iterations: int
     #: DRAM traffic factor applied by the LLC pre-pass, keyed by stream
     #: id — only streams that declared a working set appear.  The
     #: stream's *processed* rate (cache hits included) is its arbitrated
@@ -102,7 +99,7 @@ class Arbiter:
         """Compute the steady-state rates of ``streams``."""
         if not streams:
             return Allocation(
-                rates={}, resource_usage={}, effective_capacity={}, iterations=0
+                rates={}, resource_usage={}, effective_capacity={}
             )
         ids = [s.stream_id for s in streams]
         if len(set(ids)) != len(ids):
@@ -256,6 +253,5 @@ class Arbiter:
             rates=rates,
             resource_usage=usage,
             effective_capacity=capacity,
-            iterations=3,
             llc_factors=llc_factors,
         )

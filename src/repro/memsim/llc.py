@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 #: Fraction of the traffic that always reaches DRAM even for a fully
-#: cache-resident working set (compulsory misses, streaming prefetch
+#: cache-resident working set (compulsory misses, streaming read-ahead
 #: spill) — keeps the model from predicting literally zero traffic.
 COMPULSORY_FLOOR = 0.02
 

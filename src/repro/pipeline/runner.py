@@ -1,11 +1,13 @@
 """Composing, caching, and fanning out the pipeline stages.
 
 :func:`run_platform_pipeline` executes the stage graph for one platform:
-each cacheable stage is first looked up in the artifact store (when one
-is configured); a verified hit is deserialised instead of computed, a
-corrupt entry is discarded and recomputed, and fresh results are
-persisted atomically.  The returned :class:`PipelineRun` carries the
-familiar :class:`~repro.evaluation.experiments.ExperimentResult` plus a
+each cacheable stage goes through the store's one cache policy
+(:func:`~repro.pipeline.store.load_or_compute`) when a store is
+configured — a verified hit is deserialised instead of computed, a
+corrupt or undeserialisable entry is discarded and recomputed, and
+fresh results are persisted atomically.  The returned
+:class:`PipelineRun` carries the familiar
+:class:`~repro.evaluation.experiments.ExperimentResult` plus a
 :class:`PipelineStats` record proving which stages were served from
 cache — the evidence the warm-run tests and the CI smoke job assert on.
 
@@ -18,19 +20,18 @@ parallel output is bit-identical to the serial path.
 from __future__ import annotations
 
 import functools
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.bench.config import SweepConfig
 from repro.bench.sweep import sample_placements
-from repro.errors import PipelineError, ReproError
+from repro.errors import PipelineError
 from repro.evaluation.experiments import ExperimentResult
 from repro.obs import span
 from repro.pipeline.executor import parallel_map
 from repro.pipeline.stage import Artifact, PipelineContext, Stage
 from repro.pipeline.stages import PIPELINE_STAGES
-from repro.pipeline.store import ArtifactStore
+from repro.pipeline.store import ArtifactStore, load_or_compute
 from repro.topology.platforms import Platform, get_platform, platform_names
 
 __all__ = [
@@ -40,8 +41,6 @@ __all__ = [
     "run_all_pipelines",
     "run_platform_pipeline",
 ]
-
-log = logging.getLogger("repro.pipeline")
 
 
 @dataclass(frozen=True)
@@ -113,38 +112,17 @@ def _run_stage(
                 Artifact(key=key, value=stage.compute(ctx, inputs)),
                 "derived",
             )
-
-        if store is not None:
-            payloads = store.load(key)
-            if payloads is not None:
-                try:
-                    value = stage.deserialize(payloads, ctx)
-                    stage_span.tag(source="cached")
-                    return (
-                        Artifact(key=key, value=value, cached=True),
-                        "cached",
-                    )
-                except ReproError as exc:
-                    # A verified-checksum entry that still fails to
-                    # deserialise (e.g. written for a different topology
-                    # registry) is as good as corrupt: drop and recompute.
-                    log.warning(
-                        "cache entry %s failed to deserialise (%s); "
-                        "recomputing",
-                        key.entry_id,
-                        exc,
-                    )
-                    store.discard(key)
-
-        value = stage.compute(ctx, inputs)
-        if store is not None:
-            store.save(
-                key,
-                stage.serialize(value),
-                provenance={"sweep_config": ctx.config.to_dict()},
-            )
-        stage_span.tag(source="computed")
-        return Artifact(key=key, value=value), "computed"
+        value, cached = load_or_compute(
+            store,
+            key,
+            compute=lambda: stage.compute(ctx, inputs),
+            encode=stage.serialize,
+            decode=lambda payloads: stage.deserialize(payloads, ctx),
+            provenance={"sweep_config": ctx.config.to_dict()},
+        )
+        source = "cached" if cached else "computed"
+        stage_span.tag(source=source)
+        return Artifact(key=key, value=value, cached=cached), source
 
 
 def run_platform_pipeline(

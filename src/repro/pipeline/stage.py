@@ -4,8 +4,8 @@ A :class:`Stage` is one deterministic step of the pipeline — measure,
 calibrate, predict, score — with explicit, hashable inputs: the
 platform, the full sweep configuration, and the stage's own code
 version.  Running a stage yields an :class:`Artifact`: the in-memory
-value plus the key under which it can be persisted and provenance of
-how it was obtained.
+value plus the key under which it can be persisted and whether it was
+served from the store.
 
 Cacheable stages must implement a *bit-identical* text round trip
 (``serialize``/``deserialize``): reloading their payloads reconstructs
@@ -16,7 +16,7 @@ artifacts instead of occupying disk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 from repro.bench.config import SweepConfig
@@ -73,10 +73,6 @@ class PipelineContext:
             fingerprint=config_fingerprint(self.config),
         )
 
-    def serial(self) -> "PipelineContext":
-        """The same context with intra-stage parallelism disabled."""
-        return replace(self, grid_jobs=1)
-
 
 @dataclass(frozen=True)
 class Artifact:
@@ -86,7 +82,6 @@ class Artifact:
     value: object
     #: True when served from the artifact store, False when computed.
     cached: bool = False
-    provenance: Mapping[str, object] = field(default_factory=dict)
 
 
 class Stage:
@@ -119,8 +114,8 @@ class Stage:
     ) -> object:
         """Reconstruct the exact value :meth:`serialize` captured.
 
-        Raise :class:`~repro.errors.ReproError` on any inconsistency;
-        the runner treats that as a corrupt entry (discard + recompute),
-        never as a fatal error.
+        Raise any of :data:`~repro.pipeline.store.DECODE_ERRORS` on an
+        inconsistency; the runner treats that as a corrupt entry
+        (discard + recompute), never as a fatal error.
         """
         raise PipelineError(f"stage {self.name!r} is not cacheable")

@@ -16,7 +16,6 @@ now a consumer of this module):
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 from typing import Mapping
 
@@ -28,6 +27,7 @@ from repro.core.placement import PlacementModel
 from repro.errors import PipelineError
 from repro.evaluation.metrics import placement_errors
 from repro.pipeline.stage import Artifact, PipelineContext, Stage
+from repro.pipeline.store import json_member, json_payload
 
 __all__ = [
     "MeasureStage",
@@ -71,27 +71,21 @@ class MeasureStage(Stage):
         assert isinstance(value, PlatformDataset)
         return {
             "dataset.csv": value.to_csv(full_precision=True),
-            "dataset_meta.json": json.dumps(
-                {
-                    "platform": value.platform_name,
-                    # from_csv does not round-trip the provenance
-                    # mapping, so it rides along here.
-                    "config": dict(value.config),
-                },
-                indent=2,
-                sort_keys=True,
+            # from_csv does not round-trip the provenance mapping, so
+            # it rides along here.
+            **json_payload(
+                "dataset_meta.json",
+                platform=value.platform_name,
+                config=dict(value.config),
             ),
         }
 
     def deserialize(
         self, payloads: Mapping[str, str], ctx: PipelineContext
     ) -> PlatformDataset:
-        meta = json.loads(payloads["dataset_meta.json"])
-        if meta.get("platform") != ctx.platform.name:
-            raise PipelineError(
-                f"measure artifact is for {meta.get('platform')!r}, "
-                f"not {ctx.platform.name!r}"
-            )
+        meta = json_member(
+            payloads, "dataset_meta.json", platform=ctx.platform.name
+        )
         dataset = PlatformDataset.from_csv(payloads["dataset.csv"])
         if dataset.platform_name != ctx.platform.name:
             raise PipelineError(
@@ -121,35 +115,27 @@ class CalibrateStage(Stage):
         return {
             "model_local.json": value.local.to_json(),
             "model_remote.json": value.remote.to_json(),
-            "model_meta.json": json.dumps(
-                {
-                    "nodes_per_socket": value.nodes_per_socket,
-                    "n_numa_nodes": value.n_numa_nodes,
-                },
-                indent=2,
-                sort_keys=True,
+            **json_payload(
+                "model_meta.json",
+                nodes_per_socket=value.nodes_per_socket,
+                n_numa_nodes=value.n_numa_nodes,
             ),
         }
 
     def deserialize(
         self, payloads: Mapping[str, str], ctx: PipelineContext
     ) -> PlacementModel:
-        meta = json.loads(payloads["model_meta.json"])
-        model = PlacementModel(
+        # The stored topology must be the platform's.
+        topology = {
+            "nodes_per_socket": ctx.platform.nodes_per_socket,
+            "n_numa_nodes": ctx.platform.machine.n_numa_nodes,
+        }
+        json_member(payloads, "model_meta.json", **topology)
+        return PlacementModel(
             local=ModelParameters.from_json(payloads["model_local.json"]),
             remote=ModelParameters.from_json(payloads["model_remote.json"]),
-            nodes_per_socket=int(meta["nodes_per_socket"]),
-            n_numa_nodes=int(meta["n_numa_nodes"]),
+            **topology,
         )
-        if (
-            model.nodes_per_socket != ctx.platform.nodes_per_socket
-            or model.n_numa_nodes != ctx.platform.machine.n_numa_nodes
-        ):
-            raise PipelineError(
-                "calibrate artifact topology does not match platform "
-                f"{ctx.platform.name!r}"
-            )
-        return model
 
 
 class PredictStage(Stage):

@@ -21,9 +21,14 @@ Guarantees:
   discarded, and the caller recomputes.  Corruption can cost time, not
   correctness.
 * **Bit-identical reload** — payloads are UTF-8 text produced by the
-  stages' full-precision serialisers (or raw bytes for binary
-  artifacts), so a warm run
-  reconstructs the exact float64 values of the cold run.
+  stages' full-precision serialisers, so a warm run reconstructs the
+  exact float64 values of the cold run.
+
+The cache policy on top — serve a hit its decoder accepts, otherwise
+discard, compute and publish — is :func:`load_or_compute`, shared by
+every artifact kind (the pipeline stages, backend calibrations, the
+tournament winner table).  :func:`json_payload`/:func:`json_member`
+are the shared codec of single-JSON-member artifacts.
 """
 
 from __future__ import annotations
@@ -34,11 +39,11 @@ import logging
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, TypeVar
 
-from repro.errors import PipelineError
+from repro.errors import PipelineError, ReproError
 from repro.obs import counter, span
 from repro.pipeline.stage import StageKey
 
@@ -47,7 +52,17 @@ try:  # POSIX; the hit counter degrades to best-effort elsewhere.
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
-__all__ = ["ArtifactStore", "EntryInfo", "StoreStats", "MANIFEST_VERSION"]
+__all__ = [
+    "ArtifactStore",
+    "DECODE_ERRORS",
+    "EntryInfo",
+    "MANIFEST_VERSION",
+    "StoreStats",
+    "json_member",
+    "json_payload",
+    "load_decoded",
+    "load_or_compute",
+]
 
 log = logging.getLogger("repro.pipeline")
 
@@ -77,13 +92,7 @@ class StoreStats:
     duplicates: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "discards": self.discards,
-            "duplicates": self.duplicates,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -101,14 +110,8 @@ class EntryInfo:
         return self.key.entry_id
 
 
-def _sha256(data: str | bytes) -> str:
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _as_raw(payload: str | bytes) -> bytes:
-    return payload.encode("utf-8") if isinstance(payload, str) else payload
 
 
 class ArtifactStore:
@@ -137,12 +140,8 @@ class ArtifactStore:
 
     # ---- reads -----------------------------------------------------------------
 
-    def load(self, key: StageKey) -> dict[str, str | bytes] | None:
+    def load(self, key: StageKey) -> dict[str, str] | None:
         """The verified payloads of ``key``, or ``None`` to recompute.
-
-        Text payloads (the default) come back as ``str``; payloads
-        saved as ``bytes`` (manifest ``encoding: "binary"``) come back
-        as ``bytes``.
 
         Never raises for a bad entry: corruption of any kind (unparsable
         or truncated manifest, missing payload file, checksum mismatch,
@@ -163,7 +162,7 @@ class ArtifactStore:
                 log.warning(
                     "discarding corrupt cache entry %s: %s", key.entry_id, exc
                 )
-                self._discard_dir(entry)
+                shutil.rmtree(entry, ignore_errors=True)
                 self.stats.discards += 1
                 self.stats.misses += 1
                 counter("store.discard", entry=key.entry_id)
@@ -176,9 +175,7 @@ class ArtifactStore:
             self._bump_hits(entry)
             return payloads
 
-    def _read_verified(
-        self, entry: Path, key: StageKey
-    ) -> dict[str, str | bytes]:
+    def _read_verified(self, entry: Path, key: StageKey) -> dict[str, str]:
         """Read and verify one entry; raises ValueError/OSError on any defect."""
         try:
             manifest = json.loads((entry / _MANIFEST).read_text("utf-8"))
@@ -203,7 +200,7 @@ class ArtifactStore:
         files = manifest.get("files")
         if not isinstance(files, dict) or not files:
             raise ValueError("manifest lists no payload files")
-        payloads: dict[str, str | bytes] = {}
+        payloads: dict[str, str] = {}
         for name, meta in files.items():
             path = entry / name
             if not path.is_file():
@@ -215,15 +212,7 @@ class ArtifactStore:
             raw = path.read_bytes()
             if _sha256(raw) != meta["sha256"]:
                 raise ValueError(f"payload file {name!r} fails its checksum")
-            encoding = meta.get("encoding", "utf-8")
-            if encoding == "binary":
-                payloads[name] = raw
-            elif encoding == "utf-8":
-                payloads[name] = raw.decode("utf-8")
-            else:
-                raise ValueError(
-                    f"payload file {name!r} has unknown encoding {encoding!r}"
-                )
+            payloads[name] = raw.decode("utf-8")
         return payloads
 
     # ---- writes ----------------------------------------------------------------
@@ -231,15 +220,11 @@ class ArtifactStore:
     def save(
         self,
         key: StageKey,
-        payloads: Mapping[str, str | bytes],
+        payloads: Mapping[str, str],
         *,
         provenance: Mapping[str, Any] | None = None,
     ) -> None:
-        """Atomically persist ``payloads`` under ``key``.
-
-        A ``str`` payload is stored as UTF-8 text and reloads as
-        ``str``; a ``bytes`` payload is stored verbatim (manifest
-        ``encoding: "binary"``) and reloads as ``bytes``.
+        """Atomically persist ``payloads`` (name → text) under ``key``.
 
         ``provenance`` (e.g. the full sweep-config dict) is embedded in
         the manifest for humans and ``repro cache info``; it is not part
@@ -250,6 +235,7 @@ class ArtifactStore:
         for name in payloads:
             if "/" in name or name.startswith(".") or name in (_MANIFEST, _STATS):
                 raise PipelineError(f"invalid payload file name {name!r}")
+        raw = {name: text.encode("utf-8") for name, text in payloads.items()}
         manifest = {
             "manifest_version": MANIFEST_VERSION,
             "key": {
@@ -261,14 +247,8 @@ class ArtifactStore:
             "provenance": dict(provenance or {}),
             "created_unix": time.time(),
             "files": {
-                name: {
-                    "sha256": _sha256(payload),
-                    "bytes": len(_as_raw(payload)),
-                    "encoding": (
-                        "binary" if isinstance(payload, bytes) else "utf-8"
-                    ),
-                }
-                for name, payload in payloads.items()
+                name: {"sha256": _sha256(data), "bytes": len(data)}
+                for name, data in raw.items()
             },
         }
         tmp_root = self._root / _TMP
@@ -276,8 +256,8 @@ class ArtifactStore:
         with span("store.save", entry=key.entry_id):
             tmp_dir = Path(tempfile.mkdtemp(dir=tmp_root, prefix=key.stage))
             try:
-                for name, payload in payloads.items():
-                    (tmp_dir / name).write_bytes(_as_raw(payload))
+                for name, data in raw.items():
+                    (tmp_dir / name).write_bytes(data)
                 (tmp_dir / _MANIFEST).write_bytes(
                     json.dumps(manifest, indent=2, sort_keys=True).encode(
                         "utf-8"
@@ -313,13 +293,9 @@ class ArtifactStore:
         entry = self._entry_dir(key)
         existed = entry.exists()
         if existed:
-            self._discard_dir(entry)
+            shutil.rmtree(entry, ignore_errors=True)
             self.stats.discards += 1
         return existed
-
-    @staticmethod
-    def _discard_dir(entry: Path) -> None:
-        shutil.rmtree(entry, ignore_errors=True)
 
     # ---- persistent hit counter -------------------------------------------------
 
@@ -440,7 +416,7 @@ class ArtifactStore:
         """Remove every entry (and stray temp dirs); returns entries removed."""
         removed = 0
         for manifest_path in self._root.glob(f"*/*/{_MANIFEST}"):
-            self._discard_dir(manifest_path.parent)
+            shutil.rmtree(manifest_path.parent, ignore_errors=True)
             removed += 1
         shutil.rmtree(self._root / _TMP, ignore_errors=True)
         for platform_dir in self._root.iterdir() if self._root.is_dir() else ():
@@ -448,3 +424,87 @@ class ArtifactStore:
                 platform_dir.rmdir()
         self.stats.discards += removed
         return removed
+
+
+# ---- the cache policy -------------------------------------------------------------
+
+T = TypeVar("T")
+
+#: What a decoder raises on a checksum-valid entry it cannot read — a
+#: missing member, malformed JSON, a skewed or mistyped field, a failed
+#: domain check: a defective entry, never a fatal error.
+DECODE_ERRORS = (ReproError, KeyError, TypeError, ValueError)
+
+
+def load_decoded(
+    store: ArtifactStore,
+    key: StageKey,
+    decode: Callable[[Mapping[str, str]], T],
+) -> T | None:
+    """The decoded value stored under ``key``, or ``None`` to recompute.
+
+    A verified entry that ``decode`` rejects is as good as corrupt: it
+    is logged and discarded, so the next publish can replace it.
+    """
+    payloads = store.load(key)
+    if payloads is None:
+        return None
+    try:
+        return decode(payloads)
+    except DECODE_ERRORS as exc:
+        log.warning(
+            "discarding undecodable cache entry %s: %s", key.entry_id, exc
+        )
+        store.discard(key)
+        return None
+
+
+def load_or_compute(
+    store: ArtifactStore | None,
+    key: StageKey,
+    compute: Callable[[], T],
+    encode: Callable[[T], Mapping[str, str]],
+    decode: Callable[[Mapping[str, str]], T],
+    provenance: Mapping[str, Any] | None = None,
+) -> tuple[T, bool]:
+    """``(value, cached)``: a hit ``decode`` accepts, else ``compute()``.
+
+    A miss, a corrupt or an undecodable entry is computed and published
+    for every process sharing the store.  Without a store this just
+    computes.
+    """
+    if store is not None:
+        value = load_decoded(store, key, decode)
+        if value is not None:
+            return value, True
+    value = compute()
+    if store is not None:
+        store.save(key, encode(value), provenance=provenance)
+    return value, False
+
+
+def json_payload(name: str, **fields: Any) -> dict[str, str]:
+    """A one-member payload: ``fields`` as indented, key-sorted JSON."""
+    return {name: json.dumps(fields, indent=2, sort_keys=True)}
+
+
+def json_member(
+    payloads: Mapping[str, str], name: str, **expected: Any
+) -> dict[str, Any]:
+    """The JSON object in member ``name``, checked against ``expected``.
+
+    ``expected`` names the envelope fields — a format version and the
+    identity of what was stored — that must match exactly.  Raises
+    ``KeyError`` for a missing member and ``ValueError`` for text that
+    is not a JSON object or a skewed field.
+    """
+    data = json.loads(payloads[name])
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} is not a JSON object")
+    for field_name, value in expected.items():
+        if data.get(field_name) != value:
+            raise ValueError(
+                f"{name} has {field_name} {data.get(field_name)!r}, "
+                f"expected {value!r}"
+            )
+    return data

@@ -11,12 +11,11 @@ from repro.backends.tournament import (
     PlatformTournament,
     RegimeScore,
     TournamentRouter,
-    load_tournament,
+    decode_tournament,
+    encode_tournament,
     run_platform_tournament,
     run_tournament,
     score_backends,
-    store_tournament,
-    tournament_fingerprint,
     tournament_key,
 )
 from repro.bench.config import SweepConfig
@@ -92,18 +91,19 @@ class TestArtifactCaching:
         assert all(second.backend_cached.values())
         # Payload comparison, not dataclass equality: a NaN score is
         # serialized as null and NaN != NaN would hide a real match.
-        assert (
-            second.tournament.to_payloads() == first.tournament.to_payloads()
+        assert encode_tournament(second.tournament) == encode_tournament(
+            first.tournament
         )
 
     def test_fingerprint_covers_the_roster(self, seeded_config):
         config_fp = config_fingerprint(seeded_config)
-        full = tournament_fingerprint(config_fp, BACKENDS)
-        partial = tournament_fingerprint(
-            config_fp, {"threshold": BACKENDS["threshold"]}
+        full = tournament_key("henri", config_fp, BACKENDS)
+        partial = tournament_key(
+            "henri", config_fp, {"threshold": BACKENDS["threshold"]}
         )
-        assert full != partial
-        assert full != tournament_fingerprint("other-config", BACKENDS)
+        assert full.fingerprint != partial.fingerprint
+        other = tournament_key("henri", "other-config", BACKENDS)
+        assert full.fingerprint != other.fingerprint
 
     def test_roster_change_reruns_but_keeps_calibrations(
         self, tmp_path, henri_experiment, seeded_config
@@ -127,37 +127,16 @@ class TestArtifactCaching:
         assert shrunk.backend_cached == {"threshold": True, "naive": True}
         assert shrunk.tournament.roster == ("threshold", "naive")
 
-    def test_corrupt_tournament_artifact_is_discarded(
-        self, tmp_path, henri_experiment, seeded_config
-    ):
-        store = ArtifactStore(tmp_path / "cache")
-        run = run_platform_tournament(
-            henri_experiment, config=seeded_config, store=store
-        )
-        fingerprint = tournament_fingerprint(
-            config_fingerprint(seeded_config), BACKENDS
-        )
-        key = tournament_key("henri", fingerprint)
-        store.discard(key)  # save alone keeps an existing entry
-        store.save(key, {"tournament.json": "[]"})
-        assert load_tournament(store, "henri", fingerprint) is None
-        assert store.load(key) is None
-        # And the runner recovers by recomputing + republishing.
-        recovered = run_platform_tournament(
-            henri_experiment, config=seeded_config, store=store
-        )
-        assert recovered.cached is False
-        assert recovered.tournament.to_payloads() == run.tournament.to_payloads()
-
     def test_payload_round_trip(self, henri_run, tmp_path, seeded_config):
         store = ArtifactStore(tmp_path / "cache")
-        fingerprint = tournament_fingerprint(
-            config_fingerprint(seeded_config), BACKENDS
+        key = tournament_key(
+            "henri", config_fingerprint(seeded_config), BACKENDS
         )
-        store_tournament(store, fingerprint, henri_run.tournament)
-        loaded = load_tournament(store, "henri", fingerprint)
-        assert loaded is not None
-        assert loaded.to_payloads() == henri_run.tournament.to_payloads()
+        store.save(key, encode_tournament(henri_run.tournament))
+        loaded = decode_tournament(store.load(key), "henri", tuple(BACKENDS))
+        assert encode_tournament(loaded) == encode_tournament(
+            henri_run.tournament
+        )
 
     def test_nan_scores_survive_serialization(self):
         regime = RegimeScore(
@@ -172,7 +151,9 @@ class TestArtifactCaching:
         tournament = PlatformTournament(
             platform="henri", roster=("a", "b"), regimes=(regime,)
         )
-        reloaded = PlatformTournament.from_payloads(tournament.to_payloads())
+        reloaded = decode_tournament(
+            encode_tournament(tournament), "henri", ("a", "b")
+        )
         back = reloaded.regimes[0].scores
         assert back["a"] == 1.5
         assert np.isnan(back["b"])

@@ -46,8 +46,11 @@ class ScriptedService:
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self.port = self.server.server_address[1]
+        # shutdown() waits for the serve loop's next poll: keep it short.
         self._thread = threading.Thread(
-            target=self.server.serve_forever, daemon=True
+            target=self.server.serve_forever,
+            kwargs={"poll_interval": 0.01},
+            daemon=True,
         )
         self._thread.start()
 

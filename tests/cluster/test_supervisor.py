@@ -201,82 +201,3 @@ class TestWaitReady:
         with pytest.raises(ValueError, match="a bug"):
             supervisor.wait_ready(timeout_s=30.0)
         assert time.monotonic() - start < 5.0  # no retry loop
-
-
-class TestBackendPrefetchHints:
-    """Shard-map prefetch hints: each worker is told the store entry
-    ids of its shard-assigned backend calibrations and tournament
-    tables so a warm start faults the tournament winners in too."""
-
-    @pytest.fixture
-    def preloaded(self, tmp_path):
-        keys = [("occigen", 0), ("henri", 1)]
-        return Supervisor(
-            workers=3, replication=2, cache_dir=tmp_path, preload=keys
-        )
-
-    def test_entry_ids_cover_roster_and_tournament(self, preloaded):
-        from repro.backends import BACKENDS
-
-        for wid in ("w0", "w1", "w2"):
-            owned = preloaded.preload_keys_for(wid)
-            entry_ids = preloaded.backend_artifacts_for(wid)
-            # One entry per registered backend plus the winner table,
-            # per owned preload key.
-            assert len(entry_ids) == len(owned) * (len(BACKENDS) + 1)
-            for platform, _seed in owned:
-                mine = [e for e in entry_ids if e.startswith(f"{platform}/")]
-                stages = [e.split("/", 1)[1] for e in mine]
-                for backend_id in BACKENDS:
-                    assert any(
-                        s.startswith(f"backend-{backend_id}-v") for s in stages
-                    ), (wid, platform, backend_id)
-                assert any(s.startswith("tournament-v") for s in stages)
-
-    def test_hints_follow_the_shard_map(self, preloaded):
-        for wid in ("w0", "w1", "w2"):
-            owned_platforms = {p for p, _ in preloaded.preload_keys_for(wid)}
-            hinted_platforms = {
-                e.split("/", 1)[0]
-                for e in preloaded.backend_artifacts_for(wid)
-            }
-            assert hinted_platforms == owned_platforms
-
-    def test_seed_changes_the_hinted_fingerprints(self, tmp_path):
-        by_seed = {}
-        for seed in (0, 1):
-            supervisor = Supervisor(
-                workers=1,
-                replication=1,
-                cache_dir=tmp_path,
-                preload=[("occigen", seed)],
-            )
-            by_seed[seed] = set(supervisor.backend_artifacts_for("w0"))
-        # Same platform, different sweep seed: every artifact address
-        # differs (the config fingerprint is part of each entry id).
-        assert not (by_seed[0] & by_seed[1])
-
-    def test_worker_command_carries_the_hints(self, preloaded):
-        owner = next(
-            wid
-            for wid in ("w0", "w1", "w2")
-            if preloaded.preload_keys_for(wid)
-        )
-        command = preloaded.worker_command(preloaded.handle(owner))
-        hints = [
-            command[i + 1]
-            for i, c in enumerate(command)
-            if c == "--prefetch-artifact"
-        ]
-        assert hints == preloaded.backend_artifacts_for(owner)
-        # Hints come before the preloads they warm up.
-        assert command.index("--prefetch-artifact") < command.index(
-            "--preload"
-        )
-
-    def test_no_preload_means_no_hints(self, tmp_path):
-        supervisor = Supervisor(workers=2, replication=1, cache_dir=tmp_path)
-        assert supervisor.backend_artifacts_for("w0") == []
-        assert "--prefetch-artifact" not in supervisor.worker_command(
-            supervisor.handle("w0")
-        )

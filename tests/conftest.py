@@ -1,8 +1,12 @@
-"""Shared fixtures.
+"""Shared fixtures and the teardown budget.
 
 Expensive artefacts (full platform experiments) are session-scoped:
 many test modules assert different properties of the same pipeline run,
 so it is computed once per platform.
+
+A fixture teardown that takes longer than :data:`TEARDOWN_BUDGET_S`
+fails the test it belongs to: slow teardowns are almost always a thread
+or server waiting out a timeout, which costs every run and hides hangs.
 """
 
 from __future__ import annotations
@@ -12,6 +16,24 @@ import pytest
 from repro.bench import SweepConfig
 from repro.evaluation import run_platform_experiment
 from repro.topology import get_platform, platform_names
+
+TEARDOWN_BUDGET_S = 1.0
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    outcome = yield
+    report = outcome.get_result()
+    if (
+        report.when == "teardown"
+        and report.passed
+        and call.duration > TEARDOWN_BUDGET_S
+    ):
+        report.outcome = "failed"
+        report.longrepr = (
+            f"teardown of {item.nodeid} took {call.duration:.2f} s, "
+            f"over the {TEARDOWN_BUDGET_S:.0f} s budget"
+        )
 
 
 @pytest.fixture(scope="session")

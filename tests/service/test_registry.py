@@ -2,7 +2,6 @@
 
 import asyncio
 import threading
-import time
 
 import pytest
 
@@ -39,22 +38,31 @@ REMOTE = ModelParameters(
 
 
 class CountingCalibrator:
-    """Stand-in calibrator: counts invocations, optionally stalls."""
+    """Stand-in calibrator: counts invocations, optionally stalls.
+
+    A stall lasts ``delay_s`` or until :meth:`release`, whichever comes
+    first, so a test can end one without waiting it out.
+    """
 
     def __init__(self, delay_s: float = 0.0):
         self.calls = 0
         self.delay_s = delay_s
         self._lock = threading.Lock()
+        self._released = threading.Event()
 
     def __call__(self, key: ModelKey) -> ModelEntry:
         with self._lock:
             self.calls += 1
         if self.delay_s:
-            time.sleep(self.delay_s)
+            self._released.wait(self.delay_s)
         model = PlacementModel(
             LOCAL, REMOTE, nodes_per_socket=1, n_numa_nodes=2
         )
         return ModelEntry(key=key, platform=None, model=model)
+
+    def release(self) -> None:
+        """End every current and future stall now."""
+        self._released.set()
 
 
 class TestBasics:

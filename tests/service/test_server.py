@@ -270,11 +270,16 @@ class TestOperational:
         calibrator = CountingCalibrator(delay_s=2.0)
         registry = ModelRegistry(calibrator=calibrator)
         server = server_factory(registry=registry, request_timeout_s=0.2)
-        with pytest.raises(ServiceResponseError) as excinfo:
-            server.client().calibrate("henri")
-        assert excinfo.value.status == 504
-        metrics = server.client().metrics()
-        assert metrics["requests"]["timeouts"] == 1
+        try:
+            with pytest.raises(ServiceResponseError) as excinfo:
+                server.client().calibrate("henri")
+            assert excinfo.value.status == 504
+            metrics = server.client().metrics()
+            assert metrics["requests"]["timeouts"] == 1
+        finally:
+            # The timed-out calibration still occupies an executor
+            # thread; end it so the server stops promptly.
+            calibrator.release()
 
     def test_concurrency_limit_sheds_load(self, server_factory):
         calibrator = CountingCalibrator(delay_s=0.8)

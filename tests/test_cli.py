@@ -530,36 +530,3 @@ class TestPredictBackendFlag:
         )
         assert code == EXIT_CODES[errors.ModelError] == 6
         assert "registered" in capsys.readouterr().err
-
-
-class TestPrefetchArtifacts:
-    def test_warms_published_entries_and_skips_missing(self, tmp_path):
-        from repro.backends import backend_key, load_or_calibrate
-        from repro.backends.threshold import ThresholdBackend
-        from repro.cli import _prefetch_artifacts
-        from repro.evaluation.experiments import run_platform_experiment
-        from repro.pipeline import ArtifactStore
-
-        cache = tmp_path / "cache"
-        store = ArtifactStore(cache)
-        result = run_platform_experiment("occigen", store=store)
-        backend = ThresholdBackend()
-        load_or_calibrate(
-            store, backend, result.dataset, result.platform, "fp"
-        )
-        published = backend_key("occigen", backend, "fp").entry_id
-        warmed = _prefetch_artifacts(
-            cache, [published, "occigen/backend-naive-v1-unpublished"]
-        )
-        assert warmed == 1
-
-    def test_no_hints_is_a_noop(self):
-        from repro.cli import _prefetch_artifacts
-
-        assert _prefetch_artifacts(None, []) == 0
-
-    def test_hints_without_store_rejected(self):
-        from repro.cli import _prefetch_artifacts
-
-        with pytest.raises(errors.ServiceError, match="artifact store"):
-            _prefetch_artifacts(None, ["occigen/backend-naive-v1-x"])
