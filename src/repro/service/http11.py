@@ -31,6 +31,7 @@ __all__ = [
     "HttpError",
     "MAX_BODY_BYTES",
     "MAX_HEADER_LINES",
+    "MAX_RESPONSE_BYTES",
     "REASONS",
     "encode_request",
     "read_request",
@@ -40,6 +41,13 @@ __all__ = [
 ]
 
 MAX_BODY_BYTES = 1 << 20
+#: The cap on a worker's reply that the router relays.  A bulk
+#: ``/predict`` query takes at least 30 bytes of a request
+#: (``{"n":0,"m_comp":0,"m_comm":0},``) and its answer row at most 202
+#: (``, `` and four floats of up to 24 characters); a longer number
+#: lengthens both alike.  So 8x the request cap covers every
+#: ``/predict`` answer to a request under it.
+MAX_RESPONSE_BYTES = 8 * MAX_BODY_BYTES
 MAX_HEADER_LINES = 100
 
 REASONS = {
@@ -210,15 +218,15 @@ async def read_response(
     else:
         raise HttpError(502, "too many headers in response")
     if content_length is not None:
-        if content_length > MAX_BODY_BYTES:
+        if content_length > MAX_RESPONSE_BYTES:
             raise HttpError(502, "response body too large")
         payload = await reader.readexactly(content_length)
     else:
         # No length means the body runs to EOF: the stream cannot be
         # reused regardless of what the Connection header claimed.
         reusable = False
-        payload = await reader.read(MAX_BODY_BYTES + 1)
-        if len(payload) > MAX_BODY_BYTES:
+        payload = await reader.read(MAX_RESPONSE_BYTES + 1)
+        if len(payload) > MAX_RESPONSE_BYTES:
             raise HttpError(502, "response body too large")
     return status, payload, reusable
 

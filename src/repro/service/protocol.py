@@ -11,8 +11,11 @@ garbage" (4xx) from "the model refused" (422) from "the service broke"
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from operator import itemgetter
+
+import numpy as np
 
 from repro.errors import (
     AdvisorError,
@@ -25,7 +28,7 @@ from repro.errors import (
 )
 
 __all__ = [
-    "PredictQuery",
+    "encode_results",
     "error_payload",
     "http_status_for",
     "is_victim_advise",
@@ -34,6 +37,7 @@ __all__ = [
     "parse_calibrate",
     "parse_predict",
     "parse_predict_grid",
+    "result_rows",
 ]
 
 #: Most-derived first: ``isinstance`` walks this in order.
@@ -137,26 +141,36 @@ def _backend(body: dict) -> str | None:
 # ---- per-endpoint parsers -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PredictQuery:
-    """One scalar prediction query as received on the wire."""
-
-    n: int
-    m_comp: int
-    m_comm: int
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.n, self.m_comp, self.m_comm)
+#: The fields of one ``/predict`` query, in wire order.
+_QUERY_FIELDS = ("n", "m_comp", "m_comm")
 
 
-def _parse_query(obj: object, *, where: str) -> PredictQuery:
+def _parse_query(obj: object, *, where: str) -> tuple[int, int, int]:
     if not isinstance(obj, dict):
         raise ServiceError(f"{where} must be an object, got {obj!r}")
-    return PredictQuery(
-        n=_as_int(_get(obj, "n"), "n"),
-        m_comp=_as_int(_get(obj, "m_comp"), "m_comp"),
-        m_comm=_as_int(_get(obj, "m_comm"), "m_comm"),
-    )
+    return tuple(_as_int(_get(obj, field), field) for field in _QUERY_FIELDS)
+
+
+def _parse_queries(raw: list) -> list[tuple[int, int, int]]:
+    """The ``(n, m_comp, m_comm)`` triples of a bulk ``queries`` list.
+
+    Read column-wise: each field is pulled out of every item into one
+    list, and the batch is taken as it is when every value's type is
+    exactly ``int``.  Anything else (an item that is not an object, a
+    missing field, a bool, an integral float) goes query by query
+    through :func:`_parse_query`, which accepts it or names the
+    offending query just as it would on its own.
+    """
+    try:
+        columns = [list(map(itemgetter(field), raw)) for field in _QUERY_FIELDS]
+    except (KeyError, TypeError):  # an item lacks a field or is no object
+        pass
+    else:
+        if all(set(map(type, column)) == {int} for column in columns):
+            return list(zip(*columns))
+    return [
+        _parse_query(item, where=f"queries[{i}]") for i, item in enumerate(raw)
+    ]
 
 
 def parse_calibrate(body: object) -> tuple[str, int]:
@@ -166,7 +180,7 @@ def parse_calibrate(body: object) -> tuple[str, int]:
 
 def parse_predict(
     body: object,
-) -> tuple[str, int, list[PredictQuery], bool, str | None]:
+) -> tuple[str, int, list[tuple[int, int, int]], bool, str | None]:
     """``POST /predict`` -> (platform, seed, queries, is_bulk, backend).
 
     Accepts either one inline query (``n``/``m_comp``/``m_comm`` at the
@@ -185,11 +199,7 @@ def parse_predict(
         raw = body["queries"]
         if not isinstance(raw, list) or not raw:
             raise ServiceError("field 'queries' must be a non-empty list")
-        queries = [
-            _parse_query(item, where=f"queries[{i}]")
-            for i, item in enumerate(raw)
-        ]
-        return platform, seed, queries, True, backend
+        return platform, seed, _parse_queries(raw), True, backend
     return (
         platform,
         seed,
@@ -265,3 +275,73 @@ def parse_advise_victim(body: object) -> tuple[str, int, int | None]:
     raw_top = _get(body, "top", default=None)
     top = None if raw_top is None else _as_int(raw_top, "top")
     return platform, seed, top
+
+
+# ---- /predict answers -----------------------------------------------------------
+
+
+def result_rows(columns: dict[str, np.ndarray]) -> list[dict]:
+    """One ``/predict`` answer object per row of ``columns``, the
+    columns :meth:`~repro.core.placement.PlacementModel.predict_columns`
+    returns."""
+    return [
+        {
+            "n": n,
+            "m_comp": mc,
+            "m_comm": mm,
+            "comp_parallel": cp,
+            "comm_parallel": cm,
+            "comp_alone": ca,
+            "comm_alone": cal,
+        }
+        for n, mc, mm, cp, cm, ca, cal in zip(
+            columns["n"].tolist(),
+            columns["m_comp"].tolist(),
+            columns["m_comm"].tolist(),
+            columns["comp_parallel"].tolist(),
+            columns["comm_parallel"].tolist(),
+            columns["comp_alone"].tolist(),
+            columns["comm_alone"].tolist(),
+        )
+    ]
+
+
+def encode_results(echo: dict, columns: dict[str, np.ndarray]) -> bytes:
+    """The body of a bulk ``/predict`` answer:
+    ``json.dumps({**echo, "results": result_rows(columns)})`` as UTF-8,
+    byte for byte.
+
+    A calibrated model has a finite answer set, so a bulk answer
+    repeats rows.  Each distinct row is rendered once and the rendered
+    rows are gathered in query order.  Rows are keyed by the raw bytes
+    of their values rather than compared as floats: ``-0.0`` equals
+    ``0.0`` but ``json.dumps`` writes them apart, and a NaN equals
+    nothing, not even itself.  The distinct rows go through one
+    ``json.dumps`` call rather than one call each, whose fixed cost
+    would make an answer with no repeated row slower than rendering it
+    whole.
+    """
+    record = np.empty(
+        len(columns["n"]),
+        dtype=[(name, column.dtype) for name, column in columns.items()],
+    )
+    for name, column in columns.items():
+        record[name] = column
+    keys = record.view(np.dtype((np.void, record.dtype.itemsize)))
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    distinct = {name: column[first] for name, column in columns.items()}
+    # ``[{row}, {row}]``: numbers and the fixed keys never hold ``}, {``,
+    # so splitting on it and trimming ``[{`` and ``}]`` off the ends
+    # leaves each distinct row without its braces.
+    inner = json.dumps(result_rows(distinct)).encode("utf-8").split(b"}, {")
+    inner[0] = inner[0][2:]
+    inner[-1] = inner[-1][:-2]
+    rows = [inner[i] for i in inverse.tolist()]
+    # ``{**echo, "results": []}`` ends in ``[]}``; the rows go between
+    # the brackets, and one join writes the whole body.
+    head = json.dumps({**echo, "results": []}).encode("utf-8")[:-2]
+    if not rows:
+        return head + b"]}"
+    rows[0] = head + b"{" + rows[0]
+    rows[-1] += b"}]}"
+    return b"}, {".join(rows)

@@ -341,7 +341,7 @@ class ContentionService:
                         f"tournament:{winner}", delta
                     )
 
-    async def _handle_predict(self, body: object) -> dict:
+    async def _handle_predict(self, body: object) -> dict | bytes:
         platform, seed, queries, is_bulk, backend = protocol.parse_predict(
             body
         )
@@ -371,42 +371,22 @@ class ContentionService:
             "service.batch", platform=platform, size=len(queries),
             backend=backend,
         ):
-            cols = model.predict_columns([q.as_tuple() for q in queries])
+            cols = model.predict_columns(queries)
         self._observe_backend_queries(
             entry, backend, len(queries), routes_before
         )
-        rows = [
-            {
-                "n": n,
-                "m_comp": mc,
-                "m_comm": mm,
-                "comp_parallel": cp,
-                "comm_parallel": cm,
-                "comp_alone": ca,
-                "comm_alone": cal,
-            }
-            for n, mc, mm, cp, cm, ca, cal in zip(
-                cols["n"].tolist(),
-                cols["m_comp"].tolist(),
-                cols["m_comm"].tolist(),
-                cols["comp_parallel"].tolist(),
-                cols["comm_parallel"].tolist(),
-                cols["comp_alone"].tolist(),
-                cols["comm_alone"].tolist(),
-            )
-        ]
         if is_bulk:
-            return {**echo, "results": rows}
-        return {**rows[0], **echo}
+            # Encoded here, so the request's timeout, span and latency
+            # timer cover it.
+            return protocol.encode_results(echo, cols)
+        return {**protocol.result_rows(cols)[0], **echo}
 
     async def _predict_one(
-        self, entry: ModelEntry, query: protocol.PredictQuery
+        self, entry: ModelEntry, query: tuple[int, int, int]
     ) -> PointPrediction:
         if self.batcher is None:
-            return entry.model.predict_batch([query.as_tuple()])[0]
-        return await self.batcher.predict(
-            entry, query.n, query.m_comp, query.m_comm
-        )
+            return entry.model.predict_batch([query])[0]
+        return await self.batcher.predict(entry, *query)
 
     async def _handle_predict_grid(self, body: object) -> dict:
         platform, seed, core_counts, placements = protocol.parse_predict_grid(

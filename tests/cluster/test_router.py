@@ -1,12 +1,20 @@
 """ClusterRouter: shard routing, replica failover, fleet introspection."""
 
 import json
+import random
+import socket
 import time
 
 import pytest
 
 from repro.cluster.shardmap import ShardMap
 from repro.service.client import ServiceResponseError
+from repro.service.http11 import MAX_BODY_BYTES, MAX_RESPONSE_BYTES
+from repro.topology import get_platform
+
+from tests.cluster.conftest import FakeSupervisor, RouterThread
+from tests.service.conftest import ServerThread
+from tests.service.test_bulk_parity import post
 
 
 class TestRouting:
@@ -188,3 +196,56 @@ class TestIntrospection:
             "idle", "opens", "reuses", "discards", "evictions",
             "stale_retries",
         }
+
+
+class TestBodyCaps:
+    def test_bulk_answer_past_the_request_cap_is_relayed(self):
+        """A 10k-row bulk fits the 1 MiB request cap but its answer
+        does not: the router relays the worker's own bytes."""
+        rng = random.Random(0)
+        nodes = get_platform("occigen").machine.n_numa_nodes
+        queries = [
+            {"n": rng.randint(0, 300), "m_comp": rng.randrange(nodes),
+             "m_comm": rng.randrange(nodes)}
+            for _ in range(10_000)
+        ]
+        body = {"platform": "occigen", "queries": queries}
+        with ServerThread() as worker:
+            supervisor = FakeSupervisor({"w0": worker}, replication=1)
+            with RouterThread(supervisor, health_interval_s=0) as router:
+                status, direct = post(worker.port, body)
+                assert status == 200
+                assert len(json.dumps(body)) <= MAX_BODY_BYTES < len(direct)
+                assert post(router.port, body) == (200, direct)
+
+    def test_reply_past_the_response_cap_is_a_503(
+        self, stub_fleet, router_factory
+    ):
+        supervisor, workers = stub_fleet
+        for stub in workers.values():
+            stub.responses["/predict"] = (200, {"pad": "x" * MAX_RESPONSE_BYTES})
+        client = router_factory().client()
+        with pytest.raises(ServiceResponseError) as excinfo:
+            client.predict("occigen", n=4, m_comp=0, m_comm=0, seed=0)
+        assert excinfo.value.status == 503
+        assert excinfo.value.error_type == "ClusterError"
+        assert "response body too large" in str(excinfo.value)
+
+    def test_request_past_the_request_cap_is_a_413(self, router_factory):
+        """The router and a worker both refuse it before reading it."""
+        head = (
+            "POST /predict HTTP/1.1\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+        ).encode()
+        with ServerThread() as worker:
+            for port in (router_factory().port, worker.port):
+                with socket.create_connection(("127.0.0.1", port), 10) as sock:
+                    sock.sendall(head)
+                    reply = sock.makefile("rb").read()
+                reply_head, _, payload = reply.partition(b"\r\n\r\n")
+                assert reply_head.split()[1] == b"413"
+                assert json.loads(payload)["error"] == {
+                    "type": "ServiceError",
+                    "message": "request body too large",
+                    "status": 413,
+                }

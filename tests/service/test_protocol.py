@@ -51,7 +51,7 @@ class TestParsePredict:
             {"platform": "henri", "n": 4, "m_comp": 0, "m_comm": 1}
         )
         assert (platform, seed, bulk, backend) == ("henri", 0, False, None)
-        assert queries[0].as_tuple() == (4, 0, 1)
+        assert queries == [(4, 0, 1)]
 
     def test_bulk_queries(self):
         platform, seed, queries, bulk, backend = protocol.parse_predict(
@@ -65,7 +65,7 @@ class TestParsePredict:
             }
         )
         assert (platform, seed, bulk, backend) == ("henri", 3, True, None)
-        assert [q.as_tuple() for q in queries] == [(4, 0, 0), (8, 1, 0)]
+        assert queries == [(4, 0, 0), (8, 1, 0)]
 
     def test_backend_selector(self):
         *_, backend = protocol.parse_predict(
@@ -120,7 +120,8 @@ class TestParsePredict:
         _, _, queries, _, _ = protocol.parse_predict(
             {"platform": "henri", "n": 4.0, "m_comp": 0, "m_comm": 0}
         )
-        assert queries[0].n == 4
+        assert queries == [(4, 0, 0)]
+        assert type(queries[0][0]) is int
 
 
 class TestParseOthers:
