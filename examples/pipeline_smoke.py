@@ -12,8 +12,10 @@ staged pipeline end to end, across process boundaries:
 4. a corrupted manifest degrades to a clean recompute — exit 0, same
    output, entry re-stored,
 5. backend calibrations and the tournament winner table go through the
-   same cache: a second ``tournament run`` serves all of them from the
-   store, and a corrupted backend payload is recalibrated and
+   same cache: a cold ``tournament run`` stores the five challengers'
+   calibrations (the threshold model is the ``calibrate`` entry, never
+   a ``backend-threshold`` one), a second run serves all of them from
+   the store, and a corrupted backend payload is recalibrated and
    republished bit-identically, with the same winner table.
 
 CI runs this exact script as its pipeline smoke test; run it yourself
@@ -33,7 +35,7 @@ from pathlib import Path
 FIGURE = ["figure", "fig6"]  # occigen
 PLATFORM = "occigen"
 TOURNAMENT = ["tournament", "run", PLATFORM]
-ALL_SERVED = "6/6 calibrations and 1/1 winner tables served from the store"
+ALL_SERVED = "5/5 calibrations and 1/1 winner tables served from the store"
 
 
 def repro(*argv: str) -> subprocess.CompletedProcess:
@@ -110,8 +112,15 @@ def main() -> None:
             sys.exit(f"FAIL: corrupted entry was not re-stored: {hits_after}")
         print("ok: corrupted manifest degraded to a clean recompute")
 
-        # 5. Backend and tournament artifacts: warm run is all hits.
+        # 5. Backend and tournament artifacts: one stored form of the
+        # threshold calibration, and the warm run is all hits.
         cold_tour = check(repro(*TOURNAMENT, *cache), "cold tournament run")
+        listed = entry_hits(check(repro("cache", "ls", *cache), "cache ls"))
+        backends = [e for e in listed if "/backend-" in e]
+        threshold = [e for e in backends if "/backend-threshold-" in e]
+        if len(backends) != 5 or threshold:
+            sys.exit(f"FAIL: expected five challenger backends: {backends}")
+        print("ok: the threshold calibration is stored once")
         warm_tour = check(repro(*TOURNAMENT, *cache), "warm tournament run")
         if ALL_SERVED not in warm_tour:
             sys.exit(f"FAIL: warm tournament run missed: {warm_tour}")

@@ -26,7 +26,9 @@ Calibrated backends serialize to a JSON-able ``state_dict`` and
 reconstruct via the owning backend's ``from_state``.  One calibration
 persists as one artifact (:func:`backend_key`, :func:`encode_backend`,
 :func:`decode_backend`) served by the store's shared cache policy;
-:func:`load_or_calibrate` is the calibrate-on-miss entry point.
+:func:`load_or_calibrate` is the calibrate-on-miss entry point.  The
+threshold model is not stored this way: its calibration is the
+pipeline's ``calibrate`` artifact.
 """
 
 from __future__ import annotations
@@ -46,8 +48,7 @@ from repro.core.placement import (
 from repro.errors import ModelError, PlacementError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.bench.results import PlacementKey, PlatformDataset
-    from repro.evaluation.metrics import ErrorBreakdown
+    from repro.bench.results import PlatformDataset
     from repro.pipeline.stage import StageKey
     from repro.pipeline.store import ArtifactStore
     from repro.topology.platforms import Platform
@@ -101,9 +102,9 @@ class CalibratedBackend(abc.ABC):
     Implementations must answer the scalar curve queries; the batched
     surfaces (``predict``/``predict_grid``/``predict_batch``/
     ``predict_columns``) have default implementations built on them.
-    Backends with a faster native path (the threshold backend delegates
-    to the tables of :class:`~repro.core.placement.PlacementModel`)
-    override them.
+    The threshold model needs no subclass: a calibrated
+    :class:`~repro.core.placement.PlacementModel` answers the same
+    surface from its tables and is the roster's ``threshold`` entry.
     """
 
     # ---- identity --------------------------------------------------------------
@@ -244,18 +245,6 @@ class CalibratedBackend(abc.ABC):
             name: np.array([getattr(p, name) for p in points])
             for name in _COLUMNS
         }
-
-    # ---- evaluation ------------------------------------------------------------
-
-    def error_report(
-        self,
-        dataset: "PlatformDataset",
-        sample_keys: "Iterable[PlacementKey]",
-    ) -> "ErrorBreakdown":
-        """The Table II error breakdown of this backend on a dataset."""
-        from repro.evaluation.metrics import placement_errors
-
-        return placement_errors(dataset, self, sample_keys)
 
     # ---- serialization ---------------------------------------------------------
 

@@ -6,8 +6,10 @@ core-count band`` (``low``/``high`` — below and above the measured
 sweep's median core count; saturation behaviour differs qualitatively
 across that knee, and so do the backends' strengths).  The tournament
 
-1. calibrates every registered backend from the archived sweep through
-   the :class:`~repro.pipeline.store.ArtifactStore`
+1. takes the paper's threshold model as the pipeline calibrated it
+   (``result.model``) and calibrates every other registered backend
+   from the archived sweep through the
+   :class:`~repro.pipeline.store.ArtifactStore`
    (:func:`~repro.backends.base.load_or_calibrate` — second run: all
    cache hits),
 2. scores each backend on each regime with the paper's Table II
@@ -39,13 +41,14 @@ from repro.backends.base import (
     load_or_calibrate,
 )
 from repro.backends.registry import BACKENDS
+from repro.backends.threshold import ThresholdBackend
 from repro.errors import ModelError, PlacementError
 from repro.evaluation.metrics import mape
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.bench.config import SweepConfig
     from repro.bench.results import ModeCurves
-    from repro.core.placement import PlacementPrediction
+    from repro.core.placement import PlacementModel, PlacementPrediction
     from repro.evaluation.experiments import ExperimentResult
     from repro.pipeline.stage import StageKey
     from repro.pipeline.store import ArtifactStore
@@ -178,7 +181,7 @@ def _regime_error(
 
 def score_backends(
     result: "ExperimentResult",
-    calibrated: Mapping[str, CalibratedBackend],
+    calibrated: Mapping[str, "CalibratedBackend | PlacementModel"],
 ) -> PlatformTournament:
     """Score calibrated backends over every regime of one platform."""
     if not calibrated:
@@ -305,8 +308,10 @@ class TournamentRun:
     """One platform's tournament plus how it was obtained."""
 
     tournament: PlatformTournament
-    calibrated: Mapping[str, CalibratedBackend]
-    #: backend id -> calibration served from the store
+    #: the scored roster; its ``threshold`` entry is ``result.model``
+    calibrated: Mapping[str, "CalibratedBackend | PlacementModel"]
+    #: backend id -> calibration served from the store, for every
+    #: stored calibration (the roster without ``threshold``)
     backend_cached: Mapping[str, bool]
     #: the winner table itself came from the store
     cached: bool
@@ -321,9 +326,11 @@ def run_platform_tournament(
 ) -> TournamentRun:
     """Calibrate the roster and score it on one platform's archive.
 
-    Every calibration and the winner table itself go through the
-    artifact store when one is given; a second run over an unchanged
-    archive is pure cache hits.
+    The threshold entry is the pipeline's own model (``result.model``):
+    the paper calibrates once per machine (§IV-A2).  Every other
+    calibration and the winner table itself go through the artifact
+    store when one is given; a second run over an unchanged archive is
+    pure cache hits.
     """
     from repro.bench.config import SweepConfig
     from repro.pipeline.fingerprint import config_fingerprint
@@ -333,9 +340,12 @@ def run_platform_tournament(
     config_fp = config_fingerprint(config or SweepConfig())
     platform = result.platform
 
-    calibrated: dict[str, CalibratedBackend] = {}
+    calibrated: dict[str, CalibratedBackend | PlacementModel] = {}
     backend_cached: dict[str, bool] = {}
     for backend_id, backend in roster.items():
+        if isinstance(backend, ThresholdBackend):
+            calibrated[backend_id] = result.model
+            continue
         calibrated[backend_id], backend_cached[backend_id] = (
             load_or_calibrate(
                 store, backend, result.dataset, platform, config_fp
@@ -447,7 +457,7 @@ class TournamentRouter(CalibratedBackend):
     def __init__(
         self,
         tournament: PlatformTournament,
-        calibrated: Mapping[str, CalibratedBackend],
+        calibrated: Mapping[str, "CalibratedBackend | PlacementModel"],
     ) -> None:
         missing = [b for b in tournament.roster if b not in calibrated]
         if missing:
@@ -502,7 +512,9 @@ class TournamentRouter(CalibratedBackend):
             return high_winner
         return low_winner or self._default
 
-    def _backend_for(self, n: int, m_comp: int, m_comm: int) -> CalibratedBackend:
+    def _backend_for(
+        self, n: int, m_comp: int, m_comm: int
+    ) -> "CalibratedBackend | PlacementModel":
         winner = self.winner_for(n, m_comp, m_comm)
         self.route_counts[winner] = self.route_counts.get(winner, 0) + 1
         return self._calibrated[winner]

@@ -688,9 +688,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> str:
 def _calibrated_backend_model(args: argparse.Namespace, result):
     """The ``--backend`` model of a local prediction command.
 
-    ``tournament`` builds the per-regime winner router (calibrating the
-    whole roster); any other name calibrates just that backend.  Both
-    go through the artifact store when a cache dir is configured.
+    ``tournament`` builds the per-regime winner router (scoring the
+    pipeline's model and calibrating the rest of the roster); any other
+    name calibrates just that backend.  Both go through the artifact
+    store when a cache dir is configured.
     """
     from repro.backends import get_backend, load_or_calibrate
     from repro.backends.tournament import (

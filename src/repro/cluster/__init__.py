@@ -12,8 +12,6 @@ Scale-out layer over the single-process service (docs/CLUSTER.md):
   ``/healthz`` / ``/shards`` / ``/metrics``;
 * :class:`WorkerPool` — the router's keep-alive worker streams, one
   TCP handshake amortised over many forwards;
-* :class:`ClusterClient` — shard-aware client that skips the proxy
-  hop by rebuilding the routing table from ``GET /shards``;
 * :func:`run_load` / :class:`PredictWorkload` / :class:`SloTarget` /
   :class:`OverloadTarget` — the load harness (p50/p99, error budget,
   shed rate; overload runs grade shedding itself) behind
@@ -22,7 +20,6 @@ Scale-out layer over the single-process service (docs/CLUSTER.md):
 
 from __future__ import annotations
 
-from repro.cluster.client import ClusterClient
 from repro.cluster.loadgen import (
     LoadReport,
     OverloadTarget,
@@ -36,7 +33,6 @@ from repro.cluster.shardmap import ShardMap
 from repro.cluster.supervisor import Supervisor, WorkerHandle, WorkerStatus
 
 __all__ = [
-    "ClusterClient",
     "ClusterRouter",
     "LoadReport",
     "OverloadTarget",

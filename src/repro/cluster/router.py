@@ -23,9 +23,9 @@ behind it look like that one service:
   ``/metrics`` router block.
 
 Fleet-wide introspection: ``GET /healthz`` (worker states, shard-map
-version), ``GET /shards`` (the routing table a shard-aware client
-rebuilds), ``GET /metrics`` (router counters plus a scrape-and-merge of
-every live worker's metrics and tracing snapshot).
+version), ``GET /shards`` (the shard-map spec and worker addresses),
+``GET /metrics`` (router counters plus a scrape-and-merge of every live
+worker's metrics and tracing snapshot).
 """
 
 from __future__ import annotations

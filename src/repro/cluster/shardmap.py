@@ -17,8 +17,8 @@ to make that claim *stable*:
   that order on failover, so a dead primary costs a fallback hop, not
   an error.
 * **determinism** — hashing is ``blake2b`` over stable strings; two
-  processes (router and a shard-aware client) building a map from the
-  same :meth:`spec` agree on every owner without coordination.
+  processes building a map from the same :meth:`spec` agree on every
+  owner without coordination.
 """
 
 from __future__ import annotations

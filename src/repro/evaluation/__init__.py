@@ -21,7 +21,6 @@ from repro.evaluation.diagnostics import (
     diagnose,
     render_diagnosis,
 )
-from repro.evaluation.archive import load_experiment, save_experiment
 from repro.evaluation.compare import compare_to_paper, render_comparison
 from repro.evaluation.metrics import ErrorBreakdown, mape, placement_errors
 from repro.evaluation.svg import figure_svg, stacked_svg
@@ -36,7 +35,6 @@ __all__ = [
     "compare_to_paper",
     "diagnose",
     "figure_svg",
-    "load_experiment",
     "figure_series",
     "mape",
     "placement_errors",
@@ -47,6 +45,5 @@ __all__ = [
     "render_table2",
     "run_all_experiments",
     "run_platform_experiment",
-    "save_experiment",
     "stacked_svg",
 ]

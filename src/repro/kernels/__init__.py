@@ -26,7 +26,6 @@ from repro.kernels.memops import (
 )
 from repro.kernels.sweep import IntensityPoint, intensity_sweep, kernel_scenario
 from repro.kernels.team import ComputeTeam, TeamRun
-from repro.kernels.tenancy import kernel_tenant
 
 __all__ = [
     "CacheModel",
@@ -41,7 +40,6 @@ __all__ = [
     "get_kernel",
     "intensity_sweep",
     "kernel_scenario",
-    "kernel_tenant",
     "llc_bytes_per_thread",
     "memset_nt",
     "triad_kernel",

@@ -490,10 +490,7 @@ class Tenant:
 
     A tenant is a :class:`Scenario` plus a name, a socket binding, an
     optional temporal working set (per core; ``None`` keeps the paper's
-    non-temporal stores) and a load envelope.  Demands are raw GB/s —
-    the kernel-mix convenience constructor lives in
-    :mod:`repro.kernels.tenancy` so this module stays free of kernel
-    imports.
+    non-temporal stores) and a load envelope.  Demands are raw GB/s.
     """
 
     name: str

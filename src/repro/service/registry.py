@@ -56,17 +56,20 @@ class ModelEntry:
     """One calibrated model plus the platform it belongs to.
 
     ``backends`` holds every registered model backend calibrated for
-    this platform (``backend=`` request selection) and ``tournament``
-    the per-regime winner router (``backend=tournament``); both are
-    ``None`` for entries built by custom calibrators, in which case
-    backend selection answers a structured 400.
+    this platform (``backend=`` request selection; its ``threshold``
+    entry is ``model`` itself) and ``tournament`` the per-regime winner
+    router (``backend=tournament``); both are ``None`` for entries
+    built by custom calibrators, in which case backend selection
+    answers a structured 400.
     """
 
     key: ModelKey
     platform: Platform
     model: PlacementModel
     error_average_pct: float = field(default=float("nan"))
-    backends: "Mapping[str, CalibratedBackend] | None" = field(default=None)
+    backends: "Mapping[str, CalibratedBackend | PlacementModel] | None" = (
+        field(default=None)
+    )
     tournament: "TournamentRouter | None" = field(default=None)
 
 
@@ -78,6 +81,7 @@ def _default_calibrator(
     With ``cache_dir`` the pipeline's artifact store backs the run, so
     a service restart (or a sibling process) reuses the persisted sweep,
     calibration and backend calibrations instead of recomputing them.
+    The tournament scores the pipeline's own model as ``threshold``.
     """
     # Imported lazily: evaluation pulls the whole bench stack.
     from repro.backends.tournament import (
@@ -92,9 +96,9 @@ def _default_calibrator(
         key.platform, config=config, cache_dir=cache_dir
     )
     store = ArtifactStore(cache_dir) if cache_dir is not None else None
-    # Every registered backend, calibrated through the same store (a
-    # warm worker loads them; a cold one publishes for the fleet), and
-    # the per-regime tournament router on top.
+    # Every other registered backend, calibrated through the same store
+    # (a warm worker loads them; a cold one publishes for the fleet),
+    # and the per-regime tournament router on top.
     tournament_run = run_platform_tournament(
         result, config=config, store=store
     )

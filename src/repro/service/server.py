@@ -300,23 +300,29 @@ class ContentionService:
             "nodes_per_socket": entry.model.nodes_per_socket,
         }
 
-    def _backend_model(self, entry: ModelEntry, backend: str):
-        """Resolve a ``backend=`` selector against one registry entry.
+    def _backend_model(self, entry: ModelEntry, backend: str | None):
+        """Resolve a ``backend=`` selector against one registry entry:
+        ``(model, backend id, tournament route counts before)``.
 
-        ``tournament`` answers with the per-regime winner router; any
-        other name must be a backend calibrated for the entry.  Entries
-        built by custom calibrators carry no backends and answer a
-        structured 400.
+        Absent or ``threshold`` answers from the entry's model;
+        ``tournament`` with the per-regime winner router, whose route
+        counts are copied so the caller can count the routed queries;
+        any other name must be a backend calibrated for the entry.
+        Entries built by custom calibrators carry no backends and answer
+        a structured 400 to any selector but ``threshold``.
         """
+        if backend is None or backend == "threshold":
+            return entry.model, "threshold", None
         if entry.backends is None or entry.tournament is None:
             raise ServiceError(
                 f"backend selection is not available for platform "
                 f"{entry.key.platform!r} (entry has no calibrated backends)"
             )
         if backend == "tournament":
-            return entry.tournament
+            routes = dict(entry.tournament.route_counts)
+            return entry.tournament, backend, routes
         try:
-            return entry.backends[backend]
+            return entry.backends[backend], backend, None
         except KeyError:
             known = ", ".join([*entry.backends, "tournament"])
             raise ServiceError(
@@ -333,7 +339,7 @@ class ContentionService:
         """Count served queries per backend; tournament queries also
         count per routed winner (``tournament:<winner>``)."""
         self.metrics.observe_backend(backend, n_queries)
-        if routes_before is not None and entry.tournament is not None:
+        if routes_before is not None:
             for winner, count in entry.tournament.route_counts.items():
                 delta = count - routes_before.get(winner, 0)
                 if delta > 0:
@@ -346,34 +352,26 @@ class ContentionService:
             body
         )
         entry = await self.registry.get(platform, seed)
+        model, backend_id, routes_before = self._backend_model(entry, backend)
         echo = {"platform": platform, "seed": seed}
         if backend is not None:
             echo["backend"] = backend
-        if backend in (None, "threshold"):
-            model, backend, routes_before = entry.model, "threshold", None
-            if not is_bulk:
-                # A scalar query of the paper's model: coalesced with
-                # concurrent ones by the batcher.
-                result = await self._predict_one(entry, queries[0])
-                self.metrics.observe_backend(backend)
-                return {**result.to_dict(), **echo}
-        else:
-            model = self._backend_model(entry, backend)
-            routes_before = (
-                dict(entry.tournament.route_counts)
-                if backend == "tournament" and entry.tournament is not None
-                else None
-            )
+        if backend_id == "threshold" and not is_bulk:
+            # A scalar query of the paper's model: coalesced with
+            # concurrent ones by the batcher.
+            result = await self._predict_one(entry, queries[0])
+            self.metrics.observe_backend(backend_id)
+            return {**result.to_dict(), **echo}
         # A bulk request is already a batch, and other backends do not
         # batch: answer from the model's columns, with no per-query
         # prediction objects.
         with span(
             "service.batch", platform=platform, size=len(queries),
-            backend=backend,
+            backend=backend_id,
         ):
             cols = model.predict_columns(queries)
         self._observe_backend_queries(
-            entry, backend, len(queries), routes_before
+            entry, backend_id, len(queries), routes_before
         )
         if is_bulk:
             # Encoded here, so the request's timeout, span and latency
@@ -418,22 +416,11 @@ class ContentionService:
             protocol.parse_advise(body)
         )
         entry = await self.registry.get(platform, seed)
-        if backend is not None and backend != "threshold":
-            model = self._backend_model(entry, backend)
-            routes_before = (
-                dict(entry.tournament.route_counts)
-                if backend == "tournament" and entry.tournament is not None
-                else None
-            )
-        else:
-            model = entry.model
-            routes_before = None
+        model, backend_id, routes_before = self._backend_model(entry, backend)
         advisor = Advisor(model, entry.platform.machine)
         workload = Workload(comp_bytes=comp_bytes, comm_bytes=comm_bytes)
         recommendations = advisor.recommend(workload, top=top)
-        self._observe_backend_queries(
-            entry, backend or "threshold", 1, routes_before
-        )
+        self._observe_backend_queries(entry, backend_id, 1, routes_before)
         payload = {
             "platform": platform,
             "seed": seed,

@@ -15,11 +15,12 @@ from repro.backends import (
     get_backend,
 )
 from repro.backends.base import sample_curves
-from repro.backends.threshold import CalibratedThreshold, ThresholdBackend
+from repro.backends.threshold import ThresholdBackend
+from repro.backends.tournament import run_platform_tournament
 from repro.core.oracle import ScalarOracle
 from repro.core.placement import PlacementModel
 from repro.errors import ModelError, PlacementError
-from repro.evaluation.metrics import ErrorBreakdown
+from repro.evaluation.metrics import ErrorBreakdown, placement_errors
 from repro.topology import get_platform
 
 N_MAX = 48
@@ -32,6 +33,10 @@ EXPECTED_IDS = (
     "overlap-afzal",
     "cxlmem-messagefree",
 )
+
+#: Backends stored as ``backend-<id>`` artifacts: all but the threshold
+#: model, whose stored form is the pipeline's calibrate artifact.
+STORED_IDS = tuple(b for b in EXPECTED_IDS if b != "threshold")
 
 
 def scalar_reference(model: PlacementModel, n: int, m_comp: int, m_comm: int):
@@ -60,6 +65,17 @@ def scalar_reference(model: PlacementModel, n: int, m_comp: int, m_comm: int):
         comp_side.comp_alone(n),
         comm_side.comm_alone(),
     )
+
+
+@pytest.fixture(scope="module")
+def tournament_thresholds(all_experiments, seeded_config):
+    """The threshold entry each platform's tournament scores."""
+    return {
+        name: run_platform_tournament(
+            experiment, config=seeded_config
+        ).calibrated["threshold"]
+        for name, experiment in all_experiments.items()
+    }
 
 
 @pytest.fixture(scope="module")
@@ -100,15 +116,16 @@ class TestRegistry:
 
 
 class TestThresholdBitIdentity:
-    """The acceptance property: routing the paper's model through the
-    backend protocol changes no bit of any answer."""
+    """The acceptance property: the threshold entry the tournament
+    scores is the pipeline's model, and it answers bit for bit like the
+    scalar oracle."""
 
-    def test_matches_scalar_oracle_on_every_platform(self, all_experiments):
+    def test_matches_scalar_oracle_on_every_platform(
+        self, all_experiments, tournament_thresholds
+    ):
         for name, experiment in all_experiments.items():
-            calibrated = ThresholdBackend().calibrate(
-                experiment.dataset, experiment.platform
-            )
-            model = calibrated.model
+            model = tournament_thresholds[name]
+            assert model is experiment.model
             k = model.n_numa_nodes
             queries = [
                 (n, mc, mm)
@@ -116,7 +133,7 @@ class TestThresholdBitIdentity:
                 for mc in range(k)
                 for mm in range(k)
             ]
-            points = calibrated.predict_batch(queries)
+            points = model.predict_batch(queries)
             for (n, mc, mm), point in zip(queries, points):
                 comp, comm, alone, comm_alone = scalar_reference(
                     model, n, mc, mm
@@ -126,12 +143,8 @@ class TestThresholdBitIdentity:
                 assert point.comp_alone == alone, (name, n, mc, mm)
                 assert point.comm_alone == comm_alone, (name, n, mc, mm)
 
-    def test_scalar_queries_match_the_oracle(self, all_experiments):
-        for name, experiment in all_experiments.items():
-            calibrated = ThresholdBackend().calibrate(
-                experiment.dataset, experiment.platform
-            )
-            model = calibrated.model
+    def test_scalar_queries_match_the_oracle(self, tournament_thresholds):
+        for name, model in tournament_thresholds.items():
             k = model.n_numa_nodes
             for n in range(0, N_MAX + 1, 7):
                 for mc in range(k):
@@ -140,28 +153,27 @@ class TestThresholdBitIdentity:
                             model, n, mc, mm
                         )
                         where = (name, n, mc, mm)
-                        assert calibrated.comp_parallel(n, mc, mm) == comp, where
-                        assert calibrated.comm_parallel(n, mc, mm) == comm, where
-                        assert calibrated.comp_alone(n, mc) == alone, where
-                        assert calibrated.comm_alone(mm) == comm_alone, where
+                        assert model.comp_parallel(n, mc, mm) == comp, where
+                        assert model.comm_parallel(n, mc, mm) == comm, where
+                        assert model.comp_alone(n, mc) == alone, where
+                        assert model.comm_alone(mm) == comm_alone, where
 
     def test_calibrate_equals_the_pipeline_model(self, all_experiments):
         """The backend's own calibration is the pipeline's calibration:
-        wrapping the experiment's model answers identically."""
+        it answers exactly like the experiment's model."""
         for experiment in all_experiments.values():
-            backend = ThresholdBackend()
-            calibrated = backend.calibrate(
+            calibrated = ThresholdBackend().calibrate(
                 experiment.dataset, experiment.platform
             )
-            wrapped = backend.wrap(experiment.model)
             k = experiment.model.n_numa_nodes
             queries = [(n, n % k, (n + 1) % k) for n in range(N_MAX + 1)]
-            assert calibrated.predict_batch(queries) == wrapped.predict_batch(
-                queries
-            )
+            expected = experiment.model.predict_batch(queries)
+            assert calibrated.predict_batch(queries) == expected
 
     def test_predict_matches_the_live_model(self, henri_experiment):
-        calibrated = ThresholdBackend().wrap(henri_experiment.model)
+        calibrated = ThresholdBackend().calibrate(
+            henri_experiment.dataset, henri_experiment.platform
+        )
         ns = np.arange(1, N_MAX + 1)
         live = henri_experiment.model.predict_grid(ns)
         behind = calibrated.predict_grid(ns)
@@ -181,9 +193,10 @@ class TestThresholdBitIdentity:
 
 class TestStateRoundTrip:
     """state_dict -> JSON -> from_state reproduces every prediction
-    exactly, for every registered backend."""
+    exactly, for every stored backend; every backend's from_state
+    rejects a malformed state."""
 
-    @pytest.mark.parametrize("backend_id", EXPECTED_IDS)
+    @pytest.mark.parametrize("backend_id", STORED_IDS)
     def test_round_trip_is_identical(
         self, backend_id, henri_experiment, calibrated_roster
     ):
@@ -210,7 +223,7 @@ class TestStateRoundTrip:
         with pytest.raises(ModelError):
             BACKENDS[backend_id].from_state({})
 
-    @pytest.mark.parametrize("backend_id", EXPECTED_IDS)
+    @pytest.mark.parametrize("backend_id", STORED_IDS)
     def test_state_is_json_able(self, backend_id, calibrated_roster):
         json.dumps(calibrated_roster[backend_id].state_dict())
 
@@ -257,8 +270,10 @@ class TestLiteratureBackends:
     def test_error_report_is_a_table2_breakdown(
         self, backend_id, henri_experiment, calibrated_roster
     ):
-        report = calibrated_roster[backend_id].error_report(
-            henri_experiment.dataset, henri_experiment.sample_keys
+        report = placement_errors(
+            henri_experiment.dataset,
+            calibrated_roster[backend_id],
+            henri_experiment.sample_keys,
         )
         assert isinstance(report, ErrorBreakdown)
         assert np.isfinite(report.average)
@@ -270,12 +285,14 @@ class TestLiteratureBackends:
         """The ablation extends to the literature backends: on the
         contended platform the paper's model has the smaller Table II
         average."""
-        reference = calibrated_roster["threshold"].error_report(
-            henri_experiment.dataset, henri_experiment.sample_keys
+        dataset = henri_experiment.dataset
+        keys = henri_experiment.sample_keys
+        reference = placement_errors(
+            dataset, calibrated_roster["threshold"], keys
         )
         for backend_id in ("overlap-afzal", "cxlmem-messagefree"):
-            challenger = calibrated_roster[backend_id].error_report(
-                henri_experiment.dataset, henri_experiment.sample_keys
+            challenger = placement_errors(
+                dataset, calibrated_roster[backend_id], keys
             )
             assert reference.average < challenger.average, backend_id
 
@@ -350,10 +367,3 @@ class TestProtocolValidation:
         with pytest.raises(ModelError, match="lacks the sample"):
             sample_curves(dataset, platform)
 
-
-class TestCalibratedThresholdSurface:
-    def test_backend_id(self, henri_experiment):
-        calibrated = ThresholdBackend().wrap(henri_experiment.model)
-        assert isinstance(calibrated, CalibratedThreshold)
-        assert calibrated.backend_id == "threshold"
-        assert calibrated.model is henri_experiment.model

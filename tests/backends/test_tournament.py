@@ -80,8 +80,16 @@ class TestArtifactCaching:
             henri_experiment, config=seeded_config, store=store
         )
         assert first.cached is False
-        assert set(first.backend_cached) == set(BACKENDS)
+        # One calibration, one stored form: the threshold entry is the
+        # model the pipeline calibrated, and the store holds no copy.
+        assert first.calibrated["threshold"] is henri_experiment.model
+        assert set(first.backend_cached) == set(BACKENDS) - {"threshold"}
         assert not any(first.backend_cached.values())
+        stages = {e.key.stage for e in store.entries()}
+        assert stages == {
+            *(f"backend-{b}" for b in first.backend_cached),
+            "tournament",
+        }
         second = run_platform_tournament(
             henri_experiment, config=seeded_config, store=store
         )
@@ -121,10 +129,10 @@ class TestArtifactCaching:
             store=store,
             backends=partial_roster,
         )
-        # New fingerprint -> the table recomputes; the two calibrations
-        # the rosters share are still hits.
+        # New fingerprint -> the table recomputes; the stored
+        # calibration the rosters share is still a hit.
         assert shrunk.cached is False
-        assert shrunk.backend_cached == {"threshold": True, "naive": True}
+        assert shrunk.backend_cached == {"naive": True}
         assert shrunk.tournament.roster == ("threshold", "naive")
 
     def test_payload_round_trip(self, henri_run, tmp_path, seeded_config):

@@ -7,10 +7,18 @@
   times every defect — and requires the next pipeline + tournament run
   to recompute exactly that entry, republish it bit-identically and
   return the cold run's results.
+* ``TestConcurrentPublish`` races cold runs on one empty store: every
+  kind is published exactly once and every run returns the cold
+  results.
 * ``TestGoldenStore`` reads a store written by an earlier release
   (``fixtures/occigen-seed0``): every entry must still be served, and
   decoding then re-encoding each one must reproduce its bytes, so any
-  layout change has to bump a format version on purpose.
+  layout change has to bump a format version on purpose.  Its
+  ``backend-threshold`` entry, from before the tournament scored the
+  pipeline's own model, is left unread.
+
+The threshold model has no ``backend-<id>`` kind: the ``calibrate``
+entry is its one stored form.
 """
 
 from __future__ import annotations
@@ -18,6 +26,8 @@ from __future__ import annotations
 import functools
 import json
 import shutil
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -56,7 +66,11 @@ def _kinds(roster):
     return (
         "measure",
         "calibrate",
-        *(f"backend-{backend_id}" for backend_id in roster),
+        *(
+            f"backend-{backend_id}"
+            for backend_id in roster
+            if backend_id != "threshold"
+        ),
         "tournament",
     )
 
@@ -85,6 +99,8 @@ def _run(store, roster=tuple(BACKENDS)):
 def _material(run, tour):
     """Everything a run returns, in exactly comparable form."""
     result = run.result
+    calibrated = dict(tour.calibrated)
+    assert calibrated.pop("threshold") is result.model
     return (
         result.dataset.to_csv(full_precision=True),
         result.model.local.to_json(),
@@ -99,7 +115,7 @@ def _material(run, tour):
             for key, pred in result.predictions.items()
         },
         result.errors,
-        {b: c.state_dict() for b, c in tour.calibrated.items()},
+        {b: c.state_dict() for b, c in calibrated.items()},
         encode_tournament(tour.tournament),
     )
 
@@ -281,6 +297,52 @@ class TestCorruption:
         assert _material(run, tour) == cold_material
 
 
+class TestConcurrentPublish:
+    N_WRITERS = 4
+
+    def test_racing_cold_runs_publish_each_kind_once(self, tmp_path, cold):
+        _, _, cold_material = cold
+        root = tmp_path / "store"
+        barrier = threading.Barrier(self.N_WRITERS, timeout=30)
+        stores = [ArtifactStore(root) for _ in range(self.N_WRITERS)]
+        outcomes = [None] * self.N_WRITERS
+
+        def writer(i):
+            try:
+                barrier.wait()
+                outcomes[i] = _run(stores[i])
+            except Exception as exc:  # reported below
+                outcomes[i] = exc
+
+        threads = [
+            threading.Thread(target=writer, args=(i,))
+            for i in range(self.N_WRITERS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the writers finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+
+        for outcome in outcomes:
+            assert isinstance(outcome, tuple), outcome
+            _, run, tour = outcome
+            assert _material(run, tour) == cold_material
+        stages = [e.key.stage for e in ArtifactStore(root).entries()]
+        assert sorted(stages) == sorted(KINDS)
+        stats = [store.stats for store in stores]
+        assert sum(s.stores for s in stats) == len(KINDS)
+        assert sum(s.stores + s.duplicates for s in stats) == sum(
+            s.misses for s in stats
+        )
+        assert not any((root / ".tmp").iterdir())
+
+
 class TestCachePolicy:
     KEY = StageKey(platform="p", stage="thing", version="1", fingerprint="f")
 
@@ -399,20 +461,23 @@ class TestGoldenStore:
         store = ArtifactStore(golden)
         served, _, _ = _run(store, roster)
         assert served == {kind: True for kind in _kinds(roster)}
-        assert len(served) == 9
+        assert len(served) == 8
         assert store.stats.as_dict() == {
-            "hits": 9,
+            "hits": 8,
             "misses": 0,
             "stores": 0,
             "discards": 0,
             "duplicates": 0,
         }
         assert _payload_bytes(golden) == _payload_bytes(GOLDEN)
+        assert store.entry_hits(_entry(golden, "backend-threshold")) == 0
 
     def test_decode_then_encode_reproduces_the_bytes(self, golden):
         store = ArtifactStore(golden)
         ctx = PipelineContext(platform=get_platform(PLATFORM), config=CONFIG)
-        entries = store.entries()
+        entries = [
+            e for e in store.entries() if e.key.stage != "backend-threshold"
+        ]
         assert sorted(e.key.stage for e in entries) == sorted(
             _kinds(_golden_roster())
         )

@@ -126,12 +126,14 @@ class TestBasics:
         assert len(registry) == 2
 
     def test_real_default_calibrator(self):
-        """No injected calibrator: a real platform calibrates end to end."""
+        """No injected calibrator: a real platform calibrates end to end,
+        and the tournament's threshold entry is the entry's own model."""
         registry = ModelRegistry()
         entry = asyncio.run(registry.get("occigen"))
         assert entry.platform.name == "occigen"
         value = entry.model.comp_parallel(8, 0, 1)
         assert value > 0
+        assert entry.backends["threshold"] is entry.model
 
 
 class TestSingleFlight:

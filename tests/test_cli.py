@@ -474,7 +474,7 @@ class TestTournamentCommand:
         # Second run: every calibration and winner table is a hit.
         assert main(["tournament", "run", "henri", "--cache-dir", cache]) == 0
         second = capsys.readouterr().out
-        assert "6/6 calibrations and 1/1 winner tables" in second
+        assert "5/5 calibrations and 1/1 winner tables" in second
         # Report renders from artifacts without recomputing.
         assert main(
             ["tournament", "report", "henri", "--cache-dir", cache]
