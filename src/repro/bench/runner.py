@@ -5,6 +5,8 @@ Two implementations of the paper's measurement loop:
 * :func:`measure_curves` — fast path: queries the arbiter's steady
   state directly for each (mode, core count).  Exact for the paper's
   setting, where both activities run long enough to reach steady state.
+  A :class:`ModeSolver` solves each distinct scenario once, so a
+  placement grid shares the two modes that run alone.
 * :func:`measure_curves_engine` — high-fidelity path: replays the
   paper's actual methodology on the fluid engine.  Each core writes its
   working set; the NIC receives back-to-back 64 MB messages until the
@@ -32,10 +34,20 @@ from repro.memsim.engine import Engine
 from repro.memsim.noise import NoiseModel
 from repro.memsim.paths import build_resources
 from repro.memsim.profile import ContentionProfile
-from repro.memsim.scenario import Scenario, build_streams, solve_scenario
+from repro.memsim.scenario import (
+    Scenario,
+    ScenarioResult,
+    build_streams,
+    solve_scenario,
+)
 from repro.topology.objects import Machine
 
-__all__ = ["measure_curves", "measure_curves_engine", "default_core_counts"]
+__all__ = [
+    "ModeSolver",
+    "measure_curves",
+    "measure_curves_engine",
+    "default_core_counts",
+]
 
 
 def default_core_counts(machine: Machine) -> np.ndarray:
@@ -61,6 +73,97 @@ def _noisy(
     return float(np.median(samples))
 
 
+class ModeSolver:
+    """Steady-state bandwidths of the benchmark's three modes on one machine.
+
+    Computations alone depend only on ``(m_comp, n)`` and communications
+    alone only on ``m_comm``, so each is solved once and remembered: the
+    placements measured through one solver share those solves.  Only
+    the parallel mode is solved per placement.
+    """
+
+    def __init__(self, machine: Machine, profile: ContentionProfile) -> None:
+        self.machine = machine
+        self.profile = profile
+        self._arbiter = Arbiter(build_resources(machine, profile), profile)
+        self._comp_alone: dict[tuple[int, int], float] = {}
+        self._comm_alone: dict[int, float] = {}
+
+    def _solve(self, scenario: Scenario) -> ScenarioResult:
+        return solve_scenario(
+            self.machine, self.profile, scenario, arbiter=self._arbiter
+        )
+
+    def comp_alone(self, m_comp: int, n: int) -> float:
+        """Aggregate bandwidth of ``n`` cores computing alone on ``m_comp``."""
+        key = (m_comp, n)
+        if key not in self._comp_alone:
+            self._comp_alone[key] = self._solve(
+                Scenario(n, m_comp, None)
+            ).comp_total_gbps
+        return self._comp_alone[key]
+
+    def comm_alone(self, m_comm: int) -> float:
+        """Bandwidth of the NIC receiving alone into ``m_comm``."""
+        if m_comm not in self._comm_alone:
+            self._comm_alone[m_comm] = self._solve(
+                Scenario(0, None, m_comm)
+            ).comm_gbps
+        return self._comm_alone[m_comm]
+
+    def curves(
+        self,
+        *,
+        m_comp: int,
+        m_comm: int,
+        config: SweepConfig | None = None,
+        core_counts: Sequence[int] | None = None,
+    ) -> ModeCurves:
+        """The four bandwidth curves of one placement, noise applied."""
+        machine, profile = self.machine, self.profile
+        config = config or SweepConfig()
+        ns = (
+            as_core_counts(core_counts, error=BenchmarkError)
+            if core_counts is not None
+            else default_core_counts(machine)
+        )
+        noise = None if config.noiseless else NoiseModel(config.seed)
+
+        comp_alone = np.empty(ns.size)
+        comm_alone = np.empty(ns.size)
+        comp_par = np.empty(ns.size)
+        comm_par = np.empty(ns.size)
+
+        for i, n in enumerate(ns):
+            n = int(n)
+            par = self._solve(Scenario(n, m_comp, m_comm))
+            base_key = (machine.name, m_comp, m_comm, n)
+            comp_alone[i] = _noisy(
+                noise, profile.comp_noise_sigma, self.comp_alone(m_comp, n),
+                base_key + ("comp_alone",), config.repetitions,
+            )
+            comm_alone[i] = _noisy(
+                noise, profile.comm_noise_sigma, self.comm_alone(m_comm),
+                base_key + ("comm_alone",), config.repetitions,
+            )
+            comp_par[i] = _noisy(
+                noise, profile.comp_noise_sigma, par.comp_total_gbps,
+                base_key + ("comp_par",), config.repetitions,
+            )
+            comm_par[i] = _noisy(
+                noise, profile.comm_noise_sigma, par.comm_gbps,
+                base_key + ("comm_par",), config.repetitions,
+            )
+
+        return ModeCurves(
+            core_counts=ns,
+            comp_alone=comp_alone,
+            comm_alone=comm_alone,
+            comp_parallel=comp_par,
+            comm_parallel=comm_par,
+        )
+
+
 def measure_curves(
     machine: Machine,
     profile: ContentionProfile,
@@ -71,57 +174,8 @@ def measure_curves(
     core_counts: Sequence[int] | None = None,
 ) -> ModeCurves:
     """Measure the four bandwidth curves for one placement (steady state)."""
-    config = config or SweepConfig()
-    ns = (
-        as_core_counts(core_counts, error=BenchmarkError)
-        if core_counts is not None
-        else default_core_counts(machine)
-    )
-
-    resource_map = build_resources(machine, profile)
-    arbiter = Arbiter(resource_map, profile)
-    noise = None if config.noiseless else NoiseModel(config.seed)
-
-    comp_alone = np.empty(ns.size)
-    comm_alone = np.empty(ns.size)
-    comp_par = np.empty(ns.size)
-    comm_par = np.empty(ns.size)
-
-    for i, n in enumerate(ns):
-        n = int(n)
-        alone = solve_scenario(
-            machine, profile, Scenario(n, m_comp, None), arbiter=arbiter
-        )
-        silent = solve_scenario(
-            machine, profile, Scenario(0, None, m_comm), arbiter=arbiter
-        )
-        par = solve_scenario(
-            machine, profile, Scenario(n, m_comp, m_comm), arbiter=arbiter
-        )
-        base_key = (machine.name, m_comp, m_comm, n)
-        comp_alone[i] = _noisy(
-            noise, profile.comp_noise_sigma, alone.comp_total_gbps,
-            base_key + ("comp_alone",), config.repetitions,
-        )
-        comm_alone[i] = _noisy(
-            noise, profile.comm_noise_sigma, silent.comm_gbps,
-            base_key + ("comm_alone",), config.repetitions,
-        )
-        comp_par[i] = _noisy(
-            noise, profile.comp_noise_sigma, par.comp_total_gbps,
-            base_key + ("comp_par",), config.repetitions,
-        )
-        comm_par[i] = _noisy(
-            noise, profile.comm_noise_sigma, par.comm_gbps,
-            base_key + ("comm_par",), config.repetitions,
-        )
-
-    return ModeCurves(
-        core_counts=ns,
-        comp_alone=comp_alone,
-        comm_alone=comm_alone,
-        comp_parallel=comp_par,
-        comm_parallel=comm_par,
+    return ModeSolver(machine, profile).curves(
+        m_comp=m_comp, m_comm=m_comm, config=config, core_counts=core_counts
     )
 
 

@@ -16,7 +16,11 @@ import numpy as np
 
 from repro.bench.config import SweepConfig
 from repro.bench.results import ModeCurves, PlacementKey, PlacementSweep, PlatformDataset
-from repro.bench.runner import measure_curves, measure_curves_engine
+from repro.bench.runner import (
+    ModeSolver,
+    measure_curves,
+    measure_curves_engine,
+)
 from repro.core.evaluation import as_core_counts
 from repro.errors import BenchmarkError
 from repro.obs import span
@@ -72,27 +76,41 @@ def run_sample_sweeps(
     )
 
 
-def _measure_placement(
+def _measure_placements(
     platform: Platform,
     config: SweepConfig,
     core_counts: np.ndarray | None,
-    key: PlacementKey,
-) -> ModeCurves:
-    """One placement's sweep — top-level so process pools can pickle it."""
-    with span(
-        "sweep.placement",
-        platform=platform.name,
-        m_comp=key[0],
-        m_comm=key[1],
-    ):
-        return _runner(config)(
-            platform.machine,
-            platform.profile,
-            m_comp=key[0],
-            m_comm=key[1],
-            config=config,
-            core_counts=core_counts,
+    solver: ModeSolver | None,
+    keys: Sequence[PlacementKey],
+) -> list[ModeCurves]:
+    """Some placements' sweeps — top-level so process pools can pickle it.
+
+    ``solver`` measures the steady state; without one, each placement
+    is replayed on the fluid engine.
+    """
+    if solver is not None:
+        measure = solver.curves
+    else:
+        measure = functools.partial(
+            measure_curves_engine, platform.machine, platform.profile
         )
+    measured = []
+    for m_comp, m_comm in keys:
+        with span(
+            "sweep.placement",
+            platform=platform.name,
+            m_comp=m_comp,
+            m_comm=m_comm,
+        ):
+            measured.append(
+                measure(
+                    m_comp=m_comp,
+                    m_comm=m_comm,
+                    config=config,
+                    core_counts=core_counts,
+                )
+            )
+    return measured
 
 
 def run_placement_grid(
@@ -109,6 +127,12 @@ def run_placement_grid(
     selects processes or threads).  Measurement noise is keyed by the
     measurement itself, never by call order, so the parallel grid is
     bit-identical to the serial one.
+
+    Each distinct scenario is solved once: computations alone once per
+    ``(m_comp, n)``, communications alone once per ``m_comm``, and the
+    parallel mode once per placement and ``n``.  In parallel, each
+    worker measures every placement of one ``m_comp``, and the
+    communications-alone answers are solved before the workers start.
     """
     config = config or SweepConfig()
     if core_counts is not None:
@@ -121,33 +145,55 @@ def run_placement_grid(
         jobs,
         executor_mode,
     )
+    rows: dict[int, list[PlacementKey]] = {}
+    for key in placements:
+        rows.setdefault(key[0], []).append(key)
+    solver = (
+        None
+        if config.use_engine
+        else ModeSolver(platform.machine, platform.profile)
+    )
     with span(
         "sweep.grid",
         platform=platform.name,
         placements=len(placements),
         jobs=jobs,
     ):
-        if jobs != 1 and len(placements) > 1:
+        if jobs != 1 and len(rows) > 1:
             # Imported here: repro.pipeline's stages import this module.
             # Per-placement spans are recorded inside the workers (lost
             # for process pools, laned by tid for thread pools); the
             # parent always observes this grid span.
             from repro.pipeline.executor import parallel_map
 
+            if solver is not None:
+                # Every row needs the communications-alone answers:
+                # solve them here, once, before the rows are handed out.
+                for m_comm in dict.fromkeys(key[1] for key in placements):
+                    solver.comm_alone(m_comm)
             measured = parallel_map(
                 functools.partial(
-                    _measure_placement, platform, config, core_counts
+                    _measure_placements, platform, config, core_counts, solver
                 ),
-                placements,
+                list(rows.values()),
                 jobs=jobs,
                 mode=executor_mode,
             )
-            curves = dict(zip(placements, measured))
-        else:
-            curves = {
-                key: _measure_placement(platform, config, core_counts, key)
-                for key in placements
+            by_key = {
+                key: curves
+                for row, row_curves in zip(rows.values(), measured)
+                for key, curves in zip(row, row_curves)
             }
+            curves = {key: by_key[key] for key in placements}
+        else:
+            curves = dict(
+                zip(
+                    placements,
+                    _measure_placements(
+                        platform, config, core_counts, solver, placements
+                    ),
+                )
+            )
     return PlatformDataset(
         platform_name=platform.name,
         sweep=PlacementSweep(curves=curves),

@@ -114,6 +114,12 @@ def intensity_sweep(
     if core_gflops <= 0:
         raise SimulationError("core_gflops must be positive")
 
+    # Communications alone do not depend on the kernel: solve them once.
+    silent = solve_scenario(
+        platform.machine,
+        platform.profile,
+        Scenario(0, None, m_comm),
+    )
     points: list[IntensityPoint] = []
     for intensity in values:
         flops = int(round(intensity * 2 * element_bytes))
@@ -146,11 +152,6 @@ def intensity_sweep(
                 m_comm=None,
                 core_gflops=core_gflops,
             ),
-        )
-        silent = solve_scenario(
-            platform.machine,
-            platform.profile,
-            Scenario(0, None, m_comm),
         )
         points.append(
             IntensityPoint(

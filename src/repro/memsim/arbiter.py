@@ -37,21 +37,68 @@ strictly below the offered load.  Every pass allocates at most each
 resource's effective capacity, so conservation (Σ rates through a
 resource ≤ its effective capacity under the final mix) holds by
 construction.
+
+A solve reads each stream's numbers into flat lists once and runs the
+passes on plain floats, with streams named by their index.  The
+per-resource diagnostics of an :class:`Allocation` are worked out when
+first read.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.errors import ArbitrationError
 from repro.memsim.llc import filter_dram_demand, llc_by_socket
 from repro.memsim.paths import ResourceMap
-from repro.memsim.policies import ArbitrationPolicy, Offer
+from repro.memsim.policies import Crossing, ResourceRule
 from repro.memsim.profile import ContentionProfile
 from repro.memsim.stream import Stream
 
 __all__ = ["Allocation", "Arbiter"]
+
+#: A pipe share counts as a genuine cut only this far below the offered
+#: load; a share equal to the offer merely echoes an upstream or
+#: downstream limit and must not constrain the final rates.
+_CUT_EPS = 1e-9
+
+
+class _OnRead(Mapping[str, float]):
+    """A per-resource map computed on first read.
+
+    Pickles, copies and compares as the plain dict it stands for.
+    """
+
+    __slots__ = ("_compute", "_values")
+
+    def __init__(self, compute: Callable[[], dict[str, float]]) -> None:
+        self._compute = compute
+        self._values: dict[str, float] | None = None
+
+    def _dict(self) -> dict[str, float]:
+        if self._values is None:
+            self._values = self._compute()
+        return self._values
+
+    def __getitem__(self, key: str) -> float:
+        return self._dict()[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._dict())
+
+    def __len__(self) -> int:
+        return len(self._dict())
+
+    def __eq__(self, other: object) -> bool:
+        return self._dict() == other
+
+    def __repr__(self) -> str:
+        return repr(self._dict())
+
+    def __reduce__(self) -> tuple[type, tuple[dict[str, float]]]:
+        return dict, (self._dict(),)
 
 
 @dataclass(frozen=True)
@@ -83,6 +130,48 @@ class Allocation:
         return sum(self.rates.values())
 
 
+def _gather(values: list, members: list[int]) -> list:
+    """``[values[i] for i in members]``; members are ascending."""
+    first = members[0]
+    if members[-1] - first + 1 == len(members):
+        return values[first : first + len(members)]
+    return [values[i] for i in members]
+
+
+def _lower(values: list[float], members: list[int], shares: list[float]) -> None:
+    """``values[i] = min(values[i], share)`` for each member's share."""
+    first = members[0]
+    if members[-1] - first + 1 == len(members):
+        end = first + len(members)
+        values[first:end] = map(min, values[first:end], shares)
+    else:
+        for i, share in zip(members, shares):
+            values[i] = min(values[i], share)
+
+
+def _require_non_negative(
+    offers: list[float], members: list[int], ids: list[str]
+) -> None:
+    if min(offers) < 0.0:
+        i = next(i for i, offer in zip(members, offers) if offer < 0.0)
+        raise ArbitrationError(f"offer for {ids[i]!r} must be non-negative")
+
+
+class _Path:
+    """What the arbiter needs to know of one validated stream path."""
+
+    __slots__ = ("position", "pipes_before")
+
+    def __init__(
+        self, path: tuple[str, ...], rules: Mapping[str, ResourceRule]
+    ) -> None:
+        #: Each resource's position on the path.
+        self.position = {rid: j for j, rid in enumerate(path)}
+        pipes = [rid for rid in path if not rules[rid].is_controller]
+        #: For each pipe on the path, the pipes that come before it.
+        self.pipes_before = {rid: tuple(pipes[:k]) for k, rid in enumerate(pipes)}
+
+
 class Arbiter:
     """Solves steady-state bandwidth sharing for one machine."""
 
@@ -91,9 +180,24 @@ class Arbiter:
         resource_map: ResourceMap,
         profile: ContentionProfile,
     ) -> None:
-        self._resources = resource_map
-        self._policy = ArbitrationPolicy(profile)
+        self._rules = {
+            rid: ResourceRule(resource, profile)
+            for rid, resource in resource_map.resources.items()
+        }
         self._llc = llc_by_socket(resource_map.resources)
+        self._paths: dict[tuple[str, ...], _Path] = {}
+
+    def _path(self, stream: Stream) -> _Path:
+        known = self._paths.get(stream.path)
+        if known is None:
+            for rid in stream.path:
+                if rid not in self._rules:
+                    raise ArbitrationError(
+                        f"stream {stream.stream_id!r} references unknown "
+                        f"resource {rid!r}"
+                    )
+            known = self._paths[stream.path] = _Path(stream.path, self._rules)
+        return known
 
     def solve(self, streams: Sequence[Stream]) -> Allocation:
         """Compute the steady-state rates of ``streams``."""
@@ -104,12 +208,17 @@ class Arbiter:
         ids = [s.stream_id for s in streams]
         if len(set(ids)) != len(ids):
             raise ArbitrationError(f"duplicate stream ids: {ids}")
-        for s in streams:
-            for rid in s.path:
-                if rid not in self._resources:
-                    raise ArbitrationError(
-                        f"stream {s.stream_id!r} references unknown resource {rid!r}"
-                    )
+        # Streams next to each other often share one path (a job's
+        # cores): take such a run as one.
+        runs: list[tuple[int, int, _Path]] = []
+        start, n = 0, len(streams)
+        while start < n:
+            path = streams[start].path
+            end = start + 1
+            while end < n and streams[end].path == path:
+                end += 1
+            runs.append((start, end, self._path(streams[start])))
+            start = end
 
         # ---- pass 0: LLC capacity filter ------------------------------------
         # Temporal streams compete for their socket's LLC *capacity*;
@@ -118,104 +227,102 @@ class Arbiter:
         # every pre-existing caller — pass through untouched.
         streams, llc_factors = filter_dram_demand(self._llc, streams)
 
-        touched: dict[str, list[Stream]] = {}
-        for s in streams:
-            for rid in s.path:
-                touched.setdefault(rid, []).append(s)
-        controller_ids = [
-            rid for rid in touched if self._resources[rid].is_controller
-        ]
-        pipe_ids = [rid for rid in touched if not self._resources[rid].is_controller]
+        demand = [s.demand_gbps for s in streams]
+        cpu = [s.is_cpu for s in streams]
+        origin = [s.origin_socket for s in streams]
+        pressure = [s.pressure_gbps for s in streams]
+        floor = [s.min_guarantee_gbps for s in streams]
+        path_of: list[_Path] = []
+
+        # Each resource's streams, ascending, and the earliest position
+        # it takes on any of their paths.
+        touched: dict[str, list[int]] = {}
+        position: dict[str, int] = {}
+        for start, end, path in runs:
+            path_of.extend([path] * (end - start))
+            for rid, j in path.position.items():
+                members = touched.get(rid)
+                if members is None:
+                    touched[rid] = list(range(start, end))
+                    position[rid] = j
+                else:
+                    members.extend(range(start, end))
+                    position[rid] = min(position[rid], j)
+        rules = self._rules
+        crossings = {
+            rid: Crossing(
+                _gather(cpu, members),
+                _gather(origin, members),
+                _gather(pressure, members),
+                _gather(floor, members),
+            )
+            for rid, members in touched.items()
+        }
+        controller_ids = [rid for rid in touched if rules[rid].is_controller]
+        pipe_ids = [rid for rid in touched if not rules[rid].is_controller]
 
         # ---- pass 1: controllers under raw demand pressure -----------------
-        ctrl_share: dict[str, float] = {s.stream_id: s.demand_gbps for s in streams}
+        ctrl_share = list(demand)
         for rid in controller_ids:
             members = touched[rid]
-            offers = [Offer(stream=s, gbps=s.demand_gbps) for s in members]
-            shares = self._policy.allocate(self._resources[rid], offers)
-            for s in members:
-                ctrl_share[s.stream_id] = min(
-                    ctrl_share[s.stream_id], shares[s.stream_id]
-                )
+            shares = rules[rid].allocate(_gather(demand, members), crossings[rid])
+            _lower(ctrl_share, members, shares)
 
         # ---- pass 2: pipes, upstream -> downstream, back-pressured ----------
-        pipe_share: dict[str, dict[str, float]] = {rid: {} for rid in pipe_ids}
-
-        def pipe_offer(s: Stream, rid_here: str) -> float:
-            """Load arriving at ``rid_here``: demand after back-pressure
-            from the destination controller and cuts by earlier pipes."""
-            offered = min(s.demand_gbps, ctrl_share[s.stream_id])
-            for rid in s.path:
-                if rid == rid_here:
-                    break
-                if rid in pipe_share and s.stream_id in pipe_share[rid]:
-                    offered = min(offered, pipe_share[rid][s.stream_id])
-            return offered
-
-        # Process pipes in path order: a pipe is solved only after every
-        # pipe that precedes it on some stream's path.  Path position of
-        # a pipe is identical for all streams crossing it (NIC port,
-        # then PCIe, then link), so sorting by earliest position works.
-        def pipe_position(rid: str) -> int:
-            return min(s.path.index(rid) for s in touched[rid])
-
-        # Genuine pipe cuts: share strictly below the offered load.  A
-        # share equal to the offer merely echoes an upstream/downstream
-        # limit and must not constrain the final rates.
-        _CUT_EPS = 1e-9
-        pipe_cut: dict[str, dict[str, float]] = {rid: {} for rid in pipe_ids}
-
+        # A pipe is solved in order of the earliest position it takes on
+        # a path, ties in first-touch order.  The load a stream offers
+        # is its demand after back-pressure from its destination
+        # controller and cuts by the pipes before this one on its path
+        # that are solved already.
+        pipe_share: dict[str, dict[int, float]] = {}
+        pipe_cut: dict[str, dict[int, float]] = {}
         # Offers used in each resource's *final* allocation pass, kept so
         # the reported effective capacities match what was allocated
         # against (re-deriving them from final rates would shift the
         # local/remote traffic blend and misreport the capacity).
-        final_offers: dict[str, list[Offer]] = {}
+        final_offers: dict[str, list[float]] = {}
 
-        for rid in sorted(pipe_ids, key=pipe_position):
+        for rid in sorted(pipe_ids, key=position.__getitem__):
             members = touched[rid]
-            is_mesh = self._resources[rid].is_mesh
-            offers = [
-                Offer(
-                    stream=s,
-                    gbps=pipe_offer(s, rid),
-                    # Mesh occupancy pressure is the issue rate, never
-                    # reduced by back-pressure.
-                    pressure_gbps=s.pressure_gbps if is_mesh else 0.0,
-                )
-                for s in members
-            ]
+            offers = list(
+                map(min, _gather(demand, members), _gather(ctrl_share, members))
+            )
+            for k, i in enumerate(members):
+                for earlier in path_of[i].pipes_before[rid]:
+                    solved = pipe_share.get(earlier)
+                    if solved is not None:
+                        offers[k] = min(offers[k], solved[i])
+            _require_non_negative(offers, members, ids)
             final_offers[rid] = offers
-            shares = self._policy.allocate(self._resources[rid], offers)
-            pipe_share[rid] = dict(shares)
-            for offer in offers:
-                sid = offer.stream.stream_id
-                if shares[sid] < offer.gbps - _CUT_EPS:
-                    pipe_cut[rid][sid] = shares[sid]
+            shares = rules[rid].allocate(offers, crossings[rid])
+            pipe_share[rid] = dict(zip(members, shares))
+            # Genuine cuts: a share strictly below the offered load.
+            cut = {
+                i: share
+                for i, share, offer in zip(members, shares, offers)
+                if share < offer - _CUT_EPS
+            }
+            if cut:
+                pipe_cut[rid] = cut
 
-        def pipes_min(s: Stream) -> float:
-            """Demand limited by genuine pipe cuts only."""
-            r = s.demand_gbps
-            for rid in s.path:
-                if rid in pipe_cut and s.stream_id in pipe_cut[rid]:
-                    r = min(r, pipe_cut[rid][s.stream_id])
-            return r
+        # Demand limited by genuine pipe cuts only.
+        limited = list(demand)
+        for i in sorted({i for cut in pipe_cut.values() for i in cut}):
+            for rid in streams[i].path:
+                cut = pipe_cut.get(rid)
+                if cut is not None and i in cut:
+                    limited[i] = min(limited[i], cut[i])
 
         # ---- pass 3: controllers under pipe-limited pressure ----------------
-        final_ctrl: dict[str, float] = {s.stream_id: s.demand_gbps for s in streams}
+        final_ctrl = list(demand)
         for rid in controller_ids:
             members = touched[rid]
-            offers = [Offer(stream=s, gbps=pipes_min(s)) for s in members]
+            offers = _gather(limited, members)
+            _require_non_negative(offers, members, ids)
             final_offers[rid] = offers
-            shares = self._policy.allocate(self._resources[rid], offers)
-            for s in members:
-                final_ctrl[s.stream_id] = min(
-                    final_ctrl[s.stream_id], shares[s.stream_id]
-                )
+            _lower(final_ctrl, members, rules[rid].allocate(offers, crossings[rid]))
 
-        rates = {
-            s.stream_id: min(s.demand_gbps, pipes_min(s), final_ctrl[s.stream_id])
-            for s in streams
-        }
+        rates = list(map(min, demand, limited, final_ctrl))
 
         # Safety clamp: in the narrow window where the probe under-cut a
         # stream and the final controller pass restored it above a
@@ -224,34 +331,46 @@ class Arbiter:
         # scaling, so the DMA minimum guarantee survives the clamp.
         for rid in pipe_ids:
             members = touched[rid]
-            through = sum(rates[s.stream_id] for s in members)
-            resource = self._resources[rid]
-            if through > resource.capacity_gbps:
-                offers = [
-                    Offer(
-                        stream=s,
-                        gbps=rates[s.stream_id],
-                        pressure_gbps=s.pressure_gbps if resource.is_mesh else 0.0,
-                    )
-                    for s in members
-                ]
-                shares = self._policy.allocate(resource, offers)
-                for s in members:
-                    rates[s.stream_id] = min(
-                        rates[s.stream_id], shares[s.stream_id]
-                    )
+            rule = rules[rid]
+            through = _gather(rates, members)
+            if sum(through) > rule.capacity:
+                _require_non_negative(through, members, ids)
+                _lower(rates, members, rule.allocate(through, crossings[rid]))
 
-        usage: dict[str, float] = {}
-        capacity: dict[str, float] = {}
-        for rid, members in touched.items():
-            usage[rid] = sum(rates[s.stream_id] for s in members)
-            capacity[rid] = self._policy.effective_capacity(
-                self._resources[rid],
-                [o for o in final_offers[rid] if o.gbps > 0.0],
-            )
         return Allocation(
-            rates=rates,
-            resource_usage=usage,
-            effective_capacity=capacity,
+            rates=dict(zip(ids, rates)),
+            resource_usage=_OnRead(functools.partial(_usage, touched, rates)),
+            effective_capacity=_OnRead(
+                functools.partial(
+                    _capacities, rules, touched, crossings, final_offers
+                )
+            ),
             llc_factors=llc_factors,
         )
+
+
+def _usage(
+    touched: dict[str, list[int]], rates: list[float]
+) -> dict[str, float]:
+    """Total traffic through each resource."""
+    return {
+        rid: sum([rates[i] for i in members])
+        for rid, members in touched.items()
+    }
+
+
+def _capacities(
+    rules: Mapping[str, ResourceRule],
+    touched: dict[str, list[int]],
+    crossings: Mapping[str, Crossing],
+    final_offers: Mapping[str, list[float]],
+) -> dict[str, float]:
+    """Each resource's effective capacity under its final offers."""
+    capacity: dict[str, float] = {}
+    for rid in touched:
+        offers = final_offers[rid]
+        live = [k for k, g in enumerate(offers) if g > 0.0]
+        capacity[rid] = rules[rid].effective_capacity(
+            [offers[k] for k in live], crossings[rid].only(live)
+        )
+    return capacity

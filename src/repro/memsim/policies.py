@@ -5,7 +5,7 @@ system shares a saturated resource:
 
 1. *"Memory buses have a finite bandwidth"* — each resource exposes an
    effective capacity, degraded by inter-stream interference
-   (:meth:`ArbitrationPolicy.effective_capacity`).
+   (:meth:`ResourceRule.effective_capacity`).
 2. *"Memory requests issued by CPU cores may have a different (often
    higher) priority than requests coming from PCIe devices"* — once a
    controller saturates, CPU streams are served first
@@ -23,21 +23,23 @@ of at a sharp threshold, and bends the saturation knee
 (``saturation_sharpness``).  Real machines do this too — it is exactly
 why the paper's piecewise-linear model "reflects the correct impact on
 communications too late" on henri (§IV-B a).
+
+The rules run on plain floats: a resource's offers arrive as a list in
+stream order, next to a :class:`Crossing` that says which of those
+streams are CPU streams, where they come from, how hard they press a
+mesh and what floor they are owed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.errors import ArbitrationError
 from repro.memsim.profile import ContentionProfile
 from repro.memsim.resource import Resource
-from repro.memsim.stream import Stream
 
-__all__ = ["ArbitrationPolicy", "Offer", "waterfill", "smooth_min"]
+__all__ = ["Crossing", "ResourceRule", "waterfill", "smooth_min"]
 
 #: Numerical slack used throughout the solver (GB/s).
 _EPS = 1e-9
@@ -49,36 +51,6 @@ _EPS = 1e-9
 #: controller would starve the computation outright, which real
 #: hardware never does.
 _DMA_MAX_FRACTION = 0.92
-
-
-@dataclass(frozen=True)
-class Offer:
-    """A stream's offered load at one resource.
-
-    ``gbps`` is the real arriving load (demand after upstream limits and
-    destination back-pressure).  ``pressure_gbps`` is the *occupancy*
-    pressure the stream exerts there — meaningful only at socket meshes,
-    where a core occupies mesh slots at its issue rate regardless of how
-    fast the destination drains; 0 means "same as gbps".
-    """
-
-    stream: Stream
-    gbps: float
-    pressure_gbps: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.gbps < 0.0:
-            raise ArbitrationError(
-                f"offer for {self.stream.stream_id!r} must be non-negative"
-            )
-        if self.pressure_gbps < 0.0:
-            raise ArbitrationError(
-                f"pressure for {self.stream.stream_id!r} must be non-negative"
-            )
-
-    @property
-    def pressure(self) -> float:
-        return self.pressure_gbps if self.pressure_gbps > 0.0 else self.gbps
 
 
 def smooth_min(a: float, b: float, width: float) -> float:
@@ -110,7 +82,9 @@ def waterfill(offers: Sequence[float], budget: float) -> list[float]:
     remaining = float(budget)
     shares = [0.0] * n
     # Fill the smallest offers first; whoever needs less than the equal
-    # share keeps its demand, the rest split what remains.
+    # share keeps its demand, the rest split what remains.  Equal offers
+    # take their shares in argsort's order, and those shares differ in
+    # the last bit, so the sort kind is part of the results.
     order = np.argsort(np.asarray(offers, dtype=float))
     unsatisfied = n
     for idx in order:
@@ -122,113 +96,179 @@ def waterfill(offers: Sequence[float], budget: float) -> list[float]:
     return shares
 
 
-class ArbitrationPolicy:
-    """Allocates one resource's bandwidth among offered streams."""
+class Crossing:
+    """The streams crossing one resource in one solve, in stream order.
 
-    def __init__(self, profile: ContentionProfile) -> None:
-        self._profile = profile
+    ``cpu[k]`` is whether stream ``k`` is a CPU stream (it is a DMA
+    stream otherwise), ``origin[k]`` the socket its requests come from,
+    ``pressure[k]`` its mesh occupancy pressure and ``floor[k]`` its
+    minimum guarantee.
+    """
+
+    __slots__ = ("cpu", "origin", "pressure", "floor")
+
+    def __init__(
+        self,
+        cpu: Sequence[bool],
+        origin: Sequence[int],
+        pressure: Sequence[float],
+        floor: Sequence[float],
+    ) -> None:
+        self.cpu = cpu
+        self.origin = origin
+        self.pressure = pressure
+        self.floor = floor
+
+    def only(self, keep: Sequence[int]) -> Crossing:
+        """The streams at positions ``keep``."""
+        return Crossing(
+            [self.cpu[k] for k in keep],
+            [self.origin[k] for k in keep],
+            [self.pressure[k] for k in keep],
+            [self.floor[k] for k in keep],
+        )
+
+
+class ResourceRule:
+    """How one resource shares its bandwidth under one profile.
+
+    Built once per arbiter; every method takes the offers (GB/s) of the
+    streams crossing the resource, in stream order, and the matching
+    :class:`Crossing`.
+    """
+
+    __slots__ = (
+        "capacity",
+        "is_controller",
+        "is_mesh",
+        "_resource",
+        "_blends",
+        "_socket",
+        "_cpu_priority",
+        "_sharpness",
+        "_bonus",
+        "_mixed_slope",
+        "_core_slope",
+        "_sag_onset",
+        "_sag_span",
+    )
+
+    def __init__(self, resource: Resource, profile: ContentionProfile) -> None:
+        self._resource = resource
+        self.capacity = resource.capacity_gbps
+        self.is_controller = resource.is_controller
+        self.is_mesh = resource.is_mesh
+        self._blends = (
+            resource.remote_capacity_gbps is not None
+            and resource.socket is not None
+        )
+        self._socket = resource.socket
+        self._cpu_priority = profile.cpu_priority
+        self._sharpness = profile.saturation_sharpness
+        self._bonus = profile.dma_concurrency_bonus
+        self._mixed_slope = profile.interference_mixed_gbps
+        self._core_slope = profile.interference_core_gbps
+        self._sag_onset = profile.sag_onset
+        self._sag_span = profile.sag_span
 
     # ---- capacity ---------------------------------------------------------
 
-    def effective_capacity(self, resource: Resource, offers: Sequence[Offer]) -> float:
-        """Capacity of ``resource`` under the offered traffic mix.
+    def effective_capacity(
+        self, offers: Sequence[float], crossing: Crossing
+    ) -> float:
+        """Capacity of the resource under the offered traffic mix.
 
         Links, PCIe and NIC ports are plain pipes.  Memory controllers
         apply, in order: the local/remote capacity blend, the DMA
         concurrency bonus, and the interference slopes that the paper's
         ``δl``/``δr`` parameters capture.
         """
-        profile = self._profile
-        total = sum(o.gbps for o in offers)
+        total = sum(offers)
         if total <= _EPS:
-            return resource.capacity_gbps
+            return self.capacity
 
-        if resource.remote_capacity_gbps is not None and resource.socket is not None:
+        if self._blends:
+            socket = self._socket
             remote = sum(
-                o.gbps for o in offers if o.stream.origin_socket != resource.socket
+                [g for g, o in zip(offers, crossing.origin) if o != socket]
             )
-            base = resource.base_capacity(remote / total)
+            base = self._resource.base_capacity(remote / total)
         else:
-            base = resource.capacity_gbps
+            base = self.capacity
 
-        if not resource.is_controller:
+        if not self.is_controller:
             return base
 
-        cpu_offers = [o.gbps for o in offers if o.stream.is_cpu]
-        dma_total = sum(o.gbps for o in offers if o.stream.is_dma)
+        cpu = crossing.cpu
+        cpu_offers = [g for g, c in zip(offers, cpu) if c]
         n_cpu = len(cpu_offers)
         if n_cpu == 0:
             return base  # pure DMA traffic: no inter-core interference
+        dma_total = sum([g for g, c in zip(offers, cpu) if not c])
 
         per_core = sum(cpu_offers) / n_cpu
         if dma_total > _EPS:
-            boosted = base * (1.0 + profile.dma_concurrency_bonus)
+            boosted = base * (1.0 + self._bonus)
             # Knee where CPU + DMA demand together fill the controller.
             par_knee = max(0.0, boosted - dma_total) / per_core
             # Knee where CPU demand alone would fill it.
             seq_knee = base / per_core
-            mixed_units = float(
-                np.clip(n_cpu - par_knee, 0.0, max(0.0, seq_knee - par_knee))
+            mixed_units = min(
+                max(n_cpu - par_knee, 0.0), max(0.0, seq_knee - par_knee)
             )
             core_units = max(0.0, n_cpu - seq_knee)
             capacity = (
                 boosted
-                - profile.interference_mixed_gbps * mixed_units
-                - profile.interference_core_gbps * core_units
+                - self._mixed_slope * mixed_units
+                - self._core_slope * core_units
             )
         else:
             seq_knee = base / per_core
-            capacity = base - profile.interference_core_gbps * max(
-                0.0, n_cpu - seq_knee
-            )
+            capacity = base - self._core_slope * max(0.0, n_cpu - seq_knee)
         # Interference can never destroy more than most of the capacity.
         return max(capacity, 0.2 * base)
 
     # ---- allocation --------------------------------------------------------
 
-    def allocate(
-        self, resource: Resource, offers: Sequence[Offer]
-    ) -> Mapping[str, float]:
-        """Split ``resource``'s effective capacity among ``offers``.
+    def allocate(self, offers: Sequence[float], crossing: Crossing) -> list[float]:
+        """Split the resource's effective capacity among ``offers``.
 
-        Returns per-stream shares, each ``<=`` its offer, summing to at
-        most the effective capacity.
+        Returns one share per offer, each ``<=`` its offer, summing to
+        at most the effective capacity.  Offers of at most 1e-9 GB/s
+        get nothing.
         """
-        live = [o for o in offers if o.gbps > _EPS]
-        shares: dict[str, float] = {
-            o.stream.stream_id: 0.0 for o in offers if o.gbps <= _EPS
-        }
-        if not live:
-            return shares
+        live = [k for k, g in enumerate(offers) if g > _EPS]
+        if len(live) == len(offers):
+            return self._allocate_live(offers, crossing)
+        shares = [0.0] * len(offers)
+        if live:
+            live_shares = self._allocate_live(
+                [offers[k] for k in live], crossing.only(live)
+            )
+            for k, share in zip(live, live_shares):
+                shares[k] = share
+        return shares
 
-        if resource.is_mesh:
-            shares.update(self._allocate_mesh(resource, live))
-            return shares
+    def _allocate_live(
+        self, offers: Sequence[float], crossing: Crossing
+    ) -> list[float]:
+        if self.is_mesh:
+            return self._allocate_mesh(offers, crossing)
 
-        capacity = self.effective_capacity(resource, live)
-        total = sum(o.gbps for o in live)
-        width = (
-            capacity / self._profile.saturation_sharpness
-            if resource.is_controller
-            else 0.0
-        )
+        capacity = self.effective_capacity(offers, crossing)
+        total = sum(offers)
+        width = capacity / self._sharpness if self.is_controller else 0.0
         usable = smooth_min(total, capacity, width)
 
         if usable >= total - _EPS:
-            for o in live:
-                shares[o.stream.stream_id] = o.gbps
-            return shares
+            return list(offers)
 
-        cpu = [o for o in live if o.stream.is_cpu]
-        dma = [o for o in live if o.stream.is_dma]
-
-        if not dma or not self._profile.cpu_priority:
+        cpu = crossing.cpu
+        if all(cpu) or not self._cpu_priority:
             # Either no DMA traffic, or the (ablation) no-priority mode:
             # proportional sharing of the usable bandwidth.
             scale = usable / total
-            for o in live:
-                shares[o.stream.stream_id] = o.gbps * scale
-            return shares
+            return [g * scale for g in offers]
 
         # Controllers, links and PCIe fully protect the (already
         # mesh-throttled) DMA traffic: the NIC pays its contention tax
@@ -238,28 +278,23 @@ class ArbitrationPolicy:
         # computation hammers — contradicting the placement behaviour
         # the paper observes (communication impact is socket-wide, not
         # per-controller).
-        dma_offer = sum(o.gbps for o in dma)
+        cpu_offers = [g for g, c in zip(offers, cpu) if c]
+        dma_offer = sum([g for g, c in zip(offers, cpu) if not c])
         dma_protected = min(dma_offer, usable)
-        if cpu:
+        if cpu_offers:
             # CPU priority: waiting cores always claim a share of the
             # slots, capping how much a (possibly very fast) NIC holds.
             dma_protected = min(dma_protected, _DMA_MAX_FRACTION * usable)
 
         cpu_budget = max(0.0, usable - dma_protected)
-        cpu_shares = waterfill([o.gbps for o in cpu], cpu_budget)
+        cpu_shares = waterfill(cpu_offers, cpu_budget)
         leftover = usable - sum(cpu_shares)
         dma_total_share = min(dma_offer, max(leftover, 0.0))
-
-        for o, share in zip(cpu, cpu_shares):
-            shares[o.stream.stream_id] = share
-        if dma_offer > _EPS:
-            for o in dma:
-                shares[o.stream.stream_id] = dma_total_share * o.gbps / dma_offer
-        return shares
+        return self._merge(offers, cpu, cpu_shares, dma_total_share, dma_offer)
 
     def _allocate_mesh(
-        self, resource: Resource, live: Sequence[Offer]
-    ) -> Mapping[str, float]:
+        self, offers: Sequence[float], crossing: Crossing
+    ) -> list[float]:
         """Socket-mesh allocation: occupancy-pressure-based NIC throttling.
 
         Core streams occupy the mesh at their *issue* rate even when the
@@ -271,36 +306,49 @@ class ArbitrationPolicy:
         load exceeds the byte capacity left next to the NIC share —
         which the memory controllers' back-pressure makes rare.
         """
-        capacity = resource.capacity_gbps
-        cpu = [o for o in live if o.stream.is_cpu]
-        dma = [o for o in live if o.stream.is_dma]
-        shares: dict[str, float] = {}
-
-        dma_offer = sum(o.gbps for o in dma)
-        if not dma or not self._profile.cpu_priority:
+        capacity = self.capacity
+        cpu = crossing.cpu
+        if all(cpu) or not self._cpu_priority:
             # No NIC traffic (or the ablation no-priority mode): the mesh
             # is a plain pipe for real bytes.
-            total = sum(o.gbps for o in live)
+            total = sum(offers)
             if total <= capacity + _EPS:
-                return {o.stream.stream_id: o.gbps for o in live}
+                return list(offers)
             scale = capacity / total
-            return {o.stream.stream_id: o.gbps * scale for o in live}
+            return [g * scale for g in offers]
 
-        pressure = sum(o.pressure for o in live)
+        dma_offer = sum([g for g, c in zip(offers, cpu) if not c])
+        pressure = sum(crossing.pressure)
         rho = pressure / capacity if capacity > _EPS else float("inf")
-        dma_floor = sum(min(o.gbps, o.stream.min_guarantee_gbps) for o in dma)
+        dma_floor = sum(
+            [
+                min(g, floor)
+                for g, c, floor in zip(offers, cpu, crossing.floor)
+                if not c
+            ]
+        )
         dma_share = min(
             self._sagged_dma_share(dma_offer, dma_floor, rho), dma_offer
         )
 
         cpu_budget = max(0.0, capacity - dma_share)
-        cpu_shares = waterfill([o.gbps for o in cpu], cpu_budget)
-        for o, share in zip(cpu, cpu_shares):
-            shares[o.stream.stream_id] = share
-        if dma_offer > _EPS:
-            for o in dma:
-                shares[o.stream.stream_id] = dma_share * o.gbps / dma_offer
-        return shares
+        cpu_shares = waterfill([g for g, c in zip(offers, cpu) if c], cpu_budget)
+        return self._merge(offers, cpu, cpu_shares, dma_share, dma_offer)
+
+    @staticmethod
+    def _merge(
+        offers: Sequence[float],
+        cpu: Sequence[bool],
+        cpu_shares: Sequence[float],
+        dma_share: float,
+        dma_offer: float,
+    ) -> list[float]:
+        """CPU shares in order; the DMA share split by offer."""
+        cpu_iter = iter(cpu_shares)
+        return [
+            next(cpu_iter) if c else dma_share * g / dma_offer
+            for g, c in zip(offers, cpu)
+        ]
 
     def _sagged_dma_share(
         self, dma_offer: float, dma_floor: float, rho: float
@@ -312,10 +360,9 @@ class ArbitrationPolicy:
         sag_span`` — the gradual communication throttling observed on
         real machines.
         """
-        onset = self._profile.sag_onset
-        span = self._profile.sag_span
+        onset = self._sag_onset
         if rho <= onset:
             return dma_offer
-        t = float(np.clip((rho - onset) / span, 0.0, 1.0))
+        t = min(max((rho - onset) / self._sag_span, 0.0), 1.0)
         step = t * t * (3.0 - 2.0 * t)
         return dma_offer - (dma_offer - min(dma_floor, dma_offer)) * step

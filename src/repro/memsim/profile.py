@@ -34,7 +34,9 @@ knob                     paper hypothesis (§II-A / §IV-C)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+import numbers
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
 from repro.errors import SimulationError
@@ -82,7 +84,10 @@ class ContentionProfile:
     #: bursts are long and sequential, slightly raising achievable
     #: controller throughput alongside scattered core traffic).
     dma_concurrency_bonus: float = 0.03
-    #: Sharpness of the saturation knee (p-norm soft-minimum exponent).
+    #: Sharpness of the saturation knee.  A saturating controller's
+    #: usable bandwidth is a quadratic smooth minimum of its offered
+    #: load and its capacity, of half-width ``capacity /
+    #: saturation_sharpness`` (:func:`~repro.memsim.policies.smooth_min`).
     #: Large values give the crisp piecewise knee the model assumes;
     #: small values (pyxis) bend the computation-alone curve well before
     #: the threshold, which the model "does not catch" (§IV-B e).
@@ -96,8 +101,9 @@ class ContentionProfile:
     #: stores, not on how fast the destination drains them, which is why
     #: communications sag even when computation data lives on a
     #: different NUMA node (the behaviour equation 6 leans on).
-    #: ``None`` derives 1.05 × the socket's aggregate controller
-    #: capacity.
+    #: ``None`` derives ``MESH_HEADROOM`` (1.08) × the controller
+    #: bandwidth of the socket's first NUMA node, plus the NIC line rate
+    #: (:func:`~repro.memsim.paths.build_resources`).
     mesh_gbps: float | None = None
 
     # ---- NUMA remote-access behaviour --------------------------------------
@@ -127,6 +133,14 @@ class ContentionProfile:
     comm_noise_sigma: float = 0.008
 
     def __post_init__(self) -> None:
+        # NaN fails no ``<= 0`` test, and an infinite knob is no
+        # hardware: every number must be finite before the range checks.
+        for knob in fields(self):
+            value = getattr(self, knob.name)
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
+                raise SimulationError(
+                    f"{knob.name} must be a finite number, got {value!r}"
+                )
         if self.core_stream_local_gbps <= 0 or self.core_stream_remote_gbps <= 0:
             raise SimulationError("per-core stream bandwidths must be positive")
         if not 0.0 < self.nic_min_fraction <= 1.0:
@@ -155,9 +169,10 @@ class ContentionProfile:
                 f"nic_cross_penalty must be in [0, 1), got {self.nic_cross_penalty}"
             )
         for node, gbps in self.nic_locality_gbps.items():
-            if gbps <= 0:
+            if not math.isfinite(gbps) or gbps <= 0:
                 raise SimulationError(
-                    f"NIC locality override for node {node} must be positive"
+                    f"NIC locality override for node {node} must be positive "
+                    f"and finite, got {gbps!r}"
                 )
 
     def core_stream_gbps(self, *, local: bool) -> float:

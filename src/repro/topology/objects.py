@@ -25,6 +25,7 @@ Index conventions (used consistently across the library):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -39,6 +40,12 @@ __all__ = [
     "Nic",
     "Machine",
 ]
+
+
+def _positive_finite(value: float) -> bool:
+    """``value > 0`` and finite: ``NaN <= 0`` is false, so a plain sign
+    check would wave NaN through."""
+    return math.isfinite(value) and value > 0
 
 
 @dataclass(frozen=True)
@@ -96,8 +103,10 @@ class NumaNode:
             raise TopologyError("NUMA node and socket indices must be non-negative")
         if self.memory_bytes <= 0:
             raise TopologyError("NUMA node memory must be positive")
-        if self.controller_gbps <= 0:
-            raise TopologyError("memory controller bandwidth must be positive")
+        if not _positive_finite(self.controller_gbps):
+            raise TopologyError(
+                "memory controller bandwidth must be positive and finite"
+            )
 
 
 @dataclass(frozen=True)
@@ -152,8 +161,8 @@ class Link:
     def __post_init__(self) -> None:
         if self.socket_a == self.socket_b:
             raise TopologyError("a link must connect two distinct sockets")
-        if self.gbps <= 0:
-            raise TopologyError("link bandwidth must be positive")
+        if not _positive_finite(self.gbps):
+            raise TopologyError("link bandwidth must be positive and finite")
 
     @property
     def endpoints(self) -> frozenset[int]:
@@ -181,8 +190,11 @@ class Nic:
     pcie_gbps: float
 
     def __post_init__(self) -> None:
-        if self.line_rate_gbps <= 0 or self.pcie_gbps <= 0:
-            raise TopologyError("NIC bandwidths must be positive")
+        if not (
+            _positive_finite(self.line_rate_gbps)
+            and _positive_finite(self.pcie_gbps)
+        ):
+            raise TopologyError("NIC bandwidths must be positive and finite")
         if self.socket < 0 or self.numa < 0:
             raise TopologyError("NIC attachment indices must be non-negative")
 

@@ -1,5 +1,7 @@
 """Arbiter cascade tests: end-to-end rates on real platforms."""
 
+import pickle
+
 import pytest
 
 from repro.errors import ArbitrationError
@@ -8,8 +10,11 @@ from repro.memsim import (
     Scenario,
     Stream,
     StreamKind,
+    Tenant,
+    TenantScenario,
     build_resources,
     solve_scenario,
+    solve_tenant_scenario,
 )
 
 
@@ -218,3 +223,33 @@ class TestPaperBehaviours:
         peak_at = totals.index(peak) + 1
         assert 10 <= peak_at <= 15
         assert totals[-1] < peak  # delta-r decline
+
+
+class TestAllocationIsAValue:
+    """A solve's result pickles, and equal scenarios give equal results."""
+
+    def test_scenario_result(self, henri):
+        scenario = Scenario(12, 0, 1, bidirectional=True)
+        result = solve_scenario(henri.machine, henri.profile, scenario)
+        assert pickle.loads(pickle.dumps(result)) == result
+        assert solve_scenario(henri.machine, henri.profile, scenario) == result
+
+    def test_tenant_result_with_an_llc_tenant(self, henri):
+        llc = max(henri.machine.sockets[0].caches, key=lambda c: c.level)
+        scenario = TenantScenario(
+            (
+                Tenant(
+                    "cached",
+                    n_cores=8,
+                    m_comp=0,
+                    working_set_bytes=llc.size_bytes // 4,
+                ),
+                Tenant("streaming", n_cores=6, m_comp=1),
+                Tenant("net", m_comm=0, bidirectional=True),
+            )
+        )
+        result = solve_tenant_scenario(henri.machine, henri.profile, scenario)
+        assert result.phases[0].allocation.llc_factors
+        assert pickle.loads(pickle.dumps(result)) == result
+        again = solve_tenant_scenario(henri.machine, henri.profile, scenario)
+        assert again == result

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.memsim import ContentionProfile, Resource, ResourceKind, Stream, StreamKind
-from repro.memsim.policies import ArbitrationPolicy, Offer, smooth_min, waterfill
+from repro.memsim.policies import Crossing, ResourceRule, smooth_min, waterfill
 
 
 def profile(**overrides):
@@ -65,6 +65,36 @@ def nic_stream(demand=10.0, floor=4.0, origin=0):
     )
 
 
+class Policy:
+    """One profile's rules, asked resource by resource.
+
+    Offers are ``(stream, gbps)`` pairs; a rule reads each stream's
+    class, origin, mesh pressure and floor from the stream itself.
+    """
+
+    def __init__(self, profile):
+        self.profile = profile
+
+    def _ask(self, resource, offers):
+        streams = [stream for stream, _ in offers]
+        crossing = Crossing(
+            [s.is_cpu for s in streams],
+            [s.origin_socket for s in streams],
+            [s.pressure_gbps for s in streams],
+            [s.min_guarantee_gbps for s in streams],
+        )
+        return ResourceRule(resource, self.profile), [g for _, g in offers], crossing
+
+    def effective_capacity(self, resource, offers):
+        rule, gbps, crossing = self._ask(resource, offers)
+        return rule.effective_capacity(gbps, crossing)
+
+    def allocate(self, resource, offers):
+        rule, gbps, crossing = self._ask(resource, offers)
+        shares = rule.allocate(gbps, crossing)
+        return {stream.stream_id: share for (stream, _), share in zip(offers, shares)}
+
+
 class TestHelpers:
     def test_smooth_min_exact_away_from_knee(self):
         assert smooth_min(10.0, 50.0, 5.0) == 10.0
@@ -96,38 +126,38 @@ class TestHelpers:
 
 class TestEffectiveCapacity:
     def test_no_interference_below_saturation(self):
-        policy = ArbitrationPolicy(profile())
-        offers = [Offer(cpu_stream(i), 6.0) for i in range(5)]  # 30 < 60
+        policy = Policy(profile())
+        offers = [(cpu_stream(i), 6.0) for i in range(5)]  # 30 < 60
         assert policy.effective_capacity(controller(), offers) == pytest.approx(60.0)
 
     def test_core_interference_beyond_knee(self):
-        policy = ArbitrationPolicy(profile(interference_core_gbps=0.5))
+        policy = Policy(profile(interference_core_gbps=0.5))
         # knee at 60/6 = 10 cores; 12 cores = 2 excess units.
-        offers = [Offer(cpu_stream(i), 6.0) for i in range(12)]
+        offers = [(cpu_stream(i), 6.0) for i in range(12)]
         assert policy.effective_capacity(controller(), offers) == pytest.approx(
             60.0 - 0.5 * 2
         )
 
     def test_dma_bonus(self):
-        policy = ArbitrationPolicy(profile(dma_concurrency_bonus=0.05))
-        offers = [Offer(cpu_stream(0), 6.0), Offer(nic_stream(), 10.0)]
+        policy = Policy(profile(dma_concurrency_bonus=0.05))
+        offers = [(cpu_stream(0), 6.0), (nic_stream(), 10.0)]
         assert policy.effective_capacity(controller(), offers) == pytest.approx(63.0)
 
     def test_mixed_interference_between_knees(self):
-        policy = ArbitrationPolicy(
+        policy = Policy(
             profile(interference_mixed_gbps=1.0, interference_core_gbps=0.5)
         )
         # par knee = (60-12)/6 = 8, seq knee = 10; n=9 -> 1 mixed unit.
-        offers = [Offer(cpu_stream(i), 6.0) for i in range(9)]
-        offers.append(Offer(nic_stream(demand=12.0), 12.0))
+        offers = [(cpu_stream(i), 6.0) for i in range(9)]
+        offers.append((nic_stream(demand=12.0), 12.0))
         assert policy.effective_capacity(controller(), offers) == pytest.approx(
             60.0 - 1.0
         )
 
     def test_remote_mix_lowers_capacity(self):
-        policy = ArbitrationPolicy(profile())
-        local = [Offer(cpu_stream(i, origin=0), 6.0) for i in range(4)]
-        remote = [Offer(cpu_stream(i + 10, origin=1), 6.0) for i in range(4)]
+        policy = Policy(profile())
+        local = [(cpu_stream(i, origin=0), 6.0) for i in range(4)]
+        remote = [(cpu_stream(i + 10, origin=1), 6.0) for i in range(4)]
         cap_local = policy.effective_capacity(controller(), local)
         cap_remote = policy.effective_capacity(controller(), remote)
         assert cap_local == pytest.approx(60.0)
@@ -136,32 +166,32 @@ class TestEffectiveCapacity:
         assert cap_remote < cap_mixed < cap_local
 
     def test_interference_floor(self):
-        policy = ArbitrationPolicy(profile(interference_core_gbps=100.0))
-        offers = [Offer(cpu_stream(i), 6.0) for i in range(20)]
+        policy = Policy(profile(interference_core_gbps=100.0))
+        offers = [(cpu_stream(i), 6.0) for i in range(20)]
         assert policy.effective_capacity(controller(), offers) >= 0.2 * 60.0
 
     def test_pipes_have_plain_capacity(self):
-        policy = ArbitrationPolicy(profile(interference_core_gbps=5.0))
+        policy = Policy(profile(interference_core_gbps=5.0))
         link = Resource(
             resource_id="link", kind=ResourceKind.SOCKET_LINK, capacity_gbps=42.0
         )
-        offers = [Offer(cpu_stream(i), 6.0) for i in range(20)]
+        offers = [(cpu_stream(i), 6.0) for i in range(20)]
         assert policy.effective_capacity(link, offers) == 42.0
 
 
 class TestControllerAllocation:
     def test_no_contention_grants_demands(self):
-        policy = ArbitrationPolicy(profile())
-        offers = [Offer(cpu_stream(0), 6.0), Offer(nic_stream(), 10.0)]
+        policy = Policy(profile())
+        offers = [(cpu_stream(0), 6.0), (nic_stream(), 10.0)]
         shares = policy.allocate(controller(), offers)
         assert shares["core0"] == pytest.approx(6.0)
         assert shares["nic"] == pytest.approx(10.0)
 
     def test_dma_fully_protected_at_controller(self):
         """Controllers never double-tax the mesh-throttled NIC traffic."""
-        policy = ArbitrationPolicy(profile())
-        offers = [Offer(cpu_stream(i), 6.0) for i in range(10)]  # 60 = capacity
-        offers.append(Offer(nic_stream(demand=8.0), 8.0))
+        policy = Policy(profile())
+        offers = [(cpu_stream(i), 6.0) for i in range(10)]  # 60 = capacity
+        offers.append((nic_stream(demand=8.0), 8.0))
         shares = policy.allocate(controller(), offers)
         assert shares["nic"] == pytest.approx(8.0)
         cpu_total = sum(v for k, v in shares.items() if k.startswith("core"))
@@ -169,60 +199,60 @@ class TestControllerAllocation:
 
     def test_cpu_split_is_uniform(self):
         """Paper: computation degrades uniformly between cores."""
-        policy = ArbitrationPolicy(profile())
-        offers = [Offer(cpu_stream(i), 6.0) for i in range(12)]
-        offers.append(Offer(nic_stream(demand=10.0), 10.0))
+        policy = Policy(profile())
+        offers = [(cpu_stream(i), 6.0) for i in range(12)]
+        offers.append((nic_stream(demand=10.0), 10.0))
         shares = policy.allocate(controller(), offers)
         cpu_shares = [v for k, v in shares.items() if k.startswith("core")]
         assert max(cpu_shares) - min(cpu_shares) < 1e-9
 
     def test_no_priority_mode_shares_proportionally(self):
-        policy = ArbitrationPolicy(profile(cpu_priority=False))
-        offers = [Offer(cpu_stream(i), 6.0) for i in range(10)]
-        offers.append(Offer(nic_stream(demand=12.0), 12.0))
+        policy = Policy(profile(cpu_priority=False))
+        offers = [(cpu_stream(i), 6.0) for i in range(10)]
+        offers.append((nic_stream(demand=12.0), 12.0))
         shares = policy.allocate(controller(), offers)
         scale = 60.0 / 72.0
         assert shares["nic"] == pytest.approx(12.0 * scale)
         assert shares["core0"] == pytest.approx(6.0 * scale)
 
     def test_zero_offers_get_zero(self):
-        policy = ArbitrationPolicy(profile())
-        offers = [Offer(cpu_stream(0), 0.0), Offer(nic_stream(), 10.0)]
+        policy = Policy(profile())
+        offers = [(cpu_stream(0), 0.0), (nic_stream(), 10.0)]
         shares = policy.allocate(controller(), offers)
         assert shares["core0"] == 0.0
         assert shares["nic"] == 10.0
 
     def test_conservation_under_overload(self):
-        policy = ArbitrationPolicy(profile())
-        offers = [Offer(cpu_stream(i), 6.0) for i in range(15)]
-        offers.append(Offer(nic_stream(demand=12.0), 12.0))
+        policy = Policy(profile())
+        offers = [(cpu_stream(i), 6.0) for i in range(15)]
+        offers.append((nic_stream(demand=12.0), 12.0))
         shares = policy.allocate(controller(), offers)
         assert sum(shares.values()) <= 60.0 + 1e-9
 
 
 class TestMeshAllocation:
     def test_nic_full_below_onset(self):
-        policy = ArbitrationPolicy(profile())
-        offers = [Offer(cpu_stream(i, issue=6.0), 6.0) for i in range(5)]  # 30
-        offers.append(Offer(nic_stream(demand=10.0), 10.0, pressure_gbps=10.0))
+        policy = Policy(profile())
+        offers = [(cpu_stream(i, issue=6.0), 6.0) for i in range(5)]  # 30
+        offers.append((nic_stream(demand=10.0), 10.0))
         shares = policy.allocate(mesh(capacity=70.0), offers)  # rho 40/70
         assert shares["nic"] == pytest.approx(10.0)
 
     def test_nic_at_floor_past_sag(self):
-        policy = ArbitrationPolicy(profile())
+        policy = Policy(profile())
         # pressure = 10*6 + 10 = 70; rho = 70/60 = 1.17 > onset+span = 1.0
-        offers = [Offer(cpu_stream(i, issue=6.0), 6.0) for i in range(10)]
-        offers.append(Offer(nic_stream(demand=10.0, floor=4.0), 10.0))
+        offers = [(cpu_stream(i, issue=6.0), 6.0) for i in range(10)]
+        offers.append((nic_stream(demand=10.0, floor=4.0), 10.0))
         shares = policy.allocate(mesh(capacity=60.0), offers)
         assert shares["nic"] == pytest.approx(4.0)
 
     def test_nic_sags_smoothly_between(self):
-        policy = ArbitrationPolicy(profile())
+        policy = Policy(profile())
         m = mesh(capacity=60.0)
         nic_shares = []
         for n in (6, 7, 8, 9):
-            offers = [Offer(cpu_stream(i, issue=6.0), 6.0) for i in range(n)]
-            offers.append(Offer(nic_stream(demand=10.0, floor=4.0), 10.0))
+            offers = [(cpu_stream(i, issue=6.0), 6.0) for i in range(n)]
+            offers.append((nic_stream(demand=10.0, floor=4.0), 10.0))
             nic_shares.append(policy.allocate(m, offers)["nic"])
         assert nic_shares == sorted(nic_shares, reverse=True)
         assert nic_shares[0] > 4.0
@@ -230,29 +260,29 @@ class TestMeshAllocation:
 
     def test_cpu_pressure_uses_issue_rate(self):
         """A core writing remotely still pressures its mesh at issue rate."""
-        policy = ArbitrationPolicy(profile())
+        policy = Policy(profile())
         m = mesh(capacity=60.0)
         # Real arriving load tiny (2.0 each) but issue pressure high.
         offers = [
-            Offer(cpu_stream(i, demand=2.0, issue=6.0), 2.0, pressure_gbps=6.0)
+            (cpu_stream(i, demand=2.0, issue=6.0), 2.0)
             for i in range(10)
         ]
-        offers.append(Offer(nic_stream(demand=10.0, floor=4.0), 10.0))
+        offers.append((nic_stream(demand=10.0, floor=4.0), 10.0))
         shares = policy.allocate(m, offers)
         assert shares["nic"] == pytest.approx(4.0)
         # CPU streams keep their real (small) loads.
         assert shares["core0"] == pytest.approx(2.0)
 
     def test_mesh_without_dma_is_plain_pipe(self):
-        policy = ArbitrationPolicy(profile())
-        offers = [Offer(cpu_stream(i, issue=6.0), 6.0) for i in range(20)]  # 120
+        policy = Policy(profile())
+        offers = [(cpu_stream(i, issue=6.0), 6.0) for i in range(20)]  # 120
         shares = policy.allocate(mesh(capacity=60.0), offers)
         assert sum(shares.values()) == pytest.approx(60.0)
 
     def test_mesh_no_priority_mode(self):
-        policy = ArbitrationPolicy(profile(cpu_priority=False))
-        offers = [Offer(cpu_stream(i, issue=6.0), 6.0) for i in range(15)]
-        offers.append(Offer(nic_stream(demand=10.0), 10.0))
+        policy = Policy(profile(cpu_priority=False))
+        offers = [(cpu_stream(i, issue=6.0), 6.0) for i in range(15)]
+        offers.append((nic_stream(demand=10.0), 10.0))
         shares = policy.allocate(mesh(capacity=50.0), offers)
         scale = 50.0 / 100.0
         assert shares["nic"] == pytest.approx(10.0 * scale)

@@ -45,6 +45,8 @@ from repro.backends.tournament import (
     run_platform_tournament,
 )
 from repro.bench import SweepConfig
+from repro.bench.sweep import run_placement_grid
+from repro.core.calibration import calibrate_placement_model
 from repro.errors import ModelError
 from repro.pipeline import (
     ArtifactStore,
@@ -471,6 +473,20 @@ class TestGoldenStore:
         }
         assert _payload_bytes(golden) == _payload_bytes(GOLDEN)
         assert store.entry_hits(_entry(golden, "backend-threshold")) == 0
+
+    def test_recomputed_from_scratch_to_the_same_bytes(self):
+        """The simulator still measures, and calibration still fits,
+        exactly the bytes the golden store was written with."""
+        platform = get_platform(PLATFORM)
+        dataset = run_placement_grid(platform, config=CONFIG)
+        model = calibrate_placement_model(dataset, platform)
+        for stage, value in ((MeasureStage(), dataset), (CalibrateStage(), model)):
+            entry = _entry(GOLDEN, stage.name)
+            manifest = json.loads((entry / "manifest.json").read_text("utf-8"))
+            payloads = stage.serialize(value)
+            assert sorted(payloads) == sorted(manifest["files"])
+            for name, text in payloads.items():
+                assert text.encode("utf-8") == (entry / name).read_bytes(), name
 
     def test_decode_then_encode_reproduces_the_bytes(self, golden):
         store = ArtifactStore(golden)

@@ -1,8 +1,10 @@
 """Platform serialisation round-trips."""
 
+import json
+
 import pytest
 
-from repro.errors import TopologyError
+from repro.errors import SimulationError, TopologyError
 from repro.topology import (
     get_platform,
     platform_from_dict,
@@ -75,3 +77,42 @@ class TestErrors:
         parsed = json.loads(text)
         assert parsed["machine"]["name"] == "pyxis"
         assert parsed["profile"]["nic_cross_penalty"] > 0
+
+
+class TestNonFiniteNumbers:
+    """A platform document may carry ``NaN`` or ``Infinity`` (``json``
+    parses both); every such number is refused where it is built."""
+
+    @pytest.mark.parametrize(
+        "where, name, value, error",
+        [
+            ("profile", "core_stream_local_gbps", "NaN", SimulationError),
+            ("profile", "core_stream_local_gbps", "Infinity", SimulationError),
+            ("profile", "core_stream_remote_gbps", "NaN", SimulationError),
+            ("profile", "sag_onset", "NaN", SimulationError),
+            ("profile", "sag_span", "Infinity", SimulationError),
+            ("profile", "interference_core_gbps", "NaN", SimulationError),
+            ("profile", "interference_mixed_gbps", "NaN", SimulationError),
+            ("profile", "dma_concurrency_bonus", "NaN", SimulationError),
+            ("profile", "saturation_sharpness", "NaN", SimulationError),
+            ("profile", "mesh_gbps", "NaN", SimulationError),
+            ("profile", "comp_noise_sigma", "NaN", SimulationError),
+            ("profile", "comm_noise_sigma", "Infinity", SimulationError),
+            ("locality", "0", "NaN", SimulationError),
+            ("machine", "controller_gbps", "NaN", TopologyError),
+            ("machine", "link_gbps", "NaN", TopologyError),
+            ("nic", "line_rate_gbps", "NaN", TopologyError),
+            ("nic", "pcie_gbps", "Infinity", TopologyError),
+        ],
+    )
+    def test_rejected(self, henri, where, name, value, error):
+        data = platform_to_dict(henri)
+        section = {
+            "profile": data["profile"],
+            "locality": data["profile"]["nic_locality_gbps"],
+            "machine": data["machine"],
+            "nic": data["machine"]["nic"],
+        }[where]
+        section[name] = float(value)
+        with pytest.raises(error, match="finite"):
+            platform_from_json(json.dumps(data))
