@@ -333,7 +333,11 @@ class ClusterRouter:
         """
         try:
             parsed = json.loads(body.decode("utf-8")) if body else None
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # Nesting past the interpreter's recursion limit is a
+        # RecursionError, not a JSONDecodeError.
+        except (
+            UnicodeDecodeError, json.JSONDecodeError, RecursionError
+        ) as exc:
             raise ServiceError(f"invalid JSON body: {exc}") from None
         if not isinstance(parsed, dict):
             raise ServiceError(

@@ -38,10 +38,10 @@ resource's effective capacity, so conservation (Σ rates through a
 resource ≤ its effective capacity under the final mix) holds by
 construction.
 
-A solve reads each stream's numbers into flat lists once and runs the
-passes on plain floats, with streams named by their index.  The
-per-resource diagnostics of an :class:`Allocation` are worked out when
-first read.
+A solve reads each stream's numbers into flat lists once, applies the
+LLC factors to those lists, and runs the passes on plain floats, with
+streams named by their index.  The per-resource diagnostics of an
+:class:`Allocation` are worked out when first read.
 """
 
 from __future__ import annotations
@@ -220,18 +220,26 @@ class Arbiter:
             runs.append((start, end, self._path(streams[start])))
             start = end
 
-        # ---- pass 0: LLC capacity filter ------------------------------------
-        # Temporal streams compete for their socket's LLC *capacity*;
-        # only the non-resident share of their traffic presses the
-        # bandwidth resources below.  Streams without a working set —
-        # every pre-existing caller — pass through untouched.
-        streams, llc_factors = filter_dram_demand(self._llc, streams)
-
         demand = [s.demand_gbps for s in streams]
         cpu = [s.is_cpu for s in streams]
         origin = [s.origin_socket for s in streams]
         pressure = [s.pressure_gbps for s in streams]
         floor = [s.min_guarantee_gbps for s in streams]
+
+        # ---- pass 0: LLC capacity filter ------------------------------------
+        # Temporal streams compete for their socket's LLC *capacity*;
+        # only the non-resident share of their traffic presses the
+        # bandwidth resources below, and stores served by the cache
+        # never enter the mesh queues either.  Streams without a
+        # working set — every pre-existing caller — pass through
+        # untouched.
+        llc_factors = filter_dram_demand(self._llc, streams)
+        if llc_factors:
+            for i, sid in enumerate(ids):
+                factor = llc_factors.get(sid)
+                if factor is not None:
+                    demand[i] *= factor
+                    pressure[i] *= factor
         path_of: list[_Path] = []
 
         # Each resource's streams, ascending, and the earliest position

@@ -17,9 +17,10 @@ This module models the LLC as a capacity resource (bytes, not GB/s):
 * :func:`dram_factor` converts a stream's cached share into the
   fraction of its nominal traffic that still reaches DRAM (the classic
   working-set model with a compulsory-miss floor);
-* :func:`filter_dram_demand` applies those factors to a stream set
-  before bandwidth arbitration: data served from cache presses neither
-  the mesh nor the memory controllers.
+* :func:`filter_dram_demand` works those factors out for a stream set
+  before bandwidth arbitration, and the arbiter scales each cached
+  stream's demand and mesh pressure by its factor: data served from
+  cache presses neither the mesh nor the memory controllers.
 
 Streams opt in by declaring :attr:`~repro.memsim.stream.Stream.
 working_set_bytes`; non-temporal streams (the paper's setting) declare
@@ -28,7 +29,6 @@ none and pass through bit-identically.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Mapping, Sequence
 
 from repro.errors import SimulationError
@@ -114,28 +114,25 @@ def llc_by_socket(resources: Mapping[str, Resource]) -> dict[int, Resource]:
 
 def filter_dram_demand(
     llc: Mapping[int, Resource], streams: Sequence[Stream]
-) -> tuple[Sequence[Stream], dict[str, float]]:
-    """Apply LLC filtering to ``streams`` before bandwidth arbitration.
+) -> dict[str, float]:
+    """The LLC pre-pass of bandwidth arbitration: each stream's DRAM factor.
 
     Streams that declare a ``working_set_bytes`` share their origin
-    socket's LLC (water-fill occupancy) and have both their DRAM demand
-    and their mesh issue pressure scaled by the resulting
-    :func:`dram_factor`.  Streams without a working set — the paper's
-    non-temporal setting, and all DMA traffic — are returned untouched;
-    when *no* stream declares one, the input sequence itself is
-    returned, keeping the pre-existing single-tenant path bit-identical.
+    socket's LLC (water-fill occupancy); each one's factor is the
+    resulting :func:`dram_factor`.  The arbiter scales both the
+    stream's DRAM demand and its mesh issue pressure by it.  Streams
+    without a working set — the paper's non-temporal setting, and all
+    DMA traffic — get no factor and pass through untouched, so when no
+    stream declares one the result is empty.
 
-    Returns ``(filtered_streams, factors)`` with ``factors`` keyed by
-    stream id (only filtered streams appear).
+    Returns the factors keyed by stream id, sockets in order of their
+    first cached stream and streams in input order within a socket.
     """
-    cached = [s for s in streams if s.working_set_bytes is not None]
-    if not cached:
-        return streams, {}
-
     factors: dict[str, float] = {}
     by_socket: dict[int, list[Stream]] = {}
-    for stream in cached:
-        by_socket.setdefault(stream.origin_socket, []).append(stream)
+    for stream in streams:
+        if stream.working_set_bytes is not None:
+            by_socket.setdefault(stream.origin_socket, []).append(stream)
     for socket, members in by_socket.items():
         resource = llc.get(socket)
         if resource is None:
@@ -154,18 +151,4 @@ def filter_dram_demand(
             factors[stream.stream_id] = dram_factor(
                 stream.working_set_bytes, share
             )
-
-    filtered = [
-        s
-        if s.stream_id not in factors
-        else dataclasses.replace(
-            s,
-            demand_gbps=s.demand_gbps * factors[s.stream_id],
-            # The issue pressure follows the *emitted* DRAM traffic:
-            # stores served by the cache never enter the mesh queues.
-            issue_gbps=s.pressure_gbps * factors[s.stream_id],
-            working_set_bytes=None,
-        )
-        for s in streams
-    ]
-    return filtered, factors
+    return factors

@@ -757,9 +757,12 @@ def solve_tenant_scenario(
     """Solve a multi-tenant scenario over its scheduling horizon.
 
     The load envelopes are piecewise constant, so the horizon splits at
-    the union of all tenants' phase boundaries into segments with one
-    steady-state solve each; the reported per-tenant averages are
-    time-weighted over the segments.
+    the union of all tenants' phase boundaries into segments; the
+    reported per-tenant averages are time-weighted over the segments.
+    The steady-state solve depends only on the tenants' levels, so each
+    distinct level vector is solved once per call: segments with equal
+    levels share one :class:`Allocation`, and each segment gets its own
+    copy of the per-tenant attribution.
     """
     if arbiter is None:
         if resource_map is None:
@@ -771,14 +774,24 @@ def solve_tenant_scenario(
     sums: dict[str, list[float]] = {
         t.name: [0.0, 0.0, 0.0, 0.0] for t in scenario.tenants
     }
+    # Level vector, in tenant order -> its solve and attribution.
+    solved: dict[
+        tuple[float, ...], tuple[Allocation, dict[str, TenantBandwidth]]
+    ] = {}
     for start, end in zip(cuts, cuts[1:]):
         mid = 0.5 * (start + end)
         levels = {t.name: t.envelope.level_at(mid) for t in scenario.tenants}
-        streams = build_tenant_streams(
-            machine, profile, scenario, levels=levels
-        )
-        allocation = arbiter.solve(streams)
-        per_tenant = _attribute(scenario, levels, allocation)
+        key = tuple(levels.values())
+        known = solved.get(key)
+        if known is None:
+            streams = build_tenant_streams(
+                machine, profile, scenario, levels=levels
+            )
+            allocation = arbiter.solve(streams)
+            per_tenant = _attribute(scenario, levels, allocation)
+            solved[key] = allocation, per_tenant
+        else:
+            allocation, per_tenant = known[0], dict(known[1])
         phases.append(
             PhaseResult(
                 start_s=start,

@@ -76,6 +76,18 @@ class HttpError(Exception):
 # ---- server half -----------------------------------------------------------------
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request or header line, up to the reader's buffer limit.
+
+    ``StreamReader.readline`` raises ``ValueError`` for a line past the
+    limit (64 KiB by default); that is the client's fault, so a 400.
+    """
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise HttpError(400, "request or header line too long") from None
+
+
 async def read_request(
     reader: asyncio.StreamReader,
 ) -> tuple[str, str, bytes, bool]:
@@ -90,7 +102,7 @@ async def read_request(
     connection loops can distinguish a clean close from garbage.
     The query string, if any, is stripped — the API is body-driven.
     """
-    raw_line = await reader.readline()
+    raw_line = await _read_line(reader)
     if not raw_line:
         raise ConnectionResetError("peer closed the connection")
     request_line = raw_line.decode("latin-1").strip()
@@ -103,7 +115,7 @@ async def read_request(
     content_length = 0
     keep_alive = False
     for _ in range(MAX_HEADER_LINES):
-        line = (await reader.readline()).decode("latin-1")
+        line = (await _read_line(reader)).decode("latin-1")
         if line in ("\r\n", "\n", ""):
             break
         name, _, value = line.partition(":")
@@ -113,6 +125,8 @@ async def read_request(
                 content_length = int(value.strip())
             except ValueError:
                 raise HttpError(400, "invalid Content-Length") from None
+            if content_length < 0:
+                raise HttpError(400, "invalid Content-Length")
         elif header == "connection":
             keep_alive = value.strip().lower() == "keep-alive"
     else:

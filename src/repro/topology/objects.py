@@ -229,6 +229,12 @@ class Machine:
                 "all sockets must have the same number of cores, "
                 f"got {sorted(per_socket_cores)}"
             )
+        # NUMA nodes by global index, the first one wins as in a walk.
+        # Not a field: equality, repr and serialisation ignore it.
+        nodes: dict[int, NumaNode] = {}
+        for node in self.iter_numa_nodes():
+            nodes.setdefault(node.index, node)
+        object.__setattr__(self, "_numa_by_index", nodes)
 
     # ---- structural queries -------------------------------------------------
 
@@ -263,13 +269,13 @@ class Machine:
 
     def numa_node(self, index: int) -> NumaNode:
         """Return the NUMA node with global index ``index``."""
-        for node in self.iter_numa_nodes():
-            if node.index == index:
-                return node
-        raise TopologyError(
-            f"machine {self.name!r} has no NUMA node {index} "
-            f"(valid: 0..{self.n_numa_nodes - 1})"
-        )
+        try:
+            return self._numa_by_index[index]
+        except (KeyError, TypeError):
+            raise TopologyError(
+                f"machine {self.name!r} has no NUMA node {index} "
+                f"(valid: 0..{self.n_numa_nodes - 1})"
+            ) from None
 
     def core(self, index: int) -> Core:
         """Return the core with global index ``index``."""

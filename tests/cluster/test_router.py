@@ -13,7 +13,13 @@ from repro.service.http11 import MAX_BODY_BYTES, MAX_RESPONSE_BYTES
 from repro.topology import get_platform
 
 from tests.cluster.conftest import FakeSupervisor, RouterThread
-from tests.service.conftest import ServerThread
+from tests.service.conftest import (
+    DEEPLY_NESTED,
+    NEGATIVE_CONTENT_LENGTH,
+    OVERLONG_LINES,
+    ServerThread,
+    exchange,
+)
 from tests.service.test_bulk_parity import post
 
 
@@ -249,3 +255,40 @@ class TestBodyCaps:
                     "message": "request body too large",
                     "status": 413,
                 }
+
+
+class TestWireDefects:
+    """Bytes that once dropped the router's connection get a 400."""
+
+    def test_negative_content_length_is_a_400(self, router_factory):
+        status, payload = exchange(
+            router_factory().port, NEGATIVE_CONTENT_LENGTH
+        )
+        assert status == 400
+        assert payload["error"] == {
+            "type": "ServiceError",
+            "message": "invalid Content-Length",
+            "status": 400,
+        }
+
+    @pytest.mark.parametrize("data", OVERLONG_LINES.values(), ids=OVERLONG_LINES)
+    def test_overlong_line_is_a_400(self, router_factory, data):
+        status, payload = exchange(router_factory().port, data)
+        assert status == 400
+        assert payload["error"] == {
+            "type": "ServiceError",
+            "message": "request or header line too long",
+            "status": 400,
+        }
+
+    def test_deeply_nested_json_is_a_400(self, stub_fleet, router_factory):
+        _, workers = stub_fleet
+        router = router_factory()
+        status, payload = exchange(router.port, DEEPLY_NESTED)
+        assert status == 400
+        assert payload["error"]["type"] == "ServiceError"
+        assert payload["error"]["message"].startswith("invalid JSON body")
+        # Refused at the router: no worker saw it, and the router still
+        # answers.
+        assert all(not stub.requests for stub in workers.values())
+        assert router.client().healthz()["workers_alive"] == len(workers)

@@ -1,30 +1,53 @@
-"""The arbiter as it was before it ran on plain floats, kept as a reference.
+"""The simulator as it was before it ran on plain floats, kept as a reference.
 
 :class:`Arbiter` here builds one :class:`Offer` per stream per pass and
-asks :class:`ArbitrationPolicy` for each resource's shares.
-``repro.memsim.arbiter.Arbiter`` must give exactly the same numbers:
-``tests/memsim/test_reference.py`` compares the two bit for bit.  Only
-the LLC pre-pass and the :class:`~repro.memsim.arbiter.Allocation` type
-are shared with the product; everything else is the older code,
-unchanged, the water-fill's ``numpy.argsort`` included.
+asks :class:`ArbitrationPolicy` for each resource's shares; its LLC
+pre-pass, :func:`filter_dram_demand`, builds a replacement
+:class:`~repro.memsim.stream.Stream` for every cached stream.
+:func:`solve_tenant_scenario` builds and solves every load segment of a
+tenant scenario, on this :class:`Arbiter`.  ``repro.memsim`` must give
+exactly the same numbers: ``tests/memsim/test_reference.py`` compares
+the two bit for bit.  Only the stream builders, the per-tenant
+attribution, the LLC's share and factor maths and the result types are
+shared with the product; everything else is the older code, unchanged,
+the water-fill's ``numpy.argsort`` included.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import ArbitrationError
+from repro.errors import ArbitrationError, SimulationError
 from repro.memsim.arbiter import Allocation
-from repro.memsim.llc import filter_dram_demand, llc_by_socket
-from repro.memsim.paths import ResourceMap
+from repro.memsim.llc import dram_factor, llc_by_socket, occupancy_shares
+from repro.memsim.paths import ResourceMap, build_resources
 from repro.memsim.profile import ContentionProfile
 from repro.memsim.resource import Resource
+from repro.memsim.scenario import (
+    PhaseResult,
+    TenantBandwidth,
+    TenantScenario,
+    TenantScenarioResult,
+    _attribute,
+    _segment_boundaries,
+    build_tenant_streams,
+)
 from repro.memsim.stream import Stream
+from repro.topology.objects import Machine
 
-__all__ = ["Arbiter", "ArbitrationPolicy", "Offer", "smooth_min", "waterfill"]
+__all__ = [
+    "Arbiter",
+    "ArbitrationPolicy",
+    "Offer",
+    "filter_dram_demand",
+    "smooth_min",
+    "solve_tenant_scenario",
+    "waterfill",
+]
 
 _EPS = 1e-9
 _DMA_MAX_FRACTION = 0.92
@@ -300,6 +323,65 @@ class ArbitrationPolicy:
         return dma_offer - (dma_offer - min(dma_floor, dma_offer)) * step
 
 
+def filter_dram_demand(
+    llc: Mapping[int, Resource], streams: Sequence[Stream]
+) -> tuple[Sequence[Stream], dict[str, float]]:
+    """Apply LLC filtering to ``streams`` before bandwidth arbitration.
+
+    Streams that declare a ``working_set_bytes`` share their origin
+    socket's LLC (water-fill occupancy) and have both their DRAM demand
+    and their mesh issue pressure scaled by the resulting
+    :func:`dram_factor`.  Streams without a working set — the paper's
+    non-temporal setting, and all DMA traffic — are returned untouched;
+    when *no* stream declares one, the input sequence itself is
+    returned, keeping the pre-existing single-tenant path bit-identical.
+
+    Returns ``(filtered_streams, factors)`` with ``factors`` keyed by
+    stream id (only filtered streams appear).
+    """
+    cached = [s for s in streams if s.working_set_bytes is not None]
+    if not cached:
+        return streams, {}
+
+    factors: dict[str, float] = {}
+    by_socket: dict[int, list[Stream]] = {}
+    for stream in cached:
+        by_socket.setdefault(stream.origin_socket, []).append(stream)
+    for socket, members in by_socket.items():
+        resource = llc.get(socket)
+        if resource is None:
+            raise SimulationError(
+                f"stream {members[0].stream_id!r} declares a working set "
+                f"but socket {socket} has no LLC resource (the machine "
+                "declares no cache levels)"
+            )
+        assert resource.size_bytes is not None
+        shares = occupancy_shares(
+            resource.size_bytes,
+            [s.working_set_bytes for s in members],  # type: ignore[misc]
+        )
+        for stream, share in zip(members, shares):
+            assert stream.working_set_bytes is not None
+            factors[stream.stream_id] = dram_factor(
+                stream.working_set_bytes, share
+            )
+
+    filtered = [
+        s
+        if s.stream_id not in factors
+        else dataclasses.replace(
+            s,
+            demand_gbps=s.demand_gbps * factors[s.stream_id],
+            # The issue pressure follows the *emitted* DRAM traffic:
+            # stores served by the cache never enter the mesh queues.
+            issue_gbps=s.pressure_gbps * factors[s.stream_id],
+            working_set_bytes=None,
+        )
+        for s in streams
+    ]
+    return filtered, factors
+
+
 class Arbiter:
     """Solves steady-state bandwidth sharing for one machine."""
 
@@ -472,3 +554,71 @@ class Arbiter:
             effective_capacity=capacity,
             llc_factors=llc_factors,
         )
+
+
+def solve_tenant_scenario(
+    machine: Machine,
+    profile: ContentionProfile,
+    scenario: TenantScenario,
+    *,
+    resource_map: ResourceMap | None = None,
+    arbiter: Arbiter | None = None,
+) -> TenantScenarioResult:
+    """Solve a multi-tenant scenario over its scheduling horizon.
+
+    The load envelopes are piecewise constant, so the horizon splits at
+    the union of all tenants' phase boundaries into segments with one
+    steady-state solve each; the reported per-tenant averages are
+    time-weighted over the segments.
+    """
+    if arbiter is None:
+        if resource_map is None:
+            resource_map = build_resources(machine, profile)
+        arbiter = Arbiter(resource_map, profile)
+
+    cuts = _segment_boundaries(scenario)
+    phases: list[PhaseResult] = []
+    sums: dict[str, list[float]] = {
+        t.name: [0.0, 0.0, 0.0, 0.0] for t in scenario.tenants
+    }
+    for start, end in zip(cuts, cuts[1:]):
+        mid = 0.5 * (start + end)
+        levels = {t.name: t.envelope.level_at(mid) for t in scenario.tenants}
+        streams = build_tenant_streams(
+            machine, profile, scenario, levels=levels
+        )
+        allocation = arbiter.solve(streams)
+        per_tenant = _attribute(scenario, levels, allocation)
+        phases.append(
+            PhaseResult(
+                start_s=start,
+                end_s=end,
+                levels=levels,
+                per_tenant=per_tenant,
+                allocation=allocation,
+            )
+        )
+        span = end - start
+        for name, bw in per_tenant.items():
+            acc = sums[name]
+            acc[0] += bw.comp_gbps * span
+            acc[1] += bw.comp_dram_gbps * span
+            acc[2] += bw.comm_gbps * span
+            acc[3] += bw.comm_tx_gbps * span
+
+    horizon = scenario.horizon_s
+    averages = {
+        name: TenantBandwidth(
+            comp_gbps=acc[0] / horizon,
+            comp_dram_gbps=acc[1] / horizon,
+            comm_gbps=acc[2] / horizon,
+            comm_tx_gbps=acc[3] / horizon,
+        )
+        for name, acc in sums.items()
+    }
+    return TenantScenarioResult(
+        scenario=scenario,
+        horizon_s=horizon,
+        phases=tuple(phases),
+        per_tenant=averages,
+    )

@@ -175,14 +175,13 @@ class TestStreamWorkingSet:
 
 class TestFilterDramDemand:
     def test_no_working_sets_is_the_identity(self):
-        """The paper's setting returns the *same* sequence object."""
+        """The paper's setting gets no factor at all."""
         scenario = Scenario(n_cores=4, m_comp=0, m_comm=1)
         streams = build_streams(HENRI.machine, HENRI.profile, scenario)
         resources = build_resources(HENRI.machine, HENRI.profile)
-        filtered, factors = filter_dram_demand(
+        factors = filter_dram_demand(
             llc_by_socket(resources.resources), streams
         )
-        assert filtered is streams
         assert factors == {}
 
     def test_resident_stream_scales_to_the_floor(self):
@@ -194,14 +193,20 @@ class TestFilterDramDemand:
             HENRI.machine, HENRI.profile, TenantScenario((tenant,))
         )
         resources = build_resources(HENRI.machine, HENRI.profile)
-        filtered, factors = filter_dram_demand(
+        factors = filter_dram_demand(
             llc_by_socket(resources.resources), streams
         )
-        for before, after in zip(streams, filtered):
-            factor = factors[before.stream_id]
+        assert list(factors) == [s.stream_id for s in streams]
+        # Two resident cores press nothing: each solves to its demand
+        # scaled by the factor, the product the arbiter applies.
+        allocation = Arbiter(resources, HENRI.profile).solve(streams)
+        assert allocation.llc_factors == factors
+        for stream in streams:
+            factor = factors[stream.stream_id]
             assert factor == COMPULSORY_FLOOR
-            assert after.demand_gbps == before.demand_gbps * factor
-            assert after.working_set_bytes is None
+            assert allocation.rate(stream.stream_id) == (
+                stream.demand_gbps * factor
+            )
 
     def test_missing_llc_resource_is_an_error(self):
         tenant = Tenant(

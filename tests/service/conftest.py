@@ -8,6 +8,8 @@ with the blocking client over real TCP sockets.
 from __future__ import annotations
 
 import asyncio
+import json
+import socket
 import threading
 
 import pytest
@@ -71,6 +73,48 @@ class ServerThread:
     def client(self, **kwargs) -> ServiceClient:
         assert self.port is not None
         return ServiceClient("127.0.0.1", self.port, **kwargs)
+
+
+def exchange(port: int, data: bytes) -> tuple[int, dict]:
+    """Send raw bytes, read the reply up to the close -> (status, body).
+
+    A server that answers before reading all of ``data`` closes with
+    unread input, which resets the connection: what arrived before the
+    reset is the reply.
+    """
+    chunks = []
+    with socket.create_connection(("127.0.0.1", port), 10) as sock:
+        try:
+            sock.sendall(data)
+        except ConnectionError:
+            pass
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 "), f"no reply, got {head[:80]!r}"
+    return int(head.split()[1]), json.loads(body)
+
+
+#: Wire inputs a server must refuse with a 400 envelope.
+NEGATIVE_CONTENT_LENGTH = (
+    b"POST /predict HTTP/1.1\r\nContent-Length: -5\r\n\r\n{}"
+)
+OVERLONG_LINES = {
+    "request-line": b"GET /" + b"a" * 200_000 + b" HTTP/1.1\r\n\r\n",
+    "header-line": (
+        b"POST /predict HTTP/1.1\r\nX-Pad: " + b"a" * 200_000 + b"\r\n\r\n"
+    ),
+}
+DEEPLY_NESTED = (
+    b"POST /predict HTTP/1.1\r\nContent-Length: 100000\r\n\r\n"
+    + b"[" * 100_000
+)
 
 
 @pytest.fixture

@@ -22,6 +22,12 @@ from repro.evaluation import run_platform_experiment
 from repro.service.client import ServiceResponseError
 from repro.service.registry import ModelEntry, ModelKey, ModelRegistry
 
+from tests.service.conftest import (
+    DEEPLY_NESTED,
+    NEGATIVE_CONTENT_LENGTH,
+    OVERLONG_LINES,
+    exchange,
+)
 from tests.service.test_registry import CountingCalibrator
 
 PLATFORM = "occigen"
@@ -192,6 +198,37 @@ class TestRoundTrip:
         assert payload["error"]["type"] == "ServiceError"
         assert payload["error"]["status"] == 400
         assert f"field {field!r}" in payload["error"]["message"]
+
+
+class TestWireDefects:
+    """Bytes that once got no reply or a 500 get a 400 envelope."""
+
+    def test_negative_content_length_is_a_400(self, server):
+        status, payload = exchange(server.port, NEGATIVE_CONTENT_LENGTH)
+        assert status == 400
+        assert payload["error"] == {
+            "type": "ServiceError",
+            "message": "invalid Content-Length",
+            "status": 400,
+        }
+
+    @pytest.mark.parametrize("data", OVERLONG_LINES.values(), ids=OVERLONG_LINES)
+    def test_overlong_line_is_a_400(self, server, data):
+        status, payload = exchange(server.port, data)
+        assert status == 400
+        assert payload["error"] == {
+            "type": "ServiceError",
+            "message": "request or header line too long",
+            "status": 400,
+        }
+
+    def test_deeply_nested_json_is_a_400(self, server):
+        status, payload = exchange(server.port, DEEPLY_NESTED)
+        assert status == 400
+        assert payload["error"]["type"] == "ServiceError"
+        assert payload["error"]["message"].startswith("invalid JSON body")
+        # The server still answers afterwards.
+        assert server.client().healthz()["status"] == "ok"
 
 
 class TestAcceptance:
