@@ -168,23 +168,28 @@ class CalibratedBackend(abc.ABC):
         m_comp: int,
         m_comm: int,
     ) -> PlacementPrediction:
-        """All curves of one placement over ``core_counts``."""
+        """All curves of one placement over ``core_counts``.
+
+        The scalar queries are pure functions of their arguments, so
+        each distinct core count is evaluated once and its answers are
+        gathered to every position that repeats it: the same floats as
+        one evaluation per position.
+        """
         ns = as_core_counts(core_counts, error=PlacementError)
         self._check_node(m_comp)
         self._check_node(m_comm)
+        counts = ns.tolist()
+        distinct = dict.fromkeys(counts)
+        comp_par = {n: self.comp_parallel(n, m_comp, m_comm) for n in distinct}
+        comm_par = {n: self.comm_parallel(n, m_comp, m_comm) for n in distinct}
+        comp_alone = {n: self.comp_alone(n, m_comp) for n in distinct}
         return PlacementPrediction(
             m_comp=m_comp,
             m_comm=m_comm,
             core_counts=ns,
-            comp_parallel=np.array(
-                [self.comp_parallel(int(n), m_comp, m_comm) for n in ns]
-            ),
-            comm_parallel=np.array(
-                [self.comm_parallel(int(n), m_comp, m_comm) for n in ns]
-            ),
-            comp_alone=np.array(
-                [self.comp_alone(int(n), m_comp) for n in ns]
-            ),
+            comp_parallel=np.array([comp_par[n] for n in counts]),
+            comm_parallel=np.array([comm_par[n] for n in counts]),
+            comp_alone=np.array([comp_alone[n] for n in counts]),
             comm_alone=self.comm_alone(m_comm),
         )
 
@@ -204,9 +209,15 @@ class CalibratedBackend(abc.ABC):
         }
 
     def predict_batch(
-        self, queries: Sequence[tuple[int, int, int]]
+        self, queries: Sequence[tuple[int, int, int]] | np.ndarray
     ) -> list[PointPrediction]:
-        """Heterogeneous scalar queries, grouped per placement."""
+        """Heterogeneous scalar queries, grouped per placement.
+
+        An ``(N, 3)`` array of queries (the service's parsed bulk) is
+        read as the Python ints of its rows.
+        """
+        if isinstance(queries, np.ndarray):
+            queries = queries.tolist()
         groups: dict[tuple[int, int], list[int]] = {}
         for index, query in enumerate(queries):
             if len(query) != 3:
@@ -234,7 +245,7 @@ class CalibratedBackend(abc.ABC):
         return [results[i] for i in range(len(queries))]
 
     def predict_columns(
-        self, queries: Sequence[tuple[int, int, int]]
+        self, queries: Sequence[tuple[int, int, int]] | np.ndarray
     ) -> dict[str, np.ndarray]:
         """:meth:`predict_batch` as columns: the ``n``/``m_comp``/
         ``m_comm`` echo columns and the four answer columns, 1-D arrays

@@ -76,16 +76,22 @@ class HttpError(Exception):
 # ---- server half -----------------------------------------------------------------
 
 
-async def _read_line(reader: asyncio.StreamReader) -> bytes:
-    """One request or header line, up to the reader's buffer limit.
+async def _read_line(
+    reader: asyncio.StreamReader,
+    *,
+    status: int = 400,
+    what: str = "request or header line",
+) -> bytes:
+    """One start or header line, up to the reader's buffer limit.
 
     ``StreamReader.readline`` raises ``ValueError`` for a line past the
-    limit (64 KiB by default); that is the client's fault, so a 400.
+    limit (64 KiB by default); that is the peer's fault: a 400 for a
+    client's request, a 502 for a worker's response.
     """
     try:
         return await reader.readline()
     except ValueError:
-        raise HttpError(400, "request or header line too long") from None
+        raise HttpError(status, f"{what} too long") from None
 
 
 async def read_request(
@@ -203,10 +209,11 @@ async def read_response(
     ``Connection: keep-alive`` — the stream can carry another exchange.
     A peer that closed before sending a status line raises
     :class:`ConnectionResetError` (the signature of a parked keep-alive
-    stream the server timed out); malformed framing raises
+    stream the server timed out); malformed framing, such as a negative
+    ``Content-Length`` or a line past the reader's limit, raises
     :class:`HttpError` with a 502.
     """
-    raw_line = await reader.readline()
+    raw_line = await _read_line(reader, status=502, what="status line")
     if not raw_line:
         raise ConnectionResetError("peer closed the connection")
     status_line = raw_line.decode("latin-1").strip()
@@ -217,7 +224,9 @@ async def read_response(
     content_length: int | None = None
     reusable = False
     for _ in range(MAX_HEADER_LINES):
-        line = (await reader.readline()).decode("latin-1")
+        line = (
+            await _read_line(reader, status=502, what="header line")
+        ).decode("latin-1")
         if line in ("\r\n", "\n", ""):
             break
         name, _, value = line.partition(":")
@@ -227,6 +236,8 @@ async def read_response(
                 content_length = int(value.strip())
             except ValueError:
                 raise HttpError(502, "invalid Content-Length") from None
+            if content_length < 0:
+                raise HttpError(502, "invalid Content-Length")
         elif header == "connection":
             reusable = value.strip().lower() == "keep-alive"
     else:

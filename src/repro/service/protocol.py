@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -151,12 +152,15 @@ def _parse_query(obj: object, *, where: str) -> tuple[int, int, int]:
     return tuple(_as_int(_get(obj, field), field) for field in _QUERY_FIELDS)
 
 
-def _parse_queries(raw: list) -> list[tuple[int, int, int]]:
+def _parse_queries(raw: list) -> np.ndarray | list[tuple[int, int, int]]:
     """The ``(n, m_comp, m_comm)`` triples of a bulk ``queries`` list.
 
     Read column-wise: each field is pulled out of every item into one
-    list, and the batch is taken as it is when every value's type is
-    exactly ``int``.  Anything else (an item that is not an object, a
+    list.  When every value's type is exactly ``int``, the columns fill
+    one C-contiguous ``(N, 3)`` int64 array, which the model's columnar
+    lookup takes as it is.  A value past int64 does not fit it: that
+    batch is returned as ``(n, m_comp, m_comm)`` tuples, for the model
+    to name the query.  Anything else (an item that is not an object, a
     missing field, a bool, an integral float) goes query by query
     through :func:`_parse_query`, which accepts it or names the
     offending query just as it would on its own.
@@ -166,8 +170,16 @@ def _parse_queries(raw: list) -> list[tuple[int, int, int]]:
     except (KeyError, TypeError):  # an item lacks a field or is no object
         pass
     else:
-        if all(set(map(type, column)) == {int} for column in columns):
-            return list(zip(*columns))
+        if set(map(type, chain.from_iterable(columns))) == {int}:
+            queries = np.empty((len(raw), len(columns)), dtype=np.int64)
+            try:
+                for j, column in enumerate(columns):
+                    queries[:, j] = np.fromiter(
+                        column, dtype=np.int64, count=len(column)
+                    )
+            except OverflowError:
+                return list(zip(*columns))
+            return queries
     return [
         _parse_query(item, where=f"queries[{i}]") for i, item in enumerate(raw)
     ]
@@ -180,13 +192,20 @@ def parse_calibrate(body: object) -> tuple[str, int]:
 
 def parse_predict(
     body: object,
-) -> tuple[str, int, list[tuple[int, int, int]], bool, str | None]:
+) -> tuple[
+    str, int, np.ndarray | list[tuple[int, int, int]], bool, str | None
+]:
     """``POST /predict`` -> (platform, seed, queries, is_bulk, backend).
 
     Accepts either one inline query (``n``/``m_comp``/``m_comm`` at the
     top level) or a bulk ``queries`` list; the two forms are exclusive.
     ``backend`` selects a registered model backend (or ``tournament``);
     absent means the default threshold model.
+
+    An inline query comes back as a one-element list of
+    ``(n, m_comp, m_comm)`` tuples.  A bulk comes back as an ``(N, 3)``
+    int64 array when every value is a JSON integer that fits int64, and
+    as a list of tuples otherwise.
     """
     body = _require_mapping(body)
     platform, seed = _platform_and_seed(body)
@@ -306,6 +325,27 @@ def result_rows(columns: dict[str, np.ndarray]) -> list[dict]:
     ]
 
 
+def _distinct_rows(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` over the rows of equal-length integer
+    ``keys``: the index of the first row of each distinct row, and each
+    row's position in ``first``.
+
+    ``np.unique(rows, return_index=True, return_inverse=True)`` without
+    building the rows: one lexsort brings equal rows together, a row
+    that differs from its sorted neighbour in any key starts a group,
+    and each row's group is scattered back to its place.
+    """
+    order = np.lexsort(keys)
+    starts = np.zeros(order.size, dtype=bool)
+    starts[:1] = True
+    for key in keys:
+        ranked = key[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
 def encode_results(echo: dict, columns: dict[str, np.ndarray]) -> bytes:
     """The body of a bulk ``/predict`` answer:
     ``json.dumps({**echo, "results": result_rows(columns)})`` as UTF-8,
@@ -316,19 +356,16 @@ def encode_results(echo: dict, columns: dict[str, np.ndarray]) -> bytes:
     rows are gathered in query order.  Rows are keyed by the raw bytes
     of their values rather than compared as floats: ``-0.0`` equals
     ``0.0`` but ``json.dumps`` writes them apart, and a NaN equals
-    nothing, not even itself.  The distinct rows go through one
-    ``json.dumps`` call rather than one call each, whose fixed cost
-    would make an answer with no repeated row slower than rendering it
-    whole.
+    nothing, not even itself.  Each of the int64 and float64 columns
+    is viewed as int64 bit patterns, so equal bits, and only those,
+    compare equal; one ``np.lexsort`` brings equal rows together.  The
+    distinct rows go through one ``json.dumps`` call rather than one
+    call each, whose fixed cost would make an answer with no repeated
+    row slower than rendering it whole.
     """
-    record = np.empty(
-        len(columns["n"]),
-        dtype=[(name, column.dtype) for name, column in columns.items()],
+    first, inverse = _distinct_rows(
+        [column.view(np.int64) for column in columns.values()]
     )
-    for name, column in columns.items():
-        record[name] = column
-    keys = record.view(np.dtype((np.void, record.dtype.itemsize)))
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     distinct = {name: column[first] for name, column in columns.items()}
     # ``[{row}, {row}]``: numbers and the fixed keys never hold ``}, {``,
     # so splitting on it and trimming ``[{`` and ``}]`` off the ends

@@ -316,6 +316,48 @@ class TestProtocolValidation:
         assert [(p.n, p.m_comp, p.m_comm) for p in points] == queries
         assert points[0] == points[2]
 
+    @pytest.mark.parametrize("backend_id", STORED_IDS)
+    def test_repeated_core_counts_are_evaluated_once(
+        self, calibrated_roster, backend_id, monkeypatch
+    ):
+        """A sweep answers each distinct core count with one scalar
+        call per curve, gathered to every position that repeats it."""
+        calibrated = calibrated_roster[backend_id]
+        ns = [4, 1, 4, 4, 1, 9, 0, 9]
+        expected = {
+            "comp_parallel": [calibrated.comp_parallel(n, 0, 1) for n in ns],
+            "comm_parallel": [calibrated.comm_parallel(n, 0, 1) for n in ns],
+            "comp_alone": [calibrated.comp_alone(n, 0) for n in ns],
+        }
+        calls = {name: [] for name in expected}
+        for name in expected:
+            scalar = getattr(calibrated, name)
+
+            def counted(n, *rest, _scalar=scalar, _calls=calls[name]):
+                _calls.append(n)
+                return _scalar(n, *rest)
+
+            monkeypatch.setattr(calibrated, name, counted)
+        pred = calibrated.predict(ns, 0, 1)
+        for name, values in expected.items():
+            assert sorted(calls[name]) == sorted(set(ns)), name
+            assert getattr(pred, name).tolist() == values, name
+        assert pred.core_counts.tolist() == ns
+
+    @pytest.mark.parametrize("backend_id", STORED_IDS)
+    def test_array_batch_answers_like_tuples(
+        self, calibrated_roster, backend_id
+    ):
+        """The service hands a parsed bulk over as an int64 array."""
+        calibrated = calibrated_roster[backend_id]
+        queries = [(8, 0, 1), (2, 0, 0), (8, 0, 1), (1, 1, 1), (0, 1, 0)]
+        as_array = calibrated.predict_columns(np.array(queries))
+        as_tuples = calibrated.predict_columns(queries)
+        assert list(as_array) == list(as_tuples)
+        for name, column in as_tuples.items():
+            assert as_array[name].dtype == column.dtype, name
+            assert as_array[name].tobytes() == column.tobytes(), name
+
     def test_malformed_batch_query_rejected(self, calibrated_roster):
         with pytest.raises(PlacementError, match="triple"):
             calibrated_roster["naive"].predict_batch([(1, 0)])

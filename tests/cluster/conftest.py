@@ -29,6 +29,8 @@ class StubWorker:
         self.requests: list[tuple[str, str, dict | None]] = []
         #: Per-path canned (status, payload) overrides.
         self.responses: dict[str, tuple[int, dict]] = {}
+        #: Per-path raw replies, written as they are: a broken worker.
+        self.raw_replies: dict[str, bytes] = {}
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -37,6 +39,9 @@ class StubWorker:
                 raw = self.rfile.read(length) if length else b""
                 body = json.loads(raw) if raw else None
                 stub.requests.append((method, self.path, body))
+                if self.path in stub.raw_replies:
+                    self.wfile.write(stub.raw_replies[self.path])
+                    return
                 status, payload = stub.responses.get(
                     self.path,
                     (200, {"worker": stub.worker_id, "echo": body}),

@@ -13,7 +13,7 @@ import asyncio
 import pytest
 
 from repro.cluster.pool import WorkerPool
-from repro.service.http11 import encode_response
+from repro.service.http11 import HttpError, encode_response
 
 from tests.service.conftest import ServerThread
 
@@ -65,11 +65,19 @@ class TestAgainstTheRealService:
 
 class _ScriptedServer:
     """An asyncio server answering canned responses, one per connection
-    slot, closing each connection after ``exchanges_per_conn`` answers."""
+    slot, closing each connection after ``exchanges_per_conn`` answers.
+    ``reply`` replaces the well-formed answer with raw bytes."""
 
-    def __init__(self, *, keep_alive: bool, exchanges_per_conn: int = 10**9):
+    def __init__(
+        self,
+        *,
+        keep_alive: bool,
+        exchanges_per_conn: int = 10**9,
+        reply: bytes | None = None,
+    ):
         self.keep_alive = keep_alive
         self.exchanges_per_conn = exchanges_per_conn
+        self.reply = reply
         self.connections = 0
         self.server: asyncio.AbstractServer | None = None
 
@@ -91,7 +99,8 @@ class _ScriptedServer:
                     if header in (b"\r\n", b"\n", b""):
                         break
                 writer.write(
-                    encode_response(
+                    self.reply
+                    or encode_response(
                         200, b'{"ok": true}', keep_alive=self.keep_alive
                     )
                 )
@@ -149,6 +158,39 @@ class TestFailureShapes:
             with pytest.raises(OSError):
                 await pool.request("127.0.0.1", port, "GET", "/x")
             await pool.aclose()
+
+        run(go())
+
+    @pytest.mark.parametrize(
+        "reply,message",
+        [
+            (
+                b"HTTP/1.1 200 OK\r\nContent-Length: -5\r\n"
+                b"Connection: keep-alive\r\n\r\n",
+                "invalid Content-Length",
+            ),
+            (b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * 200_000, "header line"),
+            (b"HTTP/1.1 200 " + b"a" * 200_000, "status line"),
+        ],
+        ids=["negative-content-length", "overlong-header", "overlong-status"],
+    )
+    def test_malformed_reply_is_a_502_and_drops_the_stream(
+        self, reply, message
+    ):
+        """A broken worker's reply surfaces as framing, which the router
+        fails over on, not as an error no caller expects."""
+
+        async def go():
+            scripted = _ScriptedServer(keep_alive=True, reply=reply)
+            port = await scripted.start()
+            pool = WorkerPool()
+            with pytest.raises(HttpError, match=message) as excinfo:
+                await pool.request("127.0.0.1", port, "GET", "/x")
+            assert excinfo.value.status == 502
+            assert pool.idle_count() == 0
+            assert pool.discards == 1
+            await pool.aclose()
+            await scripted.stop()
 
         run(go())
 

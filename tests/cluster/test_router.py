@@ -281,6 +281,30 @@ class TestWireDefects:
             "status": 400,
         }
 
+    def test_worker_negative_content_length_is_a_503(
+        self, stub_fleet, router_factory
+    ):
+        """A worker's malformed reply counts as an unreachable replica:
+        once none answers, the client gets the router's 503."""
+        _, workers = stub_fleet
+        for stub in workers.values():
+            stub.raw_replies["/predict"] = (
+                b"HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\n"
+            )
+        router = router_factory()
+        status, raw = post(
+            router.port,
+            {"platform": "occigen", "n": 4, "m_comp": 0, "m_comm": 0},
+        )
+        error = json.loads(raw)["error"]
+        assert (status, error["status"], error["type"]) == (
+            503, 503, "ClusterError",
+        )
+        assert "invalid Content-Length" in error["message"]
+        # Both replicas were tried, and the router still answers.
+        assert sum(bool(stub.requests) for stub in workers.values()) == 2
+        assert router.client().healthz()["workers_alive"] == len(workers)
+
     def test_deeply_nested_json_is_a_400(self, stub_fleet, router_factory):
         _, workers = stub_fleet
         router = router_factory()

@@ -3,6 +3,8 @@ router, per-backend metrics, and the structured failure modes."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core.parameters import ModelParameters
@@ -71,6 +73,23 @@ class TestPredictBackends:
         # The routed winner is a concrete registered backend.
         (winner_key,) = routed
         assert winner_key.split(":", 1)[1] != "tournament"
+
+    def test_tournament_bulk_counts_every_repeated_query(self, server):
+        """Each distinct core count is evaluated once, but every query
+        of a bulk still counts under its routed winner."""
+        client = server.client()
+        queries = [(1, 0, 0), (2, 0, 1), (16, 1, 1), (40, 1, 0)] * 5
+        client.predict_many("henri", queries, backend="tournament")
+        entry = server.run(server.service.registry.get("henri", 0))
+        expected = Counter(
+            f"tournament:{entry.tournament.winner_for(*q)}" for q in queries
+        )
+        counts = client.metrics()["backends"]["queries"]
+        assert counts["tournament"] == len(queries)
+        routed = {
+            k: v for k, v in counts.items() if k.startswith("tournament:")
+        }
+        assert routed == expected
 
     def test_tournament_agrees_with_its_winner(self, server):
         """A routed answer is bit-identical to asking the winning

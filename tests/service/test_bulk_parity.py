@@ -131,6 +131,25 @@ def _columns(rows: list[tuple]) -> dict[str, np.ndarray]:
 #: A NaN whose bits differ from ``math.nan``'s.
 _OTHER_NAN = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
 
+_INTS = st.sampled_from([0, 1, 2**62, -(2**63), 2**63 - 1])
+_FLOATS = st.sampled_from(
+    [0.0, -0.0, math.nan, _OTHER_NAN, math.inf, -math.inf, 5e-324, 1.5]
+)
+
+
+@st.composite
+def _repeating_rows(draw) -> list[tuple]:
+    """Rows drawn with repetition from a few 7-tuples.  Each tuple of
+    the pool is an earlier one with one value replaced, so the pool
+    holds rows that differ in a single column."""
+    pool = [draw(st.tuples(*[_INTS] * 3, *[_FLOATS] * 4))]
+    for _ in range(draw(st.integers(0, 5))):
+        row = draw(st.sampled_from(pool))
+        column = draw(st.integers(0, len(FIELDS) - 1))
+        value = draw(_INTS if column < 3 else _FLOATS)
+        pool.append(row[:column] + (value,) + row[column + 1:])
+    return draw(st.lists(st.sampled_from(pool), max_size=40))
+
 
 class TestEncodeResults:
     ECHO = {"platform": "henri", "seed": 3, "backend": "naive"}
@@ -160,6 +179,13 @@ class TestEncodeResults:
         body = protocol.encode_results(self.ECHO, columns)
         assert body == per_row_body(self.ECHO, columns)
         assert len(json.loads(body)["results"]) == len(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=_repeating_rows())
+    def test_any_repeating_rows_match_the_per_row_build(self, rows):
+        columns = _columns(rows)
+        body = protocol.encode_results(self.ECHO, columns)
+        assert body == per_row_body(self.ECHO, columns)
 
     def test_signed_zeros_are_kept_apart(self):
         rows = [(1, 0, 0, 0.0, 0.0, 0.0, 0.0), (1, 0, 0, -0.0, 0.0, 0.0, 0.0)]

@@ -3,6 +3,7 @@
 import copy
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import (
@@ -65,7 +66,27 @@ class TestParsePredict:
             }
         )
         assert (platform, seed, bulk, backend) == ("henri", 3, True, None)
-        assert queries == [(4, 0, 0), (8, 1, 0)]
+        # One int64 array, handed to the model's lookup as it is.
+        assert queries.dtype == np.int64
+        assert queries.shape == (2, 3)
+        assert queries.tolist() == [[4, 0, 0], [8, 1, 0]]
+        assert queries.flags.c_contiguous
+
+    @pytest.mark.parametrize("value", [2**63, 2**64, -(2**63) - 1, 8.0])
+    def test_bulk_no_int64_array_holds_stays_tuples(self, value):
+        """A value past int64 leaves the batch as tuples, for the model
+        to name the query; a float sends it query by query."""
+        *_, queries, _, _ = protocol.parse_predict(
+            {
+                "platform": "henri",
+                "queries": [
+                    {"n": 4, "m_comp": 0, "m_comm": 0},
+                    {"n": value, "m_comp": 1, "m_comm": 0},
+                ],
+            }
+        )
+        assert queries == [(4, 0, 0), (int(value), 1, 0)]
+        assert type(queries[1][0]) is int
 
     def test_backend_selector(self):
         *_, backend = protocol.parse_predict(
