@@ -6,34 +6,41 @@
 * **copy kernel**: "copying an array into another instead of just
   initializing an array with a single value" — twice the memory
   traffic per element, so saturation arrives at half the core count.
+
+Both are steady-state tenant scenarios: ping-pong is a bidirectional
+communicating tenant, the copy kernel a full-socket tenant whose
+per-core demand comes from the kernel.
 """
 
 import pytest
 
-from repro.kernels import ComputeTeam, copy_kernel, memset_nt
-from repro.memsim import Engine
-from repro.mpi import SimBuffer, SimMPI
+from repro.kernels import copy_kernel, kernel_scenario, memset_nt
+from repro.memsim import Tenant, TenantScenario, solve_tenant_scenario
 from repro.topology import get_platform
-from repro.units import MB, MiB
+from repro.units import MiB
 
 
-def run_pingpong(n_threads: int):
-    """Overlap compute with a simultaneous send + receive."""
-    platform = get_platform("henri")
-    world = SimMPI(platform)
-    team = ComputeTeam(
-        platform.machine,
-        platform.profile,
-        n_threads=n_threads,
-        data_node=0,
-        kernel=memset_nt(),
+def _solve(platform, tenant: Tenant):
+    result = solve_tenant_scenario(
+        platform.machine, platform.profile, TenantScenario((tenant,))
     )
-    team.run(world.engine, elements_per_thread=8 * MiB)
-    rx = world.irecv(SimBuffer(64 * MB, numa_node=0), computing_on=0)
-    tx = world.isend(SimBuffer(64 * MB, numa_node=0))
-    world.waitall([rx, tx])
-    world.engine.run()
-    return rx.observed_gbps(), tx.observed_gbps()
+    return result.tenant(tenant.name)
+
+
+def run_pingpong(n_threads: int, *, bidirectional: bool = True):
+    """Overlap compute with a receive, and a send when ``bidirectional``."""
+    platform = get_platform("henri")
+    job = _solve(
+        platform,
+        Tenant(
+            "job",
+            n_cores=n_threads,
+            m_comp=0,
+            m_comm=0,
+            bidirectional=bidirectional,
+        ),
+    )
+    return job.comm_gbps, job.comm_tx_gbps
 
 
 def test_future_work_pingpong(benchmark):
@@ -44,7 +51,7 @@ def test_future_work_pingpong(benchmark):
     assert rx_gbps > 1.0 and tx_gbps > 1.0
     # ...but the receive direction is slower than a pong-only run at the
     # same core count (two DMA streams share the guaranteed bandwidth).
-    rx_only, _ = _pong_only(14)
+    rx_only, _ = run_pingpong(14, bidirectional=False)
     assert rx_gbps <= rx_only + 1e-9
     benchmark.extra_info["pingpong_gbps"] = {
         "recv": round(rx_gbps, 2),
@@ -53,39 +60,36 @@ def test_future_work_pingpong(benchmark):
     }
 
 
-def _pong_only(n_threads: int):
+def run_kernel_comparison(elements_per_thread: int = 4 * MiB):
+    """Aggregate bandwidth and makespan of memset vs copy at full socket."""
     platform = get_platform("henri")
-    world = SimMPI(platform)
-    team = ComputeTeam(
-        platform.machine,
-        platform.profile,
-        n_threads=n_threads,
-        data_node=0,
-        kernel=memset_nt(),
-    )
-    team.run(world.engine, elements_per_thread=8 * MiB)
-    rx = world.irecv(SimBuffer(64 * MB, numa_node=0), computing_on=0)
-    world.wait(rx)
-    world.engine.run()
-    return rx.observed_gbps(), None
-
-
-def run_kernel_comparison():
-    """Aggregate bandwidth of memset vs copy teams at full socket."""
-    platform = get_platform("henri")
+    n_threads = platform.cores_per_socket
     out = {}
     for kernel in (memset_nt(), copy_kernel()):
-        engine = Engine(platform.machine, platform.profile)
-        team = ComputeTeam(
-            platform.machine,
-            platform.profile,
-            n_threads=platform.cores_per_socket,
-            data_node=0,
-            kernel=kernel,
+        scenario = kernel_scenario(
+            platform,
+            kernel,
+            n_cores=n_threads,
+            m_comp=0,
+            m_comm=None,
+            core_gflops=0.0,
         )
-        run = team.run(engine, elements_per_thread=4 * MiB)
-        engine.run()
-        out[kernel.name] = (run.total_bandwidth_gbps(), run.makespan_seconds)
+        bandwidth = _solve(
+            platform,
+            Tenant(
+                kernel.name,
+                n_cores=n_threads,
+                m_comp=0,
+                comp_demand_gbps=scenario.comp_demand_gbps,
+                comp_issue_gbps=scenario.comp_issue_gbps,
+            ),
+        ).comp_gbps
+        # Weak scaling: the team moves every thread's elements at the
+        # aggregate bandwidth.
+        makespan = kernel.duration_seconds(
+            n_threads * elements_per_thread, bandwidth
+        )
+        out[kernel.name] = (bandwidth, makespan)
     return out
 
 

@@ -14,8 +14,9 @@ Layers (bottom-up):
 * :mod:`repro.topology` — hwloc-like machine descriptions (Table I);
 * :mod:`repro.memsim` — the memory-system simulator standing in for
   the paper's hardware (DESIGN.md §2);
-* :mod:`repro.net` / :mod:`repro.mpi` — simulated network and mini-MPI;
-* :mod:`repro.kernels` — computation kernels and the OpenMP-style team;
+* :mod:`repro.net` — simulated fabrics, transfer protocols and
+  two-machine clusters;
+* :mod:`repro.kernels` — computation kernels and their stream demands;
 * :mod:`repro.bench` — the paper's benchmarking suite (§IV-A);
 * :mod:`repro.core` — the contention model itself (equations 1–8);
 * :mod:`repro.evaluation` — tables, figures and error metrics (§IV-B);

@@ -13,7 +13,7 @@ non-temporal memset streams (weak scaling); communications receive
 
 * :mod:`repro.bench.config` — sweep configuration;
 * :mod:`repro.bench.results` — curve containers with CSV round-trip;
-* :mod:`repro.bench.runner` — steady-state and engine-based runners;
+* :mod:`repro.bench.runner` — the steady-state runner;
 * :mod:`repro.bench.sweep` — full placement-grid sweeps for a platform.
 """
 
@@ -25,7 +25,7 @@ from repro.bench.results import (
     PlatformDataset,
 )
 from repro.bench.message_size import effective_message_bandwidth, message_size_contention
-from repro.bench.runner import measure_curves, measure_curves_engine
+from repro.bench.runner import measure_curves
 from repro.bench.sampling import AdaptiveSweepResult, run_adaptive_calibration
 from repro.bench.sweep import run_placement_grid, run_sample_sweeps
 
@@ -38,7 +38,6 @@ __all__ = [
     "AdaptiveSweepResult",
     "effective_message_bandwidth",
     "measure_curves",
-    "measure_curves_engine",
     "message_size_contention",
     "run_adaptive_calibration",
     "run_placement_grid",

@@ -10,17 +10,13 @@ from __future__ import annotations
 
 import functools
 import logging
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.bench.config import SweepConfig
 from repro.bench.results import ModeCurves, PlacementKey, PlacementSweep, PlatformDataset
-from repro.bench.runner import (
-    ModeSolver,
-    measure_curves,
-    measure_curves_engine,
-)
+from repro.bench.runner import ModeSolver, measure_curves
 from repro.core.evaluation import as_core_counts
 from repro.errors import BenchmarkError
 from repro.obs import span
@@ -43,10 +39,6 @@ def sample_placements(platform: Platform) -> tuple[PlacementKey, PlacementKey]:
     return (local, local), (remote, remote)
 
 
-def _runner(config: SweepConfig) -> Callable[..., ModeCurves]:
-    return measure_curves_engine if config.use_engine else measure_curves
-
-
 def run_sample_sweeps(
     platform: Platform,
     *,
@@ -58,10 +50,9 @@ def run_sample_sweeps(
     if core_counts is not None:
         # Validate once here instead of once per placement in the runner.
         core_counts = as_core_counts(core_counts, error=BenchmarkError)
-    run = _runner(config)
     curves = {}
     for key in sample_placements(platform):
-        curves[key] = run(
+        curves[key] = measure_curves(
             platform.machine,
             platform.profile,
             m_comp=key[0],
@@ -80,20 +71,10 @@ def _measure_placements(
     platform: Platform,
     config: SweepConfig,
     core_counts: np.ndarray | None,
-    solver: ModeSolver | None,
+    solver: ModeSolver,
     keys: Sequence[PlacementKey],
 ) -> list[ModeCurves]:
-    """Some placements' sweeps — top-level so process pools can pickle it.
-
-    ``solver`` measures the steady state; without one, each placement
-    is replayed on the fluid engine.
-    """
-    if solver is not None:
-        measure = solver.curves
-    else:
-        measure = functools.partial(
-            measure_curves_engine, platform.machine, platform.profile
-        )
+    """Some placements' sweeps — top-level so process pools can pickle it."""
     measured = []
     for m_comp, m_comm in keys:
         with span(
@@ -103,7 +84,7 @@ def _measure_placements(
             m_comm=m_comm,
         ):
             measured.append(
-                measure(
+                solver.curves(
                     m_comp=m_comp,
                     m_comm=m_comm,
                     config=config,
@@ -148,11 +129,7 @@ def run_placement_grid(
     rows: dict[int, list[PlacementKey]] = {}
     for key in placements:
         rows.setdefault(key[0], []).append(key)
-    solver = (
-        None
-        if config.use_engine
-        else ModeSolver(platform.machine, platform.profile)
-    )
+    solver = ModeSolver(platform.machine, platform.profile)
     with span(
         "sweep.grid",
         platform=platform.name,
@@ -166,11 +143,10 @@ def run_placement_grid(
             # parent always observes this grid span.
             from repro.pipeline.executor import parallel_map
 
-            if solver is not None:
-                # Every row needs the communications-alone answers:
-                # solve them here, once, before the rows are handed out.
-                for m_comm in dict.fromkeys(key[1] for key in placements):
-                    solver.comm_alone(m_comm)
+            # Every row needs the communications-alone answers: solve
+            # them here, once, before the rows are handed out.
+            for m_comm in dict.fromkeys(key[1] for key in placements):
+                solver.comm_alone(m_comm)
             measured = parallel_map(
                 functools.partial(
                     _measure_placements, platform, config, core_counts, solver

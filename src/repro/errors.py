@@ -59,7 +59,7 @@ class BenchmarkError(ReproError):
 
 
 class CommunicationError(ReproError):
-    """Raised by the simulated network / mini-MPI layer."""
+    """Raised by the simulated network layer."""
 
 
 class AdvisorError(ReproError):

@@ -3,15 +3,17 @@
 The paper's benchmark cores run non-temporal ``memset`` — a pure write
 stream that bypasses the last-level cache (§II-C).  This package
 describes such kernels abstractly (read/write stream decomposition,
-arithmetic intensity) and provides the simulated OpenMP-style team that
-executes them on a machine:
+arithmetic intensity) and turns them into per-core stream demands on a
+machine:
 
 * :mod:`repro.kernels.memops` — kernel definitions (memset, copy,
   triad, and a parameterisable custom kernel);
 * :mod:`repro.kernels.intensity` — the roofline-style demand model
   turning arithmetic intensity into per-core bandwidth demand;
-* :mod:`repro.kernels.team` — the simulated OpenMP team (thread→core
-  binding, weak scaling, execution on the fluid engine).
+* :mod:`repro.kernels.sweep` — a kernel's benchmark scenario and the
+  arithmetic-intensity sweep;
+* :mod:`repro.kernels.cache` — the LLC traffic filter of temporal
+  working sets.
 """
 
 from repro.kernels.cache import CacheModel, dram_traffic_factor, llc_bytes_per_thread
@@ -25,15 +27,12 @@ from repro.kernels.memops import (
     triad_kernel,
 )
 from repro.kernels.sweep import IntensityPoint, intensity_sweep, kernel_scenario
-from repro.kernels.team import ComputeTeam, TeamRun
 
 __all__ = [
     "CacheModel",
-    "ComputeTeam",
     "IntensityPoint",
     "KERNELS",
     "Kernel",
-    "TeamRun",
     "copy_kernel",
     "demand_gbps",
     "dram_traffic_factor",

@@ -26,14 +26,15 @@ Public surface:
 * :func:`~repro.memsim.paths.build_resources` /
   :func:`~repro.memsim.paths.stream_path` — topology→resource mapping;
 * :class:`~repro.memsim.arbiter.Arbiter` — the steady-state solver;
-* :class:`~repro.memsim.engine.Engine` — the time-advancing fluid
-  simulation used by the benchmark harness and the mini-MPI layer;
+* :func:`~repro.memsim.scenario.solve_scenario` /
+  :func:`~repro.memsim.scenario.solve_tenant_scenario` — one benchmark
+  point, or tenants sharing the machine over a horizon of
+  piecewise-constant load;
 * :class:`~repro.memsim.noise.NoiseModel` — seeded run-to-run
   variability.
 """
 
 from repro.memsim.arbiter import Arbiter, Allocation
-from repro.memsim.engine import Engine, FlowProgress
 from repro.memsim.noise import NoiseModel
 from repro.memsim.paths import ResourceMap, build_resources, stream_path
 from repro.memsim.profile import ContentionProfile
@@ -64,8 +65,6 @@ __all__ = [
     "Allocation",
     "Arbiter",
     "ContentionProfile",
-    "Engine",
-    "FlowProgress",
     "LoadEnvelope",
     "LoadPhase",
     "NoiseModel",

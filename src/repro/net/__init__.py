@@ -1,31 +1,26 @@
 """Simulated network substrate.
 
 The paper measures the receive side of MPI transfers over InfiniBand /
-Omni-Path fabrics.  This package provides the network pieces the
-mini-MPI layer (:mod:`repro.mpi`) is built on:
+Omni-Path fabrics.  On one machine a reception is the NIC's DMA stream
+(:mod:`repro.memsim.scenario`); this package adds what lies beyond it:
 
-* :mod:`repro.net.message` — message descriptors;
 * :mod:`repro.net.fabric` — the wire: latency + line rate;
-* :mod:`repro.net.protocol` — eager vs rendezvous transfer protocols;
-* :mod:`repro.net.nic` — the receive engine turning arriving messages
-  into DMA streams on the memory-system simulator.
+* :mod:`repro.net.protocol` — eager vs rendezvous transfer protocols
+  (the message-size study, :mod:`repro.bench.message_size`);
+* :mod:`repro.net.cluster` — two machines joined by one wire, as one
+  resource graph for the steady-state arbiter.
 """
 
 from repro.net.cluster import Cluster, build_cluster_resources, compute_streams, transfer_stream
 from repro.net.fabric import FABRICS, Fabric, fabric_for
-from repro.net.message import NetMessage
-from repro.net.nic import ReceiveEngine, TransferHandle
 from repro.net.protocol import Protocol, RendezvousConfig, select_protocol
 
 __all__ = [
     "Cluster",
     "FABRICS",
     "Fabric",
-    "NetMessage",
     "Protocol",
-    "ReceiveEngine",
     "RendezvousConfig",
-    "TransferHandle",
     "build_cluster_resources",
     "compute_streams",
     "fabric_for",

@@ -5,7 +5,7 @@ of its key:
 
 * the platform name (topology + contention profile registry entry),
 * the full :class:`~repro.bench.config.SweepConfig` (any field change —
-  seed, message size, engine choice, even a label — must invalidate),
+  seed, noise switch, repetitions, even a label — must invalidate),
 * the stage's code version (bumped whenever a stage's outputs change
   for the same inputs).
 

@@ -1,26 +1,22 @@
-"""Benchmark runners: steady-state and engine-based measurement."""
+"""Benchmark runner: steady-state measurement, held to the engine reference."""
 
 import numpy as np
 import pytest
 
-import repro.bench.runner as runner_module
-from repro.bench import SweepConfig, measure_curves, measure_curves_engine
+import tests.memsim.engine as engine_module
+from repro.bench import SweepConfig, measure_curves
 from repro.bench.runner import default_core_counts
 from repro.errors import BenchmarkError
 from repro.units import MB, MiB
+from tests.memsim.engine import measure_curves_engine
 
 
 class TestConfig:
     def test_defaults_match_paper(self):
         config = SweepConfig()
-        assert config.message_bytes == 64 * MB
         assert config.repetitions == 1
 
     def test_invalid_values(self):
-        with pytest.raises(BenchmarkError):
-            SweepConfig(message_bytes=0)
-        with pytest.raises(BenchmarkError):
-            SweepConfig(bytes_per_core=-1)
         with pytest.raises(BenchmarkError):
             SweepConfig(repetitions=0)
 
@@ -69,15 +65,6 @@ class TestSteadyState:
         # Regression: these used to be silently truncated (2.7 -> 2).
         with pytest.raises(BenchmarkError, match="integral"):
             measure_curves(
-                henri.machine,
-                henri.profile,
-                m_comp=0,
-                m_comm=0,
-                config=noiseless_config,
-                core_counts=[1, 2.7],
-            )
-        with pytest.raises(BenchmarkError, match="integral"):
-            measure_curves_engine(
                 henri.machine,
                 henri.profile,
                 m_comp=0,
@@ -145,12 +132,9 @@ class TestEngineRunner:
             config=noiseless_config, core_counts=ns,
         )
         # Small working set keeps the test fast; messages still repeat.
-        config = SweepConfig(
-            noiseless=True, bytes_per_core=192 * MiB, message_bytes=16 * MB
-        )
         engine = measure_curves_engine(
             henri.machine, henri.profile, m_comp=0, m_comm=0,
-            config=config, core_counts=ns,
+            core_counts=ns, bytes_per_core=192 * MiB, message_bytes=16 * MB,
         )
         assert np.allclose(engine.comp_alone, steady.comp_alone, rtol=0.02)
         assert np.allclose(engine.comm_alone, steady.comm_alone, rtol=0.02)
@@ -160,12 +144,9 @@ class TestEngineRunner:
         assert np.allclose(engine.comm_parallel, steady.comm_parallel, rtol=0.15)
 
     def test_engine_runner_cross_placement(self, henri):
-        config = SweepConfig(
-            noiseless=True, bytes_per_core=96 * MiB, message_bytes=16 * MB
-        )
         curves = measure_curves_engine(
             henri.machine, henri.profile, m_comp=0, m_comm=1,
-            config=config, core_counts=[4, 12],
+            core_counts=[4, 12], bytes_per_core=96 * MiB, message_bytes=16 * MB,
         )
         # Computations on node 0, messages to node 1: no comp impact.
         assert curves.comp_parallel[0] == pytest.approx(
@@ -193,8 +174,8 @@ class TestEngineRunner:
             def step(self):
                 return ()
 
-        monkeypatch.setattr(runner_module, "Engine", _IdleEngine)
+        monkeypatch.setattr(engine_module, "Engine", _IdleEngine)
         with pytest.raises(BenchmarkError, match="idle"):
-            runner_module._engine_parallel(
-                henri.machine, henri.profile, 4, 0, 0, SweepConfig(noiseless=True)
+            engine_module._engine_parallel(
+                henri.machine, henri.profile, 4, 0, 0, 512 * MiB, 64 * MB
             )

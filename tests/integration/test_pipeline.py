@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.bench import PlatformDataset, SweepConfig
-from repro.bench.runner import measure_curves, measure_curves_engine
+from repro.bench.runner import measure_curves
 from repro.core import calibrate_placement_model
 from repro.evaluation import placement_errors
 from repro.evaluation.report import generate_experiments_report
 from repro.bench.sweep import sample_placements
 from repro.units import MB, MiB
+from tests.memsim.engine import measure_curves_engine
 
 
 class TestPersistenceRoundTrip:
@@ -72,10 +73,9 @@ class TestEngineCrossValidation:
             platform.profile,
             m_comp=placement[0],
             m_comm=placement[1],
-            config=SweepConfig(
-                noiseless=True, bytes_per_core=128 * MiB, message_bytes=16 * MB
-            ),
             core_counts=ns,
+            bytes_per_core=128 * MiB,
+            message_bytes=16 * MB,
         )
         assert np.allclose(engine.comp_alone, steady.comp_alone, rtol=0.03)
         assert np.allclose(engine.comm_alone, steady.comm_alone, rtol=0.03)

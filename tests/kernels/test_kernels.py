@@ -1,10 +1,9 @@
-"""Kernels: memory decomposition, roofline demand, compute team."""
+"""Kernels: memory decomposition and roofline demand."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.kernels import (
-    ComputeTeam,
     Kernel,
     copy_kernel,
     demand_gbps,
@@ -12,8 +11,6 @@ from repro.kernels import (
     memset_nt,
     triad_kernel,
 )
-from repro.memsim import Engine
-from repro.units import MiB
 
 
 class TestKernelDefinitions:
@@ -78,68 +75,3 @@ class TestRooflineDemand:
             demand_gbps(memset_nt(), core_stream_gbps=0.0)
         with pytest.raises(SimulationError):
             demand_gbps(memset_nt(), core_stream_gbps=5.0, core_gflops=-1.0)
-
-
-class TestComputeTeam:
-    def test_thread_binding_compact(self, henri):
-        team = ComputeTeam(
-            henri.machine, henri.profile, n_threads=4, data_node=0, kernel=memset_nt()
-        )
-        assert team.thread_cores() == (0, 1, 2, 3)
-
-    def test_too_many_threads_rejected(self, henri):
-        with pytest.raises(SimulationError, match="physical core"):
-            ComputeTeam(
-                henri.machine,
-                henri.profile,
-                n_threads=19,
-                data_node=0,
-                kernel=memset_nt(),
-            )
-
-    def test_streams_have_local_issue_pressure(self, henri):
-        team = ComputeTeam(
-            henri.machine, henri.profile, n_threads=2, data_node=1, kernel=memset_nt()
-        )
-        for stream in team.streams():
-            assert stream.demand_gbps == henri.profile.core_stream_remote_gbps
-            assert stream.issue_gbps == henri.profile.core_stream_local_gbps
-
-    def test_weak_scaling_run(self, henri):
-        engine = Engine(henri.machine, henri.profile)
-        team = ComputeTeam(
-            henri.machine, henri.profile, n_threads=4, data_node=0, kernel=memset_nt()
-        )
-        run = team.run(engine, elements_per_thread=4 * MiB)
-        engine.run()
-        # 4 threads at 6.8 GB/s each, no contention.
-        assert run.total_bandwidth_gbps() == pytest.approx(4 * 6.8, rel=1e-6)
-        assert run.makespan_seconds == pytest.approx(
-            memset_nt().traffic_bytes(4 * MiB) / 6.8e9, rel=1e-6
-        )
-
-    def test_copy_kernel_moves_twice_the_bytes(self, henri):
-        engine = Engine(henri.machine, henri.profile)
-        memset_team = ComputeTeam(
-            henri.machine, henri.profile, n_threads=1, data_node=0, kernel=memset_nt()
-        )
-        run_a = memset_team.run(engine, elements_per_thread=MiB)
-        engine.run()
-        engine2 = Engine(henri.machine, henri.profile)
-        copy_team = ComputeTeam(
-            henri.machine, henri.profile, n_threads=1, data_node=0, kernel=copy_kernel()
-        )
-        run_b = copy_team.run(engine2, elements_per_thread=MiB)
-        engine2.run()
-        assert run_b.makespan_seconds == pytest.approx(
-            2 * run_a.makespan_seconds, rel=1e-6
-        )
-
-    def test_unfinished_makespan_rejected(self, henri):
-        engine = Engine(henri.machine, henri.profile)
-        team = ComputeTeam(
-            henri.machine, henri.profile, n_threads=1, data_node=0, kernel=memset_nt()
-        )
-        run = team.run(engine, elements_per_thread=MiB)
-        with pytest.raises(SimulationError, match="unfinished"):
-            run.makespan_seconds

@@ -1,13 +1,23 @@
-"""Fluid-flow simulation engine.
+"""The paper's duration-derived measurement, kept as a reference.
 
-The arbiter answers "what rates do these streams get *right now*"; the
-engine advances time: flows carry a byte budget, rates stay constant
-between events (a flow finishing or being injected), and the engine
-re-solves the steady state at every event.  This is the classic fluid
-approximation of network simulation, applied to the memory system.
+The arbiter answers "what rates do these streams get *right now*";
+:class:`Engine` advances time: flows carry a byte budget, rates stay
+constant between events (a flow finishing or being injected), and the
+engine re-solves the steady state at every event.  This is the classic
+fluid approximation of network simulation, applied to the memory
+system.
 
-The mini-MPI layer (:mod:`repro.mpi`) and the benchmark runner's
-high-fidelity mode are built on it.
+:func:`measure_curves_engine` replays the paper's methodology on it.
+Each core writes its working set; the NIC receives back-to-back
+messages until the computation finishes; bandwidths are derived from
+observed transfer durations ("Memory bandwidth for computations is
+computed from the duration of the memset instructions").  It includes
+the edge effects of flows not finishing simultaneously.
+
+``repro`` measures the steady state only
+(:class:`repro.bench.runner.ModeSolver`).  The tests hold it to this
+reference within edge-effect tolerances:
+``tests/integration/test_pipeline.py`` and ``tests/bench/test_runner.py``.
 """
 
 from __future__ import annotations
@@ -15,19 +25,25 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
-from repro.errors import SimulationError
+import numpy as np
+
+from repro.bench.results import ModeCurves
+from repro.core.evaluation import as_core_counts
+from repro.errors import BenchmarkError, SimulationError
 from repro.memsim.arbiter import Arbiter
 from repro.memsim.paths import ResourceMap, build_resources
 from repro.memsim.profile import ContentionProfile
+from repro.memsim.scenario import Scenario, build_streams
 from repro.memsim.stream import Stream
 from repro.topology.objects import Machine
-from repro.units import gb_to_bytes
+from repro.units import MB, MiB, gb_to_bytes
 
 log = logging.getLogger("repro.memsim")
 
-__all__ = ["FlowProgress", "Engine"]
+__all__ = ["FlowProgress", "Engine", "measure_curves_engine"]
 
 _EPS_BYTES = 1e-3
 _EPS_TIME = 1e-12
@@ -230,3 +246,134 @@ class Engine:
                 done.append(sid)
         for sid in done:
             self._finished.append(self._active.pop(sid))
+
+
+# ---- duration-derived measurement ------------------------------------------------
+
+
+def _engine_comp_alone(
+    machine: Machine,
+    profile: ContentionProfile,
+    n: int,
+    m_comp: int,
+    bytes_per_core: int,
+) -> float:
+    engine = Engine(machine, profile)
+    streams = build_streams(machine, profile, Scenario(n, m_comp, None))
+    flows = [engine.submit(s, bytes_per_core) for s in streams]
+    engine.run()
+    return sum(f.observed_gbps() for f in flows)
+
+
+def _engine_comm_alone(
+    machine: Machine,
+    profile: ContentionProfile,
+    m_comm: int,
+    message_bytes: int,
+) -> float:
+    engine = Engine(machine, profile)
+    (nic_stream,) = build_streams(machine, profile, Scenario(0, None, m_comm))
+    flow = engine.submit(nic_stream, message_bytes)
+    engine.run()
+    return flow.observed_gbps()
+
+
+def _engine_parallel(
+    machine: Machine,
+    profile: ContentionProfile,
+    n: int,
+    m_comp: int,
+    m_comm: int,
+    bytes_per_core: int,
+    message_bytes: int,
+) -> tuple[float, float]:
+    """Computation and communication bandwidths measured in parallel.
+
+    Back-to-back messages are received while the cores write their
+    working sets; the communication bandwidth is averaged over the
+    messages that completed during the overlap window, matching the
+    paper's receive-side measurement.
+    """
+    engine = Engine(machine, profile)
+    streams = build_streams(machine, profile, Scenario(n, m_comp, m_comm))
+    cpu_streams = [s for s in streams if s.is_cpu]
+    (nic_stream,) = [s for s in streams if s.is_dma]
+
+    comp_flows = [engine.submit(s, bytes_per_core) for s in cpu_streams]
+    message_flows = [engine.submit(nic_stream, message_bytes)]
+
+    max_messages = 10_000
+    while not all(f.done for f in comp_flows):
+        completed = engine.step()
+        if engine.active_count == 0 and not all(f.done for f in comp_flows):
+            # The engine has nothing left to simulate (no active and no
+            # pending flows) while a computation flow still holds bytes:
+            # without this guard the loop would spin on no-op steps
+            # forever.
+            raise BenchmarkError(
+                "engine went idle with unfinished computation flows "
+                f"(n={n}, m_comp={m_comp}, m_comm={m_comm}); the "
+                "simulation cannot make progress"
+            )
+        if any(f.stream.stream_id == "nic" and f.done for f in completed):
+            if len(message_flows) >= max_messages:
+                raise BenchmarkError(
+                    "computation outlasted 10k messages; bytes_per_core is "
+                    "implausibly large relative to message_bytes"
+                )
+            message_flows.append(engine.submit(nic_stream, message_bytes))
+    engine.run()  # drain the trailing message
+
+    comp_gbps = sum(f.observed_gbps() for f in comp_flows)
+    comp_end = max(f.finished_at for f in comp_flows)
+    overlapped = [
+        f for f in message_flows if f.done and f.finished_at <= comp_end
+    ]
+    if overlapped:
+        comm_gbps = float(np.mean([f.observed_gbps() for f in overlapped]))
+    else:
+        # The first message outlived the computation: report its average.
+        engine_flow = message_flows[0]
+        comm_gbps = engine_flow.observed_gbps()
+    return comp_gbps, comm_gbps
+
+
+def measure_curves_engine(
+    machine: Machine,
+    profile: ContentionProfile,
+    *,
+    m_comp: int,
+    m_comm: int,
+    core_counts: Sequence[int],
+    bytes_per_core: int = 512 * MiB,
+    message_bytes: int = 64 * MB,
+) -> ModeCurves:
+    """Measure the four curves, noiseless, by replaying transfers on the engine.
+
+    ``bytes_per_core`` is the working set each computing core writes
+    (weak scaling, 512 MiB by default); ``message_bytes`` the size of
+    each received message (the paper's 64 MB by default).
+    """
+    ns = as_core_counts(core_counts, error=BenchmarkError)
+    comp_alone = np.empty(ns.size)
+    comm_alone = np.empty(ns.size)
+    comp_par = np.empty(ns.size)
+    comm_par = np.empty(ns.size)
+
+    for i, n in enumerate(ns):
+        n = int(n)
+        comp_alone[i] = _engine_comp_alone(
+            machine, profile, n, m_comp, bytes_per_core
+        )
+        comm_alone[i] = _engine_comm_alone(machine, profile, m_comm, message_bytes)
+        comp_par[i], comm_par[i] = _engine_parallel(
+            machine, profile, n, m_comp, m_comm, bytes_per_core, message_bytes
+        )
+
+    return ModeCurves(
+        core_counts=ns,
+        comp_alone=comp_alone,
+        comm_alone=comm_alone,
+        comp_parallel=comp_par,
+        comm_parallel=comm_par,
+    )

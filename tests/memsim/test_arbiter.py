@@ -225,6 +225,29 @@ class TestPaperBehaviours:
         assert totals[-1] < peak  # delta-r decline
 
 
+class TestOverlap:
+    """The benchmark's parallel mode on henri: cores compute while the
+    NIC receives."""
+
+    def test_overlap_contention(self, henri):
+        """Same node: communications are clearly throttled."""
+        result = solve_scenario(henri.machine, henri.profile, Scenario(16, 0, 0))
+        assert result.comm_gbps < 12.3 * 0.9
+
+    def test_overlap_cross_placement_still_throttles_comm(self, henri):
+        """A different NUMA node does NOT shield communications: the NIC
+        shares the socket mesh with the cores' issue pressure (the
+        behaviour behind equation 6's local-model-everywhere rule)."""
+        result = solve_scenario(henri.machine, henri.profile, Scenario(16, 0, 1))
+        assert result.comm_gbps < 0.9 * 12.3
+
+    def test_overlap_few_cores_no_contention(self, henri):
+        """Below the mesh sag onset everyone runs at nominal speed."""
+        result = solve_scenario(henri.machine, henri.profile, Scenario(6, 0, 1))
+        assert result.comm_gbps == pytest.approx(12.3, rel=0.05)
+        assert result.comp_total_gbps == pytest.approx(6 * 6.8, rel=0.02)
+
+
 class TestAllocationIsAValue:
     """A solve's result pickles, and equal scenarios give equal results."""
 

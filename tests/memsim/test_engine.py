@@ -1,11 +1,12 @@
-"""Fluid engine tests."""
+"""The reference fluid engine's own behaviour."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.memsim import Engine, Scenario
+from repro.memsim import Scenario
 from repro.memsim.scenario import build_streams
 from repro.units import GB, MB
+from tests.memsim.engine import Engine
 
 
 def cpu_streams(platform, n, node=0):

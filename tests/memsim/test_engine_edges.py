@@ -1,11 +1,12 @@
-"""Engine edge cases: pending flows, horizons, bookkeeping."""
+"""Reference engine edge cases: pending flows, horizons, bookkeeping."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.memsim import Engine, Scenario
+from repro.memsim import Scenario
 from repro.memsim.scenario import build_streams
 from repro.units import MB
+from tests.memsim.engine import Engine
 
 
 def one_stream(platform, node=0):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import CommunicationError, SimulationError
-from repro.memsim import Arbiter, Engine
+from repro.memsim import Arbiter
 from repro.net import FABRICS
 from repro.net.cluster import (
     WIRE_ID,
@@ -13,6 +13,7 @@ from repro.net.cluster import (
     transfer_stream,
 )
 from repro.units import MB
+from tests.memsim.engine import Engine
 
 
 @pytest.fixture(scope="module")

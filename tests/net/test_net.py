@@ -1,15 +1,12 @@
-"""Network substrate: fabrics, messages, protocols, receive engine."""
+"""Network substrate: fabrics and transfer protocols."""
 
 import pytest
 
 from repro.errors import CommunicationError
-from repro.memsim import Engine
 from repro.net import (
     FABRICS,
     Fabric,
-    NetMessage,
     Protocol,
-    ReceiveEngine,
     RendezvousConfig,
     fabric_for,
     select_protocol,
@@ -46,19 +43,6 @@ class TestFabric:
         assert fabric_for("mystery-nic").name == "InfiniBand EDR"
 
 
-class TestMessage:
-    def test_valid(self):
-        NetMessage(tag=1, src_rank=1, dst_rank=0, nbytes=64 * MB, dest_node=0)
-
-    def test_zero_bytes_rejected(self):
-        with pytest.raises(CommunicationError):
-            NetMessage(tag=1, src_rank=1, dst_rank=0, nbytes=0, dest_node=0)
-
-    def test_loopback_rejected(self):
-        with pytest.raises(CommunicationError, match="loopback"):
-            NetMessage(tag=1, src_rank=0, dst_rank=0, nbytes=1, dest_node=0)
-
-
 class TestProtocol:
     def test_selection_threshold(self):
         config = RendezvousConfig()
@@ -75,62 +59,3 @@ class TestProtocol:
     def test_zero_bytes_rejected(self):
         with pytest.raises(CommunicationError):
             select_protocol(0, RendezvousConfig())
-
-
-class TestReceiveEngine:
-    def _rx(self, platform, fabric=None):
-        engine = Engine(platform.machine, platform.profile)
-        rx = ReceiveEngine(
-            platform.machine,
-            platform.profile,
-            engine,
-            fabric=fabric or FABRICS["infiniband-edr"],
-        )
-        return engine, rx
-
-    def test_large_message_bandwidth(self, henri):
-        engine, rx = self._rx(henri)
-        message = NetMessage(tag=1, src_rank=1, dst_rank=0, nbytes=64 * MB, dest_node=0)
-        handle = rx.receive(message)
-        engine.run()
-        assert handle.done
-        assert handle.protocol is Protocol.RENDEZVOUS
-        # 12.3 GB/s nominal, shaved slightly by the handshake.
-        assert handle.observed_gbps() == pytest.approx(12.3, rel=0.01)
-
-    def test_small_message_is_eager(self, henri):
-        engine, rx = self._rx(henri)
-        message = NetMessage(tag=1, src_rank=1, dst_rank=0, nbytes=8 * KiB, dest_node=0)
-        handle = rx.receive(message)
-        engine.run()
-        assert handle.protocol is Protocol.EAGER
-
-    def test_slow_fabric_caps_bandwidth(self, henri):
-        slow = Fabric("slow", 3.0, 1e-6)
-        engine, rx = self._rx(henri, fabric=slow)
-        message = NetMessage(tag=1, src_rank=1, dst_rank=0, nbytes=64 * MB, dest_node=0)
-        handle = rx.receive(message)
-        engine.run()
-        assert handle.observed_gbps() == pytest.approx(3.0, rel=0.01)
-
-    def test_diablo_locality(self, diablo):
-        engine, rx = self._rx(diablo, fabric=FABRICS["infiniband-hdr"])
-        to_far = rx.receive(
-            NetMessage(tag=1, src_rank=1, dst_rank=0, nbytes=64 * MB, dest_node=0)
-        )
-        engine.run()
-        engine2, rx2 = self._rx(diablo, fabric=FABRICS["infiniband-hdr"])
-        to_near = rx2.receive(
-            NetMessage(tag=2, src_rank=1, dst_rank=0, nbytes=64 * MB, dest_node=1)
-        )
-        engine2.run()
-        assert to_far.observed_gbps() == pytest.approx(12.1, rel=0.02)
-        assert to_near.observed_gbps() == pytest.approx(22.4, rel=0.02)
-
-    def test_incomplete_transfer_refuses_metrics(self, henri):
-        engine, rx = self._rx(henri)
-        handle = rx.receive(
-            NetMessage(tag=1, src_rank=1, dst_rank=0, nbytes=64 * MB, dest_node=0)
-        )
-        with pytest.raises(CommunicationError, match="not completed"):
-            handle.completion_time()

@@ -97,11 +97,8 @@ class TestFingerprintInvalidation:
     @pytest.mark.parametrize(
         "change",
         [
-            {"message_bytes": 32_000_000},
-            {"bytes_per_core": 256 * 1024 * 1024},
             {"seed": 2},
             {"noiseless": True},
-            {"use_engine": True},
             {"repetitions": 3},
             {"labels": {"run": "b"}},
         ],
@@ -111,6 +108,24 @@ class TestFingerprintInvalidation:
         assert config_fingerprint(
             dataclasses.replace(CONFIG, **change)
         ) != config_fingerprint(CONFIG)
+
+    @pytest.mark.parametrize(
+        "config,fingerprint",
+        [
+            (SweepConfig(), "318de0648fde988b"),
+            (SweepConfig(seed=1), "16d0f8fbe1d15ac4"),
+            (SweepConfig(seed=7), "9260bd06eaab8a07"),
+            (SweepConfig(seed=3, noiseless=True), "120c1c16c7ebab43"),
+            (
+                SweepConfig(repetitions=3, labels={"run": "b"}),
+                "45bd20db643dc1a5",
+            ),
+        ],
+    )
+    def test_fingerprints_never_move(self, config, fingerprint):
+        """Stored artifacts are addressed by these fingerprints, which
+        still cover the fields an earlier measurement mode read."""
+        assert config_fingerprint(config) == fingerprint
 
     def test_equal_configs_share_a_fingerprint(self):
         assert config_fingerprint(SweepConfig(seed=1)) == config_fingerprint(

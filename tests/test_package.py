@@ -10,7 +10,6 @@ SUBPACKAGES = [
     "repro.topology",
     "repro.memsim",
     "repro.net",
-    "repro.mpi",
     "repro.kernels",
     "repro.bench",
     "repro.core",
