@@ -13,14 +13,14 @@ is almost nothing to model.
 
 import numpy as np
 
-from repro.baselines import LangguthModel, NaiveModel, QueueingModel, calibrate_baseline
+from repro.backends.baseline import LangguthSide, NaiveSide, QueueingSide
 from repro.evaluation import mape
 from _common import run_figure_pipeline, timed
 
 BASELINES = {
-    "naive": NaiveModel,
-    "queueing-ps": QueueingModel,
-    "langguth-threadfair": LangguthModel,
+    "naive": NaiveSide,
+    "queueing-ps": QueueingSide,
+    "langguth-threadfair": LangguthSide,
 }
 
 
@@ -74,9 +74,8 @@ def score_platform(platform_name: str) -> dict[str, float]:
         scores["paper-model"].append(
             mape(curves.comm_parallel, result.predictions[key].comm_parallel)
         )
-        inputs = calibrate_baseline(curves)
-        for name, cls in BASELINES.items():
-            swept = cls(inputs).sweep(curves.core_counts)
+        for name, side in BASELINES.items():
+            swept = side.fit(curves).curves(curves.core_counts)
             scores[name].append(mape(curves.comm_parallel, swept["comm_par"]))
     return {name: float(np.mean(vals)) for name, vals in scores.items()}
 

@@ -20,7 +20,8 @@ Layers (bottom-up):
 * :mod:`repro.bench` — the paper's benchmarking suite (§IV-A);
 * :mod:`repro.core` — the contention model itself (equations 1–8);
 * :mod:`repro.evaluation` — tables, figures and error metrics (§IV-B);
-* :mod:`repro.baselines` — comparison predictors (§II-D, §V);
+* :mod:`repro.backends` — every contention model behind one protocol,
+  the §II-D / §V baselines among them, and the cross-model tournament;
 * :mod:`repro.advisor` — placement recommendations (§VI future work).
 """
 

@@ -3,8 +3,8 @@
 Every analytic treatment of memory contention the suite knows — the
 paper's threshold model, the §II-D / §V baselines, and competing
 formulations from the literature — behind one protocol
-(:class:`~repro.backends.base.ModelBackend` /
-:class:`~repro.backends.base.CalibratedBackend`), with artifact-store
+(:class:`~repro.backends.base.ModelBackend`; calibrated, every backend
+is a :class:`~repro.core.placement.PlacementModel`), with artifact-store
 persistence through the store's shared cache policy
 (:func:`~repro.backends.base.load_or_calibrate`), a registry
 (:data:`~repro.backends.registry.BACKENDS`), and a per-regime
@@ -13,9 +13,8 @@ tournament (:mod:`repro.backends.tournament`).  See
 """
 
 from repro.backends.base import (
-    CalibratedBackend,
     ModelBackend,
-    TwoInstantiationBackend,
+    SideBackend,
     backend_key,
     load_or_calibrate,
 )
@@ -31,12 +30,11 @@ from repro.backends.tournament import (
 
 __all__ = [
     "BACKENDS",
-    "CalibratedBackend",
     "ModelBackend",
     "PlatformTournament",
     "RegimeScore",
+    "SideBackend",
     "TournamentRouter",
-    "TwoInstantiationBackend",
     "backend_ids",
     "backend_key",
     "get_backend",

@@ -29,20 +29,13 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
 
-from repro.backends.base import (
-    ModelBackend,
-    TwoInstantiationBackend,
-    sample_curves,
-)
+from repro.backends.base import fit_error
 from repro.errors import ModelError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.bench.results import ModeCurves, PlatformDataset
-    from repro.topology.platforms import Platform
+    from repro.bench.results import ModeCurves
 
-__all__ = ["CalibratedCxlMem", "CxlMemBackend", "LeftoverSide"]
-
-CXLMEM_BACKEND_ID = "cxlmem-messagefree"
+__all__ = ["LeftoverSide"]
 
 _SIDE_FIELDS = ("b_cap", "b_comp_seq", "b_comm_seq", "t_seq_max", "comm_floor")
 
@@ -78,30 +71,39 @@ class LeftoverSide:
 
     # ---- side surface ----------------------------------------------------------
 
-    def comp_alone(self, n: int) -> float:
-        self._check_n(n)
-        if n == 0:
-            return 0.0
-        return min(n * self.b_comp_seq, self.t_seq_max)
+    def with_comm_nominal(self, b_comm_seq: float) -> "LeftoverSide":
+        # The floor is a communication bandwidth too: it may not exceed
+        # the substituted nominal.
+        return LeftoverSide(
+            b_cap=self.b_cap,
+            b_comp_seq=self.b_comp_seq,
+            b_comm_seq=b_comm_seq,
+            t_seq_max=self.t_seq_max,
+            comm_floor=min(self.comm_floor, b_comm_seq),
+        )
 
-    def comp_parallel(self, n: int) -> float:
-        # The message-free assumption: computations never notice.
-        return self.comp_alone(n)
-
-    def comm_parallel(self, n: int) -> float:
-        self._check_n(n)
-        leftover = self.b_cap - self.comp_alone(n)
-        return float(np.clip(leftover, self.comm_floor, self.b_comm_seq))
-
-    @staticmethod
-    def _check_n(n: int) -> None:
-        if n < 0:
-            raise ModelError(f"core count must be >= 0, got {n}")
+    def curves(self, ns: np.ndarray) -> dict[str, np.ndarray]:
+        demand = ns * self.b_comp_seq
+        capped = np.where(self.t_seq_max < demand, self.t_seq_max, demand)
+        comp_alone = np.where(ns == 0, 0.0, capped)
+        leftover = self.b_cap - comp_alone
+        return {
+            # The message-free assumption: computations never notice.
+            "comp_par": comp_alone,
+            "comm_par": np.clip(leftover, self.comm_floor, self.b_comm_seq),
+            "comp_alone": comp_alone,
+        }
 
     # ---- calibration -----------------------------------------------------------
 
     @classmethod
-    def fit(cls, curves: "ModeCurves", *, platform: str) -> "LeftoverSide":
+    def fit(
+        cls,
+        curves: "ModeCurves",
+        *,
+        platform: str | None = None,
+        placement: "tuple[int, int] | None" = None,
+    ) -> "LeftoverSide":
         b_comm_seq = float(np.median(curves.comm_alone))
         b_comp_seq = (
             float(curves.comp_alone[0]) / int(curves.core_counts[0])
@@ -109,9 +111,11 @@ class LeftoverSide:
             else 0.0
         )
         if b_comm_seq <= 0.0 or b_comp_seq <= 0.0:
-            raise ModelError(
-                f"cannot fit the cxlmem model for platform {platform!r}: "
-                "non-positive sequential bandwidths in the sample curves"
+            raise fit_error(
+                "fit the cxlmem model",
+                platform,
+                placement,
+                "non-positive sequential bandwidths in the sample curves",
             )
         observed_floor = float(np.min(curves.comm_parallel))
         comm_floor = observed_floor if observed_floor > 0.0 else b_comm_seq * 1e-3
@@ -134,82 +138,3 @@ class LeftoverSide:
             return cls(**{name: float(data[name]) for name in _SIDE_FIELDS})
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"cxlmem side state is malformed: {exc}") from exc
-
-
-class CalibratedCxlMem(TwoInstantiationBackend):
-    """The message-free model calibrated for both sample placements."""
-
-    def __init__(
-        self,
-        *,
-        local: LeftoverSide,
-        remote: LeftoverSide,
-        nodes_per_socket: int,
-        n_numa_nodes: int,
-    ) -> None:
-        substituted = LeftoverSide(
-            b_cap=local.b_cap,
-            b_comp_seq=local.b_comp_seq,
-            b_comm_seq=remote.b_comm_seq,
-            t_seq_max=local.t_seq_max,
-            comm_floor=min(local.comm_floor, remote.b_comm_seq),
-        )
-        super().__init__(
-            local=local,
-            remote=remote,
-            substituted=substituted,
-            nodes_per_socket=nodes_per_socket,
-            n_numa_nodes=n_numa_nodes,
-        )
-
-    @property
-    def backend_id(self) -> str:
-        return CXLMEM_BACKEND_ID
-
-    def state_dict(self) -> dict[str, Any]:
-        return {
-            "local": self._local.to_dict(),
-            "remote": self._remote.to_dict(),
-            "nodes_per_socket": self.nodes_per_socket,
-            "n_numa_nodes": self.n_numa_nodes,
-        }
-
-
-class CxlMemBackend(ModelBackend):
-    """Message-free load/store communication over leftover bandwidth."""
-
-    @property
-    def backend_id(self) -> str:
-        return CXLMEM_BACKEND_ID
-
-    @property
-    def version(self) -> int:
-        return 1
-
-    def calibrate(
-        self, dataset: "PlatformDataset", platform: "Platform"
-    ) -> CalibratedCxlMem:
-        curves = sample_curves(dataset, platform)
-        return CalibratedCxlMem(
-            local=LeftoverSide.fit(
-                curves["local"], platform=dataset.platform_name
-            ),
-            remote=LeftoverSide.fit(
-                curves["remote"], platform=dataset.platform_name
-            ),
-            nodes_per_socket=platform.nodes_per_socket,
-            n_numa_nodes=platform.machine.n_numa_nodes,
-        )
-
-    def from_state(self, state: Mapping[str, Any]) -> CalibratedCxlMem:
-        try:
-            return CalibratedCxlMem(
-                local=LeftoverSide.from_dict(state["local"]),
-                remote=LeftoverSide.from_dict(state["remote"]),
-                nodes_per_socket=int(state["nodes_per_socket"]),
-                n_numa_nodes=int(state["n_numa_nodes"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelError(
-                f"cxlmem backend state is malformed: {exc}"
-            ) from exc

@@ -29,20 +29,13 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
 
-from repro.backends.base import (
-    ModelBackend,
-    TwoInstantiationBackend,
-    sample_curves,
-)
+from repro.backends.base import fit_error
 from repro.errors import ModelError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.bench.results import ModeCurves, PlatformDataset
-    from repro.topology.platforms import Platform
+    from repro.bench.results import ModeCurves
 
-__all__ = ["CalibratedOverlap", "OverlapBackend", "SaturationSide"]
-
-OVERLAP_BACKEND_ID = "overlap-afzal"
+__all__ = ["SaturationSide"]
 
 _SIDE_FIELDS = ("b_sat", "n_half", "b_comp_seq", "b_comm_seq")
 
@@ -74,11 +67,10 @@ class SaturationSide:
 
     # ---- the characteristic ----------------------------------------------------
 
-    def _sat(self, x: float) -> float:
+    def _sat(self, x: np.ndarray) -> np.ndarray:
         """``B(x)`` — achievable bandwidth at ``x`` core-equivalents."""
-        if x <= 0.0:
-            return 0.0
-        return self.b_sat * x / (x + self.n_half)
+        with np.errstate(all="ignore"):
+            return np.where(x <= 0.0, 0.0, self.b_sat * x / (x + self.n_half))
 
     @property
     def comm_weight(self) -> float:
@@ -87,48 +79,56 @@ class SaturationSide:
 
     # ---- side surface ----------------------------------------------------------
 
-    def comp_alone(self, n: int) -> float:
-        self._check_n(n)
+    def with_comm_nominal(self, b_comm_seq: float) -> "SaturationSide":
+        return SaturationSide(
+            b_sat=self.b_sat,
+            n_half=self.n_half,
+            b_comp_seq=self.b_comp_seq,
+            b_comm_seq=b_comm_seq,
+        )
+
+    def curves(self, ns: np.ndarray) -> dict[str, np.ndarray]:
+        x = ns.astype(np.float64)
+        sat = self._sat(x)
+        demand = ns * self.b_comp_seq
         # One core cannot exceed its own issue rate, however steep the
         # fitted characteristic starts.
-        return min(self._sat(float(n)), n * self.b_comp_seq)
-
-    def _shares(self, n: int) -> tuple[float, float]:
-        comp_demand = self.comp_alone(n)
-        comm_demand = self.b_comm_seq
-        achievable = self._sat(float(n) + self.comm_weight)
-        total = comp_demand + comm_demand
-        if total <= achievable or total == 0.0:
-            return comp_demand, comm_demand
+        comp_alone = np.where(demand < sat, demand, sat)
+        # Both sides on one characteristic: below saturation nobody is
+        # slowed; past it, the total is shared in proportion to demand.
+        achievable = self._sat(x + self.comm_weight)
+        total = comp_alone + self.b_comm_seq
+        fits = total <= achievable
         scale = achievable / total
-        return comp_demand * scale, comm_demand * scale
-
-    def comp_parallel(self, n: int) -> float:
-        self._check_n(n)
-        return self._shares(n)[0]
-
-    def comm_parallel(self, n: int) -> float:
-        self._check_n(n)
-        return self._shares(n)[1]
-
-    @staticmethod
-    def _check_n(n: int) -> None:
-        if n < 0:
-            raise ModelError(f"core count must be >= 0, got {n}")
+        return {
+            "comp_par": np.where(fits, comp_alone, comp_alone * scale),
+            "comm_par": np.where(
+                fits, self.b_comm_seq, self.b_comm_seq * scale
+            ),
+            "comp_alone": comp_alone,
+        }
 
     # ---- calibration -----------------------------------------------------------
 
     @classmethod
-    def fit(cls, curves: "ModeCurves", *, platform: str) -> "SaturationSide":
+    def fit(
+        cls,
+        curves: "ModeCurves",
+        *,
+        platform: str | None = None,
+        placement: "tuple[int, int] | None" = None,
+    ) -> "SaturationSide":
         """Fit the characteristic to one placement's measured curves."""
         ns = curves.core_counts.astype(float)
         ys = curves.comp_alone.astype(float)
         b_comm_seq = float(np.median(curves.comm_alone))
         b_comp_seq = float(ys[0]) / float(ns[0]) if ys[0] > 0.0 else 0.0
         if b_comm_seq <= 0.0 or b_comp_seq <= 0.0:
-            raise ModelError(
-                f"cannot fit the overlap model for platform {platform!r}: "
-                "non-positive sequential bandwidths in the sample curves"
+            raise fit_error(
+                "fit the overlap model",
+                platform,
+                placement,
+                "non-positive sequential bandwidths in the sample curves",
             )
         usable = ys > 0.0
         b_sat = float(np.max(ys))
@@ -169,82 +169,4 @@ class SaturationSide:
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(
                 f"overlap side state is malformed: {exc}"
-            ) from exc
-
-
-class CalibratedOverlap(TwoInstantiationBackend):
-    """The overlap model calibrated for both sample placements."""
-
-    def __init__(
-        self,
-        *,
-        local: SaturationSide,
-        remote: SaturationSide,
-        nodes_per_socket: int,
-        n_numa_nodes: int,
-    ) -> None:
-        substituted = SaturationSide(
-            b_sat=local.b_sat,
-            n_half=local.n_half,
-            b_comp_seq=local.b_comp_seq,
-            b_comm_seq=remote.b_comm_seq,
-        )
-        super().__init__(
-            local=local,
-            remote=remote,
-            substituted=substituted,
-            nodes_per_socket=nodes_per_socket,
-            n_numa_nodes=n_numa_nodes,
-        )
-
-    @property
-    def backend_id(self) -> str:
-        return OVERLAP_BACKEND_ID
-
-    def state_dict(self) -> dict[str, Any]:
-        return {
-            "local": self._local.to_dict(),
-            "remote": self._remote.to_dict(),
-            "nodes_per_socket": self.nodes_per_socket,
-            "n_numa_nodes": self.n_numa_nodes,
-        }
-
-
-class OverlapBackend(ModelBackend):
-    """Afzal/Hager/Wellein-style shared saturation characteristic."""
-
-    @property
-    def backend_id(self) -> str:
-        return OVERLAP_BACKEND_ID
-
-    @property
-    def version(self) -> int:
-        return 1
-
-    def calibrate(
-        self, dataset: "PlatformDataset", platform: "Platform"
-    ) -> CalibratedOverlap:
-        curves = sample_curves(dataset, platform)
-        return CalibratedOverlap(
-            local=SaturationSide.fit(
-                curves["local"], platform=dataset.platform_name
-            ),
-            remote=SaturationSide.fit(
-                curves["remote"], platform=dataset.platform_name
-            ),
-            nodes_per_socket=platform.nodes_per_socket,
-            n_numa_nodes=platform.machine.n_numa_nodes,
-        )
-
-    def from_state(self, state: Mapping[str, Any]) -> CalibratedOverlap:
-        try:
-            return CalibratedOverlap(
-                local=SaturationSide.from_dict(state["local"]),
-                remote=SaturationSide.from_dict(state["remote"]),
-                nodes_per_socket=int(state["nodes_per_socket"]),
-                n_numa_nodes=int(state["n_numa_nodes"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelError(
-                f"overlap backend state is malformed: {exc}"
             ) from exc

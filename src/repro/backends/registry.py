@@ -6,17 +6,20 @@ Registered ids (one :class:`~repro.backends.base.ModelBackend` each):
 
 * ``threshold`` — the paper's §III model (the reference backend);
 * ``naive`` / ``queueing-ps`` / ``langguth-threadfair`` — the §II-D /
-  §V baselines behind the placement-selection adapter;
+  §V baselines;
 * ``overlap-afzal`` — Afzal/Hager/Wellein shared saturation curve;
 * ``cxlmem-messagefree`` — CXL.mem-style leftover-bandwidth model.
+
+Every backend but ``threshold`` is a
+:class:`~repro.backends.base.SideBackend` of its side class.
 """
 
 from __future__ import annotations
 
-from repro.backends.base import ModelBackend
-from repro.backends.baseline import baseline_backends
-from repro.backends.cxlmem import CxlMemBackend
-from repro.backends.overlap import OverlapBackend
+from repro.backends.base import ModelBackend, SideBackend
+from repro.backends.baseline import LangguthSide, NaiveSide, QueueingSide
+from repro.backends.cxlmem import LeftoverSide
+from repro.backends.overlap import SaturationSide
 from repro.backends.threshold import ThresholdBackend
 from repro.errors import ModelError
 
@@ -27,9 +30,11 @@ def _build_registry() -> dict[str, ModelBackend]:
     backends: dict[str, ModelBackend] = {}
     for backend in (
         ThresholdBackend(),
-        *baseline_backends(),
-        OverlapBackend(),
-        CxlMemBackend(),
+        SideBackend("naive", NaiveSide),
+        SideBackend("queueing-ps", QueueingSide),
+        SideBackend("langguth-threadfair", LangguthSide),
+        SideBackend("overlap-afzal", SaturationSide),
+        SideBackend("cxlmem-messagefree", LeftoverSide),
     ):
         if backend.backend_id in backends:
             raise ModelError(

@@ -22,9 +22,9 @@ across that knee, and so do the backends' strengths).  The tournament
    :func:`encode_tournament`/:func:`decode_tournament` are its codec).
 
 :class:`TournamentRouter` serves the result: a composite
-:class:`~repro.backends.base.CalibratedBackend` that answers every
-query with the winning backend of the query's regime — what the
-service's ``backend=tournament`` mode runs on.
+:class:`~repro.core.placement.PlacementModel` that answers every query
+from the tables of the winning backend of the query's regime — what
+the service's ``backend=tournament`` mode runs on.
 """
 
 from __future__ import annotations
@@ -35,20 +35,17 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.backends.base import (
-    CalibratedBackend,
-    ModelBackend,
-    load_or_calibrate,
-)
+from repro.backends.base import ModelBackend, load_or_calibrate
 from repro.backends.registry import BACKENDS
 from repro.backends.threshold import ThresholdBackend
-from repro.errors import ModelError, PlacementError
+from repro.core.placement import PlacementModel
+from repro.errors import ModelError
 from repro.evaluation.metrics import mape
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.bench.config import SweepConfig
     from repro.bench.results import ModeCurves
-    from repro.core.placement import PlacementModel, PlacementPrediction
+    from repro.core.placement import PlacementPrediction
     from repro.evaluation.experiments import ExperimentResult
     from repro.pipeline.stage import StageKey
     from repro.pipeline.store import ArtifactStore
@@ -181,7 +178,7 @@ def _regime_error(
 
 def score_backends(
     result: "ExperimentResult",
-    calibrated: Mapping[str, "CalibratedBackend | PlacementModel"],
+    calibrated: Mapping[str, PlacementModel],
 ) -> PlatformTournament:
     """Score calibrated backends over every regime of one platform."""
     if not calibrated:
@@ -309,7 +306,7 @@ class TournamentRun:
 
     tournament: PlatformTournament
     #: the scored roster; its ``threshold`` entry is ``result.model``
-    calibrated: Mapping[str, "CalibratedBackend | PlacementModel"]
+    calibrated: Mapping[str, PlacementModel]
     #: backend id -> calibration served from the store, for every
     #: stored calibration (the roster without ``threshold``)
     backend_cached: Mapping[str, bool]
@@ -340,7 +337,7 @@ def run_platform_tournament(
     config_fp = config_fingerprint(config or SweepConfig())
     platform = result.platform
 
-    calibrated: dict[str, CalibratedBackend | PlacementModel] = {}
+    calibrated: dict[str, PlacementModel] = {}
     backend_cached: dict[str, bool] = {}
     for backend_id, backend in roster.items():
         if isinstance(backend, ThresholdBackend):
@@ -442,13 +439,16 @@ def render_winner_table(runs: Mapping[str, TournamentRun | PlatformTournament]) 
 # ---- the router -------------------------------------------------------------------
 
 
-class TournamentRouter(CalibratedBackend):
-    """A composite backend answering each query with its regime's winner.
+class TournamentRouter(PlacementModel):
+    """A composite model answering each query with its regime's winner.
 
     Built from one platform's tournament result plus the calibrated
-    roster; per-query routing keys on the placement and on which side
-    of the platform's band split the core count falls.  Query counts
-    per routed backend accumulate in :attr:`route_counts` (the service
+    roster.  Each placement row keeps the winner of its low band, the
+    winner of its high band and the band split; a query goes to the
+    winner of its band and is answered from that model's tables, in one
+    lookup per winner.  ``comm_alone`` does not depend on ``n``, so it
+    is the low band's winner's on every surface.  Query counts per
+    routed backend accumulate in :attr:`route_counts` (the service
     merges them into ``/metrics``).
     """
 
@@ -457,31 +457,55 @@ class TournamentRouter(CalibratedBackend):
     def __init__(
         self,
         tournament: PlatformTournament,
-        calibrated: Mapping[str, "CalibratedBackend | PlacementModel"],
+        calibrated: Mapping[str, PlacementModel],
     ) -> None:
-        missing = [b for b in tournament.roster if b not in calibrated]
+        winners = [r.winner for r in tournament.regimes]
+        missing = [
+            b for b in dict.fromkeys([*tournament.roster, *winners])
+            if b not in calibrated
+        ]
         if missing:
             raise ModelError(
                 f"tournament roster lacks calibrated backends: {missing}"
             )
+        # No sides of its own, so no tables: PlacementModel's constructor
+        # does not run, and every query goes to the members' tables.
         some = next(iter(calibrated.values()))
         self._nodes_per_socket = some.nodes_per_socket
-        self._n_numa_nodes = some.n_numa_nodes
+        self._n_numa_nodes = k = some.n_numa_nodes
         self._tournament = tournament
-        self._calibrated = dict(calibrated)
-        #: (m_comp, m_comm) -> (low_n_max, low_winner, high_winner|None)
-        self._routes: dict[tuple[int, int], tuple[int, str, str | None]] = {}
-        for regime in tournament.regimes:
-            key = (regime.m_comp, regime.m_comm)
-            low_max, low_w, high_w = self._routes.get(key, (0, "", None))
-            if regime.band == "low":
-                self._routes[key] = (regime.n_max, regime.winner, high_w)
-            else:
-                self._routes[key] = (low_max, low_w, regime.winner)
+        self._names = list(calibrated)
+        self._models = list(calibrated.values())
+        index = {name: i for i, name in enumerate(self._names)}
         #: fallback for unmeasured placements: the roster's overall
         #: most-winning backend.
         counts = tournament.win_counts()
         self._default = max(counts, key=counts.get)
+        # Per placement row: the low band's last core count, and the
+        # index of each band's winner (the low one where a row has no
+        # high band, the fallback where it has no regime).
+        self._low_n_max = np.zeros(k * k, dtype=np.int64)
+        self._low = np.full(k * k, index[self._default])
+        high = np.full(k * k, -1)
+        for regime in tournament.regimes:
+            if not (0 <= regime.m_comp < k and 0 <= regime.m_comm < k):
+                continue
+            row = regime.m_comp * k + regime.m_comm
+            if regime.band == "low":
+                self._low_n_max[row] = regime.n_max
+                self._low[row] = index[regime.winner]
+            else:
+                high[row] = index[regime.winner]
+        self._high = np.where(high < 0, self._low, high)
+        # Row m_comp * k + m_comm answers comm_alone(m_comm): the low
+        # band's winner of (m_comm, m_comm), as a scalar query routes.
+        self._comm_alone = np.tile(
+            [
+                self._models[self._low[m * k + m]].comm_alone(m)
+                for m in range(k)
+            ],
+            k,
+        )
         self.route_counts: dict[str, int] = {}
 
     @property
@@ -492,94 +516,35 @@ class TournamentRouter(CalibratedBackend):
     def tournament(self) -> PlatformTournament:
         return self._tournament
 
-    @property
-    def nodes_per_socket(self) -> int:
-        return self._nodes_per_socket
-
-    @property
-    def n_numa_nodes(self) -> int:
-        return self._n_numa_nodes
-
     # ---- routing ---------------------------------------------------------------
+
+    def _winners(self, ns: np.ndarray | int, rows: np.ndarray | int):
+        """The roster index of the winner of each ``(n, row)`` query:
+        the high band's past the low band's last core count."""
+        return np.where(
+            ns > self._low_n_max[rows], self._high[rows], self._low[rows]
+        )
 
     def winner_for(self, n: int, m_comp: int, m_comm: int) -> str:
         """The backend id serving one ``(n, m_comp, m_comm)`` query."""
-        route = self._routes.get((m_comp, m_comm))
-        if route is None:
+        k = self._n_numa_nodes
+        if not (0 <= m_comp < k and 0 <= m_comm < k):
             return self._default
-        low_n_max, low_winner, high_winner = route
-        if high_winner is not None and n > low_n_max:
-            return high_winner
-        return low_winner or self._default
+        return self._names[self._winners(n, m_comp * k + m_comm)]
 
-    def _backend_for(
-        self, n: int, m_comp: int, m_comm: int
-    ) -> "CalibratedBackend | PlacementModel":
-        winner = self.winner_for(n, m_comp, m_comm)
-        self.route_counts[winner] = self.route_counts.get(winner, 0) + 1
-        return self._calibrated[winner]
-
-    # ---- query surface ---------------------------------------------------------
-
-    def comp_parallel(self, n: int, m_comp: int, m_comm: int) -> float:
-        return self._backend_for(n, m_comp, m_comm).comp_parallel(
-            n, m_comp, m_comm
-        )
-
-    def comm_parallel(self, n: int, m_comp: int, m_comm: int) -> float:
-        return self._backend_for(n, m_comp, m_comm).comm_parallel(
-            n, m_comp, m_comm
-        )
-
-    def comp_alone(self, n: int, m_comp: int) -> float:
-        return self._backend_for(n, m_comp, m_comp).comp_alone(n, m_comp)
-
-    def comm_alone(self, m_comm: int) -> float:
-        # n-independent: the low band's winner answers.
-        return self._backend_for(0, m_comm, m_comm).comm_alone(m_comm)
-
-    def predict(
-        self,
-        core_counts: "Sequence[int] | np.ndarray",
-        m_comp: int,
-        m_comm: int,
-    ) -> "PlacementPrediction":
-        """Sweep one placement, splicing the band winners' curves."""
-        from repro.core.evaluation import as_core_counts
-        from repro.core.placement import PlacementPrediction
-
-        ns = as_core_counts(core_counts, error=PlacementError)
-        self._check_node(m_comp)
-        self._check_node(m_comm)
-        winners = [self.winner_for(int(n), m_comp, m_comm) for n in ns]
-        arrays = {
-            "comp_parallel": np.empty(ns.size, dtype=np.float64),
-            "comm_parallel": np.empty(ns.size, dtype=np.float64),
-            "comp_alone": np.empty(ns.size, dtype=np.float64),
-        }
-        comm_alone = None
-        for winner in dict.fromkeys(winners):
-            idx = np.array(
-                [i for i, w in enumerate(winners) if w == winner]
-            )
-            self.route_counts[winner] = (
-                self.route_counts.get(winner, 0) + idx.size
-            )
-            pred = self._calibrated[winner].predict(ns[idx], m_comp, m_comm)
-            arrays["comp_parallel"][idx] = pred.comp_parallel
-            arrays["comm_parallel"][idx] = pred.comm_parallel
-            arrays["comp_alone"][idx] = pred.comp_alone
-            if comm_alone is None:
-                comm_alone = float(pred.comm_alone)
-        return PlacementPrediction(
-            m_comp=m_comp,
-            m_comm=m_comm,
-            core_counts=ns,
-            comp_parallel=arrays["comp_parallel"],
-            comm_parallel=arrays["comm_parallel"],
-            comp_alone=arrays["comp_alone"],
-            comm_alone=float(comm_alone),
-        )
+    def _lookup(
+        self, ns: np.ndarray, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each query from its winner's tables, one lookup per winner."""
+        winners = self._winners(ns, rows)
+        answers = np.empty((3, ns.size))
+        present = np.bincount(winners, minlength=len(self._models))
+        for winner in np.flatnonzero(present).tolist():
+            at = np.flatnonzero(winners == winner)
+            answers[:, at] = self._models[winner]._lookup(ns[at], rows[at])[:3]
+            name = self._names[winner]
+            self.route_counts[name] = self.route_counts.get(name, 0) + at.size
+        return answers[0], answers[1], answers[2], self._comm_alone[rows]
 
     def state_dict(self) -> dict[str, Any]:
         raise ModelError(

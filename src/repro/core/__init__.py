@@ -18,7 +18,6 @@
 
 from repro.core.calibration import calibrate, calibrate_placement_model
 from repro.core.evaluation import as_core_counts, sweep_curves
-from repro.core.fitting import fit_quality, refine_parameters
 from repro.core.oracle import ScalarOracle
 from repro.core.parameters import ModelParameters
 from repro.core.placement import PlacementModel, PlacementPrediction
@@ -35,9 +34,7 @@ __all__ = [
     "as_core_counts",
     "calibrate",
     "calibrate_placement_model",
-    "fit_quality",
     "parameter_sensitivity",
-    "refine_parameters",
     "stacked_view",
     "sweep_curves",
 ]

@@ -19,7 +19,6 @@ of percent of it, which is the quantified version of the paper's
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.bench.results import ModeCurves
 from repro.core.calibration import calibrate
@@ -93,6 +92,9 @@ def refine_parameters(
     ``knee_radius`` of the initial values; the eight continuous
     parameters are optimised per knee pair.
     """
+    # Imported here: SciPy is only a test and benchmark dependency.
+    from scipy.optimize import minimize
+
     if knee_radius < 0:
         raise CalibrationError("knee_radius must be >= 0")
     start = initial if initial is not None else calibrate(curves)

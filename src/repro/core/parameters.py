@@ -32,9 +32,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.errors import ModelError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = ["ModelParameters"]
 
@@ -91,6 +94,15 @@ class ModelParameters:
         :math:`B^{comm}_{seq}` of :math:`M_{remote}`".
         """
         return replace(self, b_comm_seq=b_comm_seq)
+
+    def curves(self, ns: np.ndarray) -> dict[str, np.ndarray]:
+        """Equations 1–5 and 8 over a core-count array
+        (:func:`repro.core.evaluation.curves`): this instantiation as a
+        :class:`~repro.core.placement.PlacementModel` side."""
+        # Imported here: the evaluation module imports this one.
+        from repro.core import evaluation
+
+        return evaluation.curves(self, ns)
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)

@@ -1,4 +1,4 @@
-"""The threshold model of one machine, across placements (§III-C).
+"""A contention model of one machine, across placements (§III-C).
 
 Two calibrated instantiations — ``M_local`` (computation and
 communication data both on the first NUMA node of socket 0) and
@@ -11,27 +11,30 @@ sit on socket 0, so a node ``m < #m`` (``nodes_per_socket``) is local
 and ``m >= #m`` is remote — exactly the comparisons written in the
 paper's equations.
 
-The model is piecewise-linear in ``n`` and the selection rules depend
-only on the placement, so a calibrated machine has a finite answer
-set: three curves × every placement × every core count.
-:class:`PlacementModel` evaluates the closed form of equations 1–5 and
-8 (:mod:`repro.core.evaluation`) once per instantiation over
-``n = 0..TABLE_N_MAX`` when it is built, and assembles the
-per-placement tables.  Every query is then a table lookup; core counts
-past the table are answered by the same closed form, evaluated on the
-requested points only.
+The selection rules depend only on the placement, so a calibrated
+machine has a finite answer set: three curves × every placement ×
+every core count.  :class:`PlacementModel` keeps that set as tables
+over ``n = 0..TABLE_N_MAX`` and fills each core count's column the
+first time a query reads it, from each instantiation's curves and the
+selection rules.  Every query is then a table lookup; core counts past
+the table are answered by the same curves, evaluated on the requested
+points only.
+
+An instantiation is a *side* (:class:`Side`).  The paper's threshold
+model is one kind of side, :class:`~repro.core.parameters.ModelParameters`
+(equations 1–5 and 8, :mod:`repro.core.evaluation`); every model
+backend (:mod:`repro.backends`) supplies another, so one table and one
+lookup answer every model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TypeVar
+from typing import Any, Iterable, Mapping, Protocol, Sequence, TypeVar
 
 import numpy as np
 
-from repro.core import evaluation
 from repro.core.evaluation import as_core_counts
-from repro.core.parameters import ModelParameters
 from repro.errors import PlacementError
 
 __all__ = [
@@ -39,6 +42,7 @@ __all__ = [
     "PlacementModel",
     "PlacementPrediction",
     "PointPrediction",
+    "Side",
     "select_instantiations",
 ]
 
@@ -51,6 +55,32 @@ TABLE_N_MAX = 256
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 T = TypeVar("T")
+
+
+class Side(Protocol):
+    """One fitted instantiation of a model: what :class:`PlacementModel`
+    needs of its ``local`` and ``remote`` arguments.
+
+    ``curves`` must be element-wise: its answer at ``n`` may not depend
+    on which other core counts ``ns`` holds, because a table column is
+    filled from whichever core counts the query that first reads it
+    asks for.
+    """
+
+    #: Communication bandwidth alone: the network nominal.
+    b_comm_seq: float
+
+    def with_comm_nominal(self, b_comm_seq: float) -> "Side":
+        """Equation 6's middle case: this side with another network
+        nominal substituted in."""
+
+    def curves(self, ns: np.ndarray) -> Mapping[str, np.ndarray]:
+        """``comp_par``, ``comm_par`` and ``comp_alone`` over a 1-D
+        non-negative ``int64`` array of core counts."""
+
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-able parameters, the form :meth:`PlacementModel.state_dict`
+        stores."""
 
 
 def select_instantiations(
@@ -156,17 +186,19 @@ def _core_count(n: object) -> int:
 class PlacementModel:
     """The full model of one machine: ``M_local`` + ``M_remote`` + topology.
 
-    Built with its answer tables: ``_tables`` has shape
+    ``local`` and ``remote`` are two sides of one kind (:class:`Side`).
+    The answer tables, ``_tables``, have shape
     ``(3, k * k, TABLE_N_MAX + 1)`` — curve (``comp_parallel``,
     ``comm_parallel``, ``comp_alone``) × placement × core count — and
-    ``_comm_alone`` shape ``(k * k,)``.  Placement rows are row-major:
-    ``row = m_comp * k + m_comm``.
+    ``_filled`` marks the core counts whose column is filled.  Placement
+    rows are row-major: ``row = m_comp * k + m_comm``.  Construction
+    evaluates only ``_comm_alone``, shape ``(k * k,)``.
     """
 
     def __init__(
         self,
-        local: ModelParameters,
-        remote: ModelParameters,
+        local: Side,
+        remote: Side,
         *,
         nodes_per_socket: int,
         n_numa_nodes: int,
@@ -180,18 +212,17 @@ class PlacementModel:
             )
         self._nodes_per_socket = nodes_per_socket
         self._n_numa_nodes = n_numa_nodes
-        # Local, remote, and equation 6's middle case: the local model
+        # Local, remote, and equation 6's middle case: the local side
         # with the remote nominal network bandwidth substituted in.
-        self._params = (
+        self._sides = (
             local, remote, local.with_comm_nominal(remote.b_comm_seq)
         )
-        self._tables = self._tables_over(
-            np.arange(TABLE_N_MAX + 1, dtype=np.int64)
-        )
+        self._tables = np.empty((3, n_numa_nodes**2, TABLE_N_MAX + 1))
+        self._filled = np.zeros(TABLE_N_MAX + 1, dtype=bool)
         self._comm_alone = np.array(
             [
                 select_instantiations(
-                    m_comp, m_comm, nodes_per_socket, *self._params
+                    m_comp, m_comm, nodes_per_socket, *self._sides
                 )[3].b_comm_seq
                 for m_comp, m_comm in self.placements()
             ],
@@ -200,20 +231,20 @@ class PlacementModel:
 
     @classmethod
     def compile(cls, model: "PlacementModel") -> "PlacementModel":
-        """``model`` itself: a model is built with its tables, so there
-        is nothing left to compile.  Kept for callers of the name
-        :class:`repro.core.compiled.CompiledModel`."""
+        """``model`` itself: a model fills its tables as queries read
+        them, so there is nothing left to compile.  Kept for callers of
+        the name :class:`repro.core.compiled.CompiledModel`."""
         return model
 
     # ---- accessors -------------------------------------------------------------
 
     @property
-    def local(self) -> ModelParameters:
-        return self._params[0]
+    def local(self) -> Side:
+        return self._sides[0]
 
     @property
-    def remote(self) -> ModelParameters:
-        return self._params[1]
+    def remote(self) -> Side:
+        return self._sides[1]
 
     @property
     def nodes_per_socket(self) -> int:
@@ -255,7 +286,9 @@ class PlacementModel:
             row = self._row(m_comm, m_comm)
         except PlacementError as exc:
             raise PlacementError(f"query m_comm={m_comm!r}: {exc}") from None
-        return float(self._comm_alone[row])
+        # Any core count answers; 0 is the one a router's low band owns.
+        answer = self._lookup(np.zeros(1, dtype=np.int64), np.array([row]))
+        return float(answer[3][0])
 
     # ---- bulk queries ----------------------------------------------------------
 
@@ -271,24 +304,39 @@ class PlacementModel:
         non-integral values raise :class:`PlacementError` rather than
         being truncated.
         """
-        ns = as_core_counts(core_counts, error=PlacementError)
-        return self._prediction(ns, *self._table_for(ns), m_comp, m_comm)
+        return self.predict_grid(core_counts, [(m_comp, m_comm)])[
+            (m_comp, m_comm)
+        ]
 
     def predict_grid(
         self,
         core_counts: Sequence[int] | np.ndarray,
         placements: Iterable[tuple[int, int]] | None = None,
     ) -> dict[tuple[int, int], PlacementPrediction]:
-        """Predict every placement (or the given ones) over ``core_counts``."""
+        """Predict every placement (or the given ones) over ``core_counts``,
+        in one lookup."""
         ns = as_core_counts(core_counts, error=PlacementError)
-        table, columns = self._table_for(ns)
         if placements is None:
             placements = self.placements()
-        return {
-            (m_comp, m_comm): self._prediction(
-                ns, table, columns, m_comp, m_comm
+        keys = list(placements)
+        rows = np.array([self._row(*key) for key in keys], dtype=np.int64)
+        comp_par, comm_par, comp_alone, comm_alone = (
+            column.reshape(len(keys), ns.size)
+            for column in self._lookup(
+                np.tile(ns, len(keys)), np.repeat(rows, ns.size)
             )
-            for m_comp, m_comm in placements
+        )
+        return {
+            (m_comp, m_comm): PlacementPrediction(
+                m_comp=m_comp,
+                m_comm=m_comm,
+                core_counts=ns,
+                comp_parallel=comp_par[i],
+                comm_parallel=comm_par[i],
+                comp_alone=comp_alone[i],
+                comm_alone=float(comm_alone[i, 0]),
+            )
+            for i, (m_comp, m_comm) in enumerate(keys)
         }
 
     def predict_batch(
@@ -411,13 +459,43 @@ class PlacementModel:
             "comm_alone": comm_alone,
         }
 
-    # ---- the tables ------------------------------------------------------------
+    # ---- the one lookup ----------------------------------------------------------
+
+    def _lookup(
+        self, ns: np.ndarray, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``comp_parallel``, ``comm_parallel``, ``comp_alone`` and
+        ``comm_alone`` of validated queries: core counts ``ns`` at table
+        rows ``rows``.  Every query surface answers through here."""
+        table, columns = self._table_for(ns)
+        comp_par, comm_par, comp_alone = table[:, rows, columns]
+        return comp_par, comm_par, comp_alone, self._comm_alone[rows]
+
+    def _table_for(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A table covering ``ns`` and the columns of ``ns`` in it.
+
+        Within ``TABLE_N_MAX`` that is ``_tables``, its missing columns
+        filled first.  Past it the curves are evaluated on the distinct
+        requested core counts only, so absurdly large ``n`` cannot
+        balloon the table.
+        """
+        if ns.size and int(ns.max()) > TABLE_N_MAX:
+            points, columns = np.unique(ns, return_inverse=True)
+            return self._tables_over(points), columns
+        filled = self._filled[ns]
+        if not filled.all():
+            missing = np.unique(ns[~filled])
+            # Values first, then the mark: a thread that sees a column
+            # marked reads it filled, and two threads filling one column
+            # write the same bits.
+            self._tables[:, :, missing] = self._tables_over(missing)
+            self._filled[missing] = True
+        return self._tables, ns
 
     def _tables_over(self, ns: np.ndarray) -> np.ndarray:
-        """The ``(3, k * k, len(ns))`` answer tables over ``ns``: the
-        closed form of each instantiation, assembled per placement by
-        equations 6 and 7."""
-        sides = [evaluation.curves(p, ns) for p in self._params]
+        """The ``(3, k * k, len(ns))`` answer tables over ``ns``: each
+        side's curves, assembled per placement by equations 6 and 7."""
+        sides = [side.curves(ns) for side in self._sides]
         tables = np.empty((3, self._n_numa_nodes**2, ns.size))
         for row, (m_comp, m_comm) in enumerate(self.placements()):
             comm, comp, shared, _ = select_instantiations(
@@ -428,47 +506,6 @@ class PlacementModel:
             tables[2, row] = comp["comp_alone"]
         return tables
 
-    def _table_for(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A table covering ``ns`` and the columns of ``ns`` in it.
-
-        Past ``TABLE_N_MAX`` the closed form is evaluated on the distinct
-        requested core counts only, so absurdly large ``n`` cannot
-        balloon memory.
-        """
-        if ns.size == 0 or int(ns.max()) <= TABLE_N_MAX:
-            return self._tables, ns
-        points, columns = np.unique(ns, return_inverse=True)
-        return self._tables_over(points), columns
-
-    def _lookup(
-        self, ns: np.ndarray, rows: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``comp_parallel``, ``comm_parallel``, ``comp_alone`` and
-        ``comm_alone`` of validated queries."""
-        table, columns = self._table_for(ns)
-        comp_par, comm_par, comp_alone = table[:, rows, columns]
-        return comp_par, comm_par, comp_alone, self._comm_alone[rows]
-
-    def _prediction(
-        self,
-        ns: np.ndarray,
-        table: np.ndarray,
-        columns: np.ndarray,
-        m_comp: int,
-        m_comm: int,
-    ) -> PlacementPrediction:
-        row = self._row(m_comp, m_comm)
-        comp_par, comm_par, comp_alone = table[:, row, columns]
-        return PlacementPrediction(
-            m_comp=m_comp,
-            m_comm=m_comm,
-            core_counts=ns,
-            comp_parallel=comp_par,
-            comm_parallel=comm_par,
-            comp_alone=comp_alone,
-            comm_alone=float(self._comm_alone[row]),
-        )
-
     def _point(self, curve: int, n: object, m_comp: int, m_comm: int) -> float:
         """One curve at one ``(n, m_comp, m_comm)`` query, validated."""
         try:
@@ -478,8 +515,22 @@ class PlacementModel:
             raise PlacementError(
                 f"query {(n, m_comp, m_comm)!r}: {exc}"
             ) from None
-        table, columns = self._table_for(np.array([count], dtype=np.int64))
-        return float(table[curve, row, columns[0]])
+        answer = self._lookup(
+            np.array([count], dtype=np.int64), np.array([row])
+        )
+        return float(answer[curve][0])
+
+    # ---- persistence -------------------------------------------------------------
+
+    def state_dict(self) -> dict[str, Any]:
+        """JSON-able state: both sides' parameters and the topology.
+        A backend rebuilds the model from it (``from_state``)."""
+        return {
+            "local": self.local.to_dict(),
+            "remote": self.remote.to_dict(),
+            "nodes_per_socket": self._nodes_per_socket,
+            "n_numa_nodes": self._n_numa_nodes,
+        }
 
     # ---- validation ------------------------------------------------------------
 

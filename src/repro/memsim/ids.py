@@ -1,7 +1,8 @@
 """Resource-id formats, shared by the path builder and the graph view.
 
-Kept dependency-free so both :mod:`repro.memsim.paths` and
-:mod:`repro.topology.graph` can use them without import cycles.
+Kept dependency-free so both :mod:`repro.memsim.paths` and the tests'
+graph view of the machine (``tests/topology/graph.py``) can use them
+without import cycles.
 """
 
 CTRL_FMT = "ctrl:{numa}"

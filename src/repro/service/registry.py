@@ -35,7 +35,6 @@ from repro.service.metrics import ServiceMetrics
 from repro.topology.platforms import Platform, get_platform, platform_names
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.backends.base import CalibratedBackend
     from repro.backends.tournament import TournamentRouter
 
 __all__ = ["ModelKey", "ModelEntry", "ModelRegistry"]
@@ -67,9 +66,7 @@ class ModelEntry:
     platform: Platform
     model: PlacementModel
     error_average_pct: float = field(default=float("nan"))
-    backends: "Mapping[str, CalibratedBackend | PlacementModel] | None" = (
-        field(default=None)
-    )
+    backends: "Mapping[str, PlacementModel] | None" = field(default=None)
     tournament: "TournamentRouter | None" = field(default=None)
 
 

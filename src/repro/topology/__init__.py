@@ -30,7 +30,6 @@ from repro.topology.objects import (
 )
 from repro.topology.builder import MachineBuilder
 from repro.topology.distances import distance_matrix
-from repro.topology.graph import graph_stream_path, memory_system_graph, shared_resources
 from repro.topology.platforms import (
     PLATFORMS,
     dahu,
@@ -65,8 +64,6 @@ __all__ = [
     "diablo",
     "distance_matrix",
     "get_platform",
-    "graph_stream_path",
-    "memory_system_graph",
     "henri",
     "henri_subnuma",
     "occigen",
@@ -77,6 +74,5 @@ __all__ = [
     "platform_to_dict",
     "platform_to_json",
     "render_text",
-    "shared_resources",
     "validate_machine",
 ]

@@ -4,16 +4,13 @@ state round-trips, and the new literature backends' sanity."""
 from __future__ import annotations
 
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.backends import (
-    BACKENDS,
-    TwoInstantiationBackend,
-    backend_ids,
-    get_backend,
-)
+from repro.backends import BACKENDS, backend_ids, get_backend
 from repro.backends.base import sample_curves
 from repro.backends.threshold import ThresholdBackend
 from repro.backends.tournament import run_platform_tournament
@@ -204,7 +201,7 @@ class TestStateRoundTrip:
         calibrated = calibrated_roster[backend_id]
         state = json.loads(json.dumps(calibrated.state_dict()))
         restored = backend.from_state(state)
-        assert restored.backend_id == backend_id
+        assert type(restored.local) is type(calibrated.local)
         assert restored.nodes_per_socket == calibrated.nodes_per_socket
         assert restored.n_numa_nodes == calibrated.n_numa_nodes
         k = calibrated.n_numa_nodes
@@ -320,29 +317,62 @@ class TestProtocolValidation:
     def test_repeated_core_counts_are_evaluated_once(
         self, calibrated_roster, backend_id, monkeypatch
     ):
-        """A sweep answers each distinct core count with one scalar
-        call per curve, gathered to every position that repeats it."""
+        """A sweep fills each distinct core count's column once, with
+        one curves call per side, and answers every position that
+        repeats it from that column; a second sweep evaluates nothing."""
         calibrated = calibrated_roster[backend_id]
+        model = BACKENDS[backend_id].from_state(calibrated.state_dict())
         ns = [4, 1, 4, 4, 1, 9, 0, 9]
         expected = {
             "comp_parallel": [calibrated.comp_parallel(n, 0, 1) for n in ns],
             "comm_parallel": [calibrated.comm_parallel(n, 0, 1) for n in ns],
             "comp_alone": [calibrated.comp_alone(n, 0) for n in ns],
         }
-        calls = {name: [] for name in expected}
-        for name in expected:
-            scalar = getattr(calibrated, name)
+        side = type(model.local)
+        curves = side.curves
+        calls = []
 
-            def counted(n, *rest, _scalar=scalar, _calls=calls[name]):
-                _calls.append(n)
-                return _scalar(n, *rest)
+        def counted(self, points):
+            calls.append(points.tolist())
+            return curves(self, points)
 
-            monkeypatch.setattr(calibrated, name, counted)
-        pred = calibrated.predict(ns, 0, 1)
+        monkeypatch.setattr(side, "curves", counted)
+        pred = model.predict(ns, 0, 1)
+        # Local, remote and equation 6's substituted side.
+        assert calls == [sorted(set(ns))] * 3
         for name, values in expected.items():
-            assert sorted(calls[name]) == sorted(set(ns)), name
             assert getattr(pred, name).tolist() == values, name
         assert pred.core_counts.tolist() == ns
+        model.predict(ns, 1, 0)
+        assert len(calls) == 3
+
+    def test_threads_filling_one_model_answer_alike(self, calibrated_roster):
+        """Threads that fill the same columns at once answer like one
+        thread that fills them alone."""
+        backend = BACKENDS["langguth-threadfair"]
+        state = calibrated_roster["langguth-threadfair"].state_dict()
+        k = calibrated_roster["langguth-threadfair"].n_numa_nodes
+        rng = np.random.default_rng(7)
+        queries = np.array(
+            [(n, mc, mm) for n in range(257) for mc in range(k) for mm in range(k)]
+        )[rng.permutation(257 * k * k)]
+        expected = backend.from_state(state).predict_columns(queries)
+        model = backend.from_state(state)
+        parts = [slice(i, None, 8) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [
+                    pool.submit(model.predict_columns, queries[part])
+                    for part in parts
+                ]
+                answers = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for part, columns in zip(parts, answers):
+            for name, column in columns.items():
+                assert column.tobytes() == expected[name][part].tobytes()
 
     @pytest.mark.parametrize("backend_id", STORED_IDS)
     def test_array_batch_answers_like_tuples(
@@ -362,24 +392,10 @@ class TestProtocolValidation:
         with pytest.raises(PlacementError, match="triple"):
             calibrated_roster["naive"].predict_batch([(1, 0)])
 
-    def test_two_instantiation_needs_two_sockets(self):
-        class _Minimal(TwoInstantiationBackend):
-            @property
-            def backend_id(self):
-                return "minimal"
-
-            def state_dict(self):
-                return {}
-
-        side = object()
+    def test_two_instantiation_needs_two_sockets(self, calibrated_roster):
+        side = calibrated_roster["naive"].local
         with pytest.raises(ModelError, match="two sockets"):
-            _Minimal(
-                local=side,
-                remote=side,
-                substituted=side,
-                nodes_per_socket=2,
-                n_numa_nodes=2,
-            )
+            PlacementModel(side, side, nodes_per_socket=2, n_numa_nodes=2)
 
     def test_sample_curves_names_the_missing_placement(
         self, henri_experiment

@@ -260,6 +260,49 @@ class TestRouter:
             assert spliced.comp_parallel[i] == expected.comp_parallel[i]
         assert sum(router.route_counts.values()) == ns.size
 
+    def test_comm_alone_follows_the_scalar_rule_on_every_surface(
+        self, henri_run
+    ):
+        """Band winners that differ in ``b_comm_seq``: every surface
+        answers ``comm_alone`` like the scalar query, from the low
+        band's winner of ``(m_comm, m_comm)``, whatever the query order."""
+        naive = henri_run.calibrated["naive"]
+        state = naive.state_dict()
+        for side in ("local", "remote"):
+            state[side] = {
+                **state[side], "b_comm_seq": 2 * state[side]["b_comm_seq"]
+            }
+        roster = {"a": naive, "b": BACKENDS["naive"].from_state(state)}
+        regimes = tuple(
+            RegimeScore(
+                m_comp=m_comp,
+                m_comm=1,
+                band=band,
+                n_min=n_min,
+                n_max=n_max,
+                scores={"a": 1.0, "b": 1.0},
+                winner=winner,
+            )
+            for m_comp in (0, 1)
+            for band, n_min, n_max, winner in (
+                ("low", 1, 30, "a"),
+                ("high", 31, 64, "b"),
+            )
+        )
+        router = TournamentRouter(
+            PlatformTournament(
+                platform="henri", roster=("a", "b"), regimes=regimes
+            ),
+            roster,
+        )
+        expected = roster["a"].comm_alone(1)
+        assert roster["b"].comm_alone(1) != expected
+        assert router.comm_alone(1) == expected
+        assert router.predict([1, 60], 0, 1).comm_alone == expected
+        assert router.predict([60, 1], 0, 1).comm_alone == expected
+        columns = router.predict_columns([(60, 0, 1), (1, 0, 1), (60, 1, 1)])
+        assert columns["comm_alone"].tolist() == [expected] * 3
+
     def test_unmeasured_placement_falls_back_to_top_winner(
         self, henri_run, router
     ):

@@ -1,14 +1,14 @@
-"""Baseline predictors and their calibration."""
+"""Baseline sides and their calibration."""
 
+import numpy as np
 import pytest
 
-from repro.baselines import (
-    LangguthModel,
-    NaiveModel,
-    QueueingModel,
-    calibrate_baseline,
+from repro.backends.baseline import (
+    BaselineInputs,
+    LangguthSide,
+    NaiveSide,
+    QueueingSide,
 )
-from repro.baselines.base import BaselineInputs
 from repro.bench.runner import measure_curves
 from repro.errors import ModelError
 from repro.evaluation import mape
@@ -24,6 +24,25 @@ def inputs():
     )
 
 
+class At:
+    """One baseline side's three curves at single core counts."""
+
+    def __init__(self, side_cls, inputs: BaselineInputs) -> None:
+        self._side = side_cls(**inputs.to_dict())
+
+    def _curve(self, name: str, n: int) -> float:
+        return float(self._side.curves(np.array([n]))[name][0])
+
+    def comp_parallel(self, n: int) -> float:
+        return self._curve("comp_par", n)
+
+    def comm_parallel(self, n: int) -> float:
+        return self._curve("comm_par", n)
+
+    def comp_alone(self, n: int) -> float:
+        return self._curve("comp_alone", n)
+
+
 class TestInputs:
     def test_positive_required(self):
         with pytest.raises(ModelError):
@@ -35,7 +54,7 @@ class TestInputs:
         curves = measure_curves(
             henri.machine, henri.profile, m_comp=0, m_comm=0, config=noiseless_config
         )
-        inputs = calibrate_baseline(curves)
+        inputs = BaselineInputs.fit(curves)
         assert inputs.b_comp_seq == pytest.approx(6.8)
         assert inputs.b_comm_seq == pytest.approx(12.3)
         assert inputs.bus_capacity_gbps > inputs.t_seq_max > 0
@@ -43,22 +62,22 @@ class TestInputs:
 
 class TestNaive:
     def test_never_predicts_contention(self, inputs):
-        model = NaiveModel(inputs)
+        model = At(NaiveSide, inputs)
         assert model.comm_parallel(50) == 10.0
         assert model.comp_parallel(8) == model.comp_alone(8)
 
     def test_comp_alone_capped(self, inputs):
-        assert NaiveModel(inputs).comp_alone(20) == 55.0
+        assert At(NaiveSide, inputs).comp_alone(20) == 55.0
 
 
 class TestQueueing:
     def test_no_contention_below_capacity(self, inputs):
-        model = QueueingModel(inputs)
+        model = At(QueueingSide, inputs)
         assert model.comp_parallel(4) == 20.0
         assert model.comm_parallel(4) == 10.0
 
     def test_proportional_sharing_when_saturated(self, inputs):
-        model = QueueingModel(inputs)
+        model = At(QueueingSide, inputs)
         # demand: comp 50, comm 10, total 60 == capacity -> boundary.
         # n=12: comp demand capped at t_seq 55, comm 10, total 65 > 60.
         comp, comm = model.comp_parallel(12), model.comm_parallel(12)
@@ -70,20 +89,20 @@ class TestQueueing:
         squeezed = BaselineInputs(
             bus_capacity_gbps=20.0, b_comp_seq=5.0, b_comm_seq=10.0, t_seq_max=100.0
         )
-        model = QueueingModel(squeezed)
+        model = At(QueueingSide, squeezed)
         assert model.comm_parallel(20) == pytest.approx(20.0 * 10.0 / 110.0)
 
 
 class TestLangguth:
     def test_thread_fair_split(self, inputs):
-        model = LangguthModel(inputs)
+        model = At(LangguthSide, inputs)
         # 11 compute threads + 1 comm thread over 60: fair slice 5 each;
         # comm wants 10, gets 5 -> comp gets 55.
         assert model.comm_parallel(11) == pytest.approx(5.0)
         assert model.comp_parallel(11) == pytest.approx(55.0)
 
     def test_unsaturated_full_demand(self, inputs):
-        model = LangguthModel(inputs)
+        model = At(LangguthSide, inputs)
         assert model.comm_parallel(2) == 10.0
         assert model.comp_parallel(2) == 10.0
 
@@ -92,11 +111,11 @@ class TestPaperModelBeatsBaselines:
     """The ablation claim: the paper's model predicts communications
     better than every baseline on a contended platform."""
 
-    @pytest.mark.parametrize("baseline_cls", [NaiveModel, QueueingModel, LangguthModel])
-    def test_comm_error_ordering(self, henri_experiment, baseline_cls):
+    @pytest.mark.parametrize("side_cls", [NaiveSide, QueueingSide, LangguthSide])
+    def test_comm_error_ordering(self, henri_experiment, side_cls):
         curves = henri_experiment.dataset.sweep[(0, 0)]
-        baseline = baseline_cls(calibrate_baseline(curves))
-        swept = baseline.sweep(curves.core_counts)
+        baseline = side_cls.fit(curves)
+        swept = baseline.curves(curves.core_counts)
         baseline_err = mape(curves.comm_parallel, swept["comm_par"])
         paper_pred = henri_experiment.predictions[(0, 0)]
         paper_err = mape(curves.comm_parallel, paper_pred.comm_parallel)
@@ -124,7 +143,7 @@ class TestDegenerateCalibration:
 
     def test_error_names_platform_placement_and_parameter(self):
         with pytest.raises(ModelError) as err:
-            calibrate_baseline(
+            BaselineInputs.fit(
                 self._curves(0.0), platform="henri", placement=(0, 1)
             )
         message = str(err.value)
@@ -136,10 +155,10 @@ class TestDegenerateCalibration:
 
     def test_error_without_provenance_still_diagnoses(self):
         with pytest.raises(ModelError, match="platform \\?"):
-            calibrate_baseline(self._curves(0.0))
+            BaselineInputs.fit(self._curves(0.0))
 
     def test_healthy_curves_still_calibrate(self):
-        inputs = calibrate_baseline(
+        inputs = BaselineInputs.fit(
             self._curves(9.0), platform="henri", placement=(0, 1)
         )
         assert inputs.b_comm_seq == pytest.approx(9.0)

@@ -2,8 +2,8 @@
 
 :class:`~repro.core.placement.PlacementModel` (also importable under
 its former name, ``CompiledModel``) answers every query from tables
-built at construction, and past ``TABLE_N_MAX`` from the closed form on
-the requested points.  Both must equal the scalar oracle's replay of
+whose columns it fills on first read, and past ``TABLE_N_MAX`` from the
+closed form on the requested points.  Both must equal the scalar oracle's replay of
 equations 6 and 7 bit for bit.
 """
 

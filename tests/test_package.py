@@ -1,6 +1,10 @@
 """Package-level API surface checks."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +18,7 @@ SUBPACKAGES = [
     "repro.bench",
     "repro.core",
     "repro.evaluation",
-    "repro.baselines",
+    "repro.backends",
     "repro.advisor",
 ]
 
@@ -56,3 +60,53 @@ class TestSurface:
         comm = model.comm_parallel(14, 0, 1)
         assert comp > 50.0
         assert 0.0 < comm < 12.5
+
+
+#: Installed beside the package only as test and benchmark extras.
+UNDECLARED = ("scipy", "networkx")
+
+_BLOCKER = f"""
+import sys
+
+class _Block:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] in {UNDECLARED!r}:
+            raise ModuleNotFoundError(f"No module named {{name!r}} (blocked)")
+
+sys.meta_path.insert(0, _Block())
+"""
+
+
+class TestDeclaredDependencies:
+    """``pyproject.toml`` declares numpy as the one runtime dependency:
+    the CLI and every product module must work without the test extras."""
+
+    def _run(self, tmp_path, *args: str) -> subprocess.CompletedProcess:
+        (tmp_path / "sitecustomize.py").write_text(_BLOCKER)
+        src = Path(repro.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": f"{tmp_path}{os.pathsep}{src}"}
+        return subprocess.run(
+            [sys.executable, *args],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    def test_blocker_blocks(self, tmp_path):
+        done = self._run(tmp_path, "-c", "import networkx")
+        assert done.returncode != 0
+        assert "blocked" in done.stderr
+
+    def test_cli_runs_with_numpy_only(self, tmp_path):
+        done = self._run(tmp_path, "-m", "repro", "platforms")
+        assert done.returncode == 0, done.stderr
+        assert "henri" in done.stdout
+
+    def test_product_modules_import_with_numpy_only(self, tmp_path):
+        done = self._run(
+            tmp_path,
+            "-c",
+            "import repro.cli, repro.backends, repro.service.server",
+        )
+        assert done.returncode == 0, done.stderr

@@ -1,12 +1,13 @@
-"""Graph view of the machine's memory system (networkx).
+"""Graph view of the machine's memory system (networkx): the tests'
+reference for the simulator's stream paths.
 
 The resource paths used by the simulator (`memsim/paths.py`) are
 hand-derived from Figure 1's structure.  This module builds the same
 machine as an explicit directed graph — agents (cores, the NIC) and
 resources as nodes, adjacency as edges — and derives stream paths by
-shortest path instead.  The two derivations are cross-validated against
-each other in the tests: a disagreement means either the figure or the
-path builder is wrong.
+shortest path instead.  ``test_graph.py`` cross-validates the two
+derivations: a disagreement means either the figure or the path
+builder is wrong.
 
 The graph is also a convenient analysis artefact: degree counts reveal
 the shared components (the mesh touches everything on its socket), and

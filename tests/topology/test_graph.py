@@ -5,7 +5,7 @@ import pytest
 from repro.errors import TopologyError
 from repro.memsim import StreamKind, stream_path
 from repro.topology import get_platform, platform_names
-from repro.topology.graph import (
+from tests.topology.graph import (
     graph_stream_path,
     memory_system_graph,
     shared_resources,
