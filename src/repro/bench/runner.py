@@ -5,10 +5,11 @@ each (mode, core count).  This is exact for the paper's setting, where
 both activities run long enough to reach steady state; the paper's
 duration-derived measurement agrees within edge effects, which the
 tests check against a replay on an event-driven engine
-(``tests/memsim/engine.py``).  A :class:`ModeSolver` solves each
-distinct scenario once, so a placement grid shares the two modes that
-run alone.  The platform's seeded measurement noise is applied unless
-the configuration disables it.
+(``tests/memsim/engine.py``).  A :class:`ModeSolver` measures a
+placement's core-count sweep in one pass and solves each distinct
+scenario once, so a placement grid shares the two modes that run alone.
+The platform's seeded measurement noise is applied unless the
+configuration disables it, drawn for the whole sweep in one batch.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from repro.memsim.arbiter import Arbiter
 from repro.memsim.noise import NoiseModel
 from repro.memsim.paths import build_resources
 from repro.memsim.profile import ContentionProfile
-from repro.memsim.scenario import Scenario, ScenarioResult, solve_scenario
+from repro.memsim.scenario import Scenario, build_streams, read_rates
+from repro.memsim.stream import Stream
 from repro.topology.objects import Machine
 
 __all__ = ["ModeSolver", "measure_curves", "default_core_counts"]
@@ -36,31 +38,56 @@ def default_core_counts(machine: Machine) -> np.ndarray:
     return np.arange(1, machine.cores_per_socket + 1)
 
 
+#: The four measured curves of a sweep, in their noise keys' order.
+_CURVES = ("comp_alone", "comm_alone", "comp_par", "comm_par")
+
+
 def _noisy(
-    noise: NoiseModel | None,
-    sigma: float,
-    value: float,
-    key: tuple[object, ...],
+    noise: NoiseModel,
+    sigmas: Sequence[float],
+    rows: list[list[float]],
+    keys: Sequence[tuple[object, ...]],
     repetitions: int,
-) -> float:
-    """Median of ``repetitions`` noisy observations of ``value``."""
-    if noise is None or sigma == 0.0:
-        return value
-    if repetitions == 1:
-        return noise.perturb(value, sigma, *key)
-    samples = [
-        noise.perturb(value, sigma, *key, rep) for rep in range(repetitions)
+) -> None:
+    """Replace each measurement by the median of its noisy observations.
+
+    ``rows[i][j]`` is curve ``_CURVES[j]`` at the core count keyed
+    ``keys[i]``, and ``sigmas[j]`` that curve's noise.  A curve with no
+    noise keeps its values untouched.  Every observation of the sweep is
+    drawn in one batch.
+    """
+    reps = [()] if repetitions == 1 else [(rep,) for rep in range(repetitions)]
+    noisy = [
+        (i, j)
+        for i in range(len(rows))
+        for j, sigma in enumerate(sigmas)
+        if sigma != 0.0
     ]
-    return float(np.median(samples))
+    samples = noise.perturbed(
+        [rows[i][j] for i, j in noisy for _ in reps],
+        [sigmas[j] for _, j in noisy for _ in reps],
+        [(*keys[i], _CURVES[j], *rep) for i, j in noisy for rep in reps],
+    )
+    for k, (i, j) in enumerate(noisy):
+        if repetitions == 1:
+            rows[i][j] = samples[k]
+        else:
+            rows[i][j] = float(
+                np.median(samples[k * repetitions : (k + 1) * repetitions])
+            )
 
 
 class ModeSolver:
     """Steady-state bandwidths of the benchmark's three modes on one machine.
 
-    Computations alone depend only on ``(m_comp, n)`` and communications
-    alone only on ``m_comm``, so each is solved once and remembered: the
-    placements measured through one solver share those solves.  Only
-    the parallel mode is solved per placement.
+    A placement's sweep is measured in one pass.  Its streams are built
+    once, for the largest core count, and each core count solves a
+    prefix of them: the parallel mode at ``n`` is the first ``n`` core
+    streams next to the communication stream.  Computations alone depend
+    only on ``(m_comp, n)`` and communications alone only on ``m_comm``,
+    so each is solved once and remembered: the placements measured
+    through one solver share those solves.  Only the parallel mode is
+    solved per placement.
     """
 
     def __init__(self, machine: Machine, profile: ContentionProfile) -> None:
@@ -69,27 +96,55 @@ class ModeSolver:
         self._arbiter = Arbiter(build_resources(machine, profile), profile)
         self._comp_alone: dict[tuple[int, int], float] = {}
         self._comm_alone: dict[int, float] = {}
+        self._comm_streams: dict[int, list[Stream]] = {}
 
-    def _solve(self, scenario: Scenario) -> ScenarioResult:
-        return solve_scenario(
-            self.machine, self.profile, scenario, arbiter=self._arbiter
+    def _solve(
+        self, streams: list[Stream], n_cores: int, communicating: bool
+    ) -> tuple[float, float]:
+        """Computation total and communication bandwidth of ``streams``."""
+        _, comp_total, comm = read_rates(
+            self._arbiter.solve(streams), n_cores, communicating
         )
+        return comp_total, comm
 
-    def comp_alone(self, m_comp: int, n: int) -> float:
-        """Aggregate bandwidth of ``n`` cores computing alone on ``m_comp``."""
-        key = (m_comp, n)
-        if key not in self._comp_alone:
-            self._comp_alone[key] = self._solve(
-                Scenario(n, m_comp, None)
-            ).comp_total_gbps
-        return self._comp_alone[key]
+    def _sweep_streams(
+        self, m_comp: int, m_comm: int, sweep: list[int]
+    ) -> tuple[list[Stream], list[Stream]]:
+        """The core streams of the sweep's largest core count, and the
+        communication streams that run next to them.
+
+        A sweep that cannot be built fails as solving it one core count
+        at a time did: at the first core count whose streams cannot be
+        built, with that core count's error.
+        """
+        top = max(sweep)
+        try:
+            streams = build_streams(
+                self.machine, self.profile, Scenario(top, m_comp, m_comm)
+            )
+        except Exception:
+            for n in sweep:
+                build_streams(
+                    self.machine, self.profile, Scenario(n, m_comp, m_comm)
+                )
+            raise
+        return streams[:top], streams[top:]
+
+    def _alone_streams(self, m_comm: int) -> list[Stream]:
+        """The communication stream with no core computing."""
+        streams = self._comm_streams.get(m_comm)
+        if streams is None:
+            streams = self._comm_streams[m_comm] = build_streams(
+                self.machine, self.profile, Scenario(0, None, m_comm)
+            )
+        return streams
 
     def comm_alone(self, m_comm: int) -> float:
         """Bandwidth of the NIC receiving alone into ``m_comm``."""
         if m_comm not in self._comm_alone:
             self._comm_alone[m_comm] = self._solve(
-                Scenario(0, None, m_comm)
-            ).comm_gbps
+                self._alone_streams(m_comm), 0, True
+            )[1]
         return self._comm_alone[m_comm]
 
     def curves(
@@ -108,34 +163,38 @@ class ModeSolver:
             if core_counts is not None
             else default_core_counts(machine)
         )
-        noise = None if config.noiseless else NoiseModel(config.seed)
+        # Plain ints: they key the noise through their repr.
+        sweep = [int(n) for n in ns]
+        cpu, beside = self._sweep_streams(m_comp, m_comm, sweep)
+        alone = self._alone_streams(m_comm)
+        comm_alone = self.comm_alone(m_comm)
 
-        comp_alone = np.empty(ns.size)
-        comm_alone = np.empty(ns.size)
-        comp_par = np.empty(ns.size)
-        comm_par = np.empty(ns.size)
+        rows = []
+        for n in sweep:
+            comp_par, comm_par = self._solve(
+                cpu[:n] + (beside if n else alone), n, True
+            )
+            key = (m_comp, n)
+            comp_alone = self._comp_alone.get(key)
+            if comp_alone is None:
+                comp_alone = self._comp_alone[key] = self._solve(
+                    cpu[:n], n, False
+                )[0]
+            rows.append([comp_alone, comm_alone, comp_par, comm_par])
 
-        for i, n in enumerate(ns):
-            n = int(n)
-            par = self._solve(Scenario(n, m_comp, m_comm))
-            base_key = (machine.name, m_comp, m_comm, n)
-            comp_alone[i] = _noisy(
-                noise, profile.comp_noise_sigma, self.comp_alone(m_comp, n),
-                base_key + ("comp_alone",), config.repetitions,
-            )
-            comm_alone[i] = _noisy(
-                noise, profile.comm_noise_sigma, self.comm_alone(m_comm),
-                base_key + ("comm_alone",), config.repetitions,
-            )
-            comp_par[i] = _noisy(
-                noise, profile.comp_noise_sigma, par.comp_total_gbps,
-                base_key + ("comp_par",), config.repetitions,
-            )
-            comm_par[i] = _noisy(
-                noise, profile.comm_noise_sigma, par.comm_gbps,
-                base_key + ("comm_par",), config.repetitions,
+        if not config.noiseless:
+            comp, comm = profile.comp_noise_sigma, profile.comm_noise_sigma
+            _noisy(
+                NoiseModel(config.seed),
+                (comp, comm, comp, comm),
+                rows,
+                [(machine.name, m_comp, m_comm, n) for n in sweep],
+                config.repetitions,
             )
 
+        comp_alone, comm_alone, comp_par, comm_par = (
+            np.array(curve, dtype=float) for curve in zip(*rows)
+        )
         return ModeCurves(
             core_counts=ns,
             comp_alone=comp_alone,

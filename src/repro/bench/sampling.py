@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.bench.config import SweepConfig
 from repro.bench.results import ModeCurves
-from repro.bench.runner import measure_curves
+from repro.bench.runner import ModeSolver
 from repro.errors import BenchmarkError
 from repro.memsim.profile import ContentionProfile
 from repro.topology.objects import Machine
@@ -73,14 +73,12 @@ def run_adaptive_calibration(
     best_stacked = 0.0
     stale = 0
 
+    # One solver for every point: communications alone is solved once.
+    solver = ModeSolver(machine, profile)
+
     def measure_one(n: int) -> ModeCurves:
-        return measure_curves(
-            machine,
-            profile,
-            m_comp=m_comp,
-            m_comm=m_comm,
-            config=config,
-            core_counts=[n],
+        return solver.curves(
+            m_comp=m_comp, m_comm=m_comm, config=config, core_counts=[n]
         )
 
     for n in range(1, max_cores + 1):

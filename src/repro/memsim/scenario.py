@@ -37,6 +37,7 @@ __all__ = [
     "Scenario",
     "ScenarioResult",
     "build_streams",
+    "read_rates",
     "solve_scenario",
     "LoadPhase",
     "LoadEnvelope",
@@ -317,6 +318,20 @@ def build_streams(
     return streams
 
 
+def read_rates(
+    allocation: Allocation, n_cores: int, communicating: bool
+) -> tuple[tuple[float, ...], float, float]:
+    """What a scenario reports of its solve.
+
+    The rates of streams ``core0`` .. ``core{n_cores - 1}``, in core
+    order, their sum, and the rate of ``nic``, or 0.0 when nothing
+    communicates.
+    """
+    per_core = tuple(allocation.rate(f"core{i}") for i in range(n_cores))
+    comm = allocation.rate("nic") if communicating else 0.0
+    return per_core, sum(per_core), comm
+
+
 def solve_scenario(
     machine: Machine,
     profile: ContentionProfile,
@@ -338,10 +353,11 @@ def solve_scenario(
     streams = build_streams(machine, profile, scenario)
     allocation = arbiter.solve(streams)
 
-    per_core = tuple(
-        allocation.rate(f"core{i}") for i in range(scenario.n_cores)
-    ) if scenario.computing else ()
-    comm = allocation.rate("nic") if scenario.communicating else 0.0
+    per_core, comp_total, comm = read_rates(
+        allocation,
+        scenario.n_cores if scenario.computing else 0,
+        scenario.communicating,
+    )
     comm_tx = (
         allocation.rate("nic-tx")
         if scenario.communicating and scenario.bidirectional
@@ -349,7 +365,7 @@ def solve_scenario(
     )
     return ScenarioResult(
         scenario=scenario,
-        comp_total_gbps=sum(per_core),
+        comp_total_gbps=comp_total,
         comp_per_core_gbps=per_core,
         comm_gbps=comm,
         comm_tx_gbps=comm_tx,

@@ -7,7 +7,10 @@ pre-pass, :func:`filter_dram_demand`, builds a replacement
 :func:`solve_tenant_scenario` builds and solves every load segment of a
 tenant scenario, on this :class:`Arbiter`.  ``repro.memsim`` must give
 exactly the same numbers: ``tests/memsim/test_reference.py`` compares
-the two bit for bit.  Only the stream builders, the per-tenant
+the two bit for bit.  :class:`NoiseModel` draws each key's noise from a
+``numpy.random.default_rng`` of its own, as the product did before it
+seeded a batch of keys at once; ``tests/memsim/test_noise_batch.py``
+holds the two equal.  Only the stream builders, the per-tenant
 attribution, the LLC's share and factor maths and the result types are
 shared with the product; everything else is the older code, unchanged,
 the water-fill's ``numpy.argsort`` included.
@@ -16,6 +19,8 @@ the water-fill's ``numpy.argsort`` included.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -42,6 +47,7 @@ from repro.topology.objects import Machine
 __all__ = [
     "Arbiter",
     "ArbitrationPolicy",
+    "NoiseModel",
     "Offer",
     "filter_dram_demand",
     "smooth_min",
@@ -622,3 +628,35 @@ def solve_tenant_scenario(
         phases=tuple(phases),
         per_tenant=averages,
     )
+
+
+class NoiseModel:
+    """Deterministic keyed multiplicative noise, one generator per key."""
+
+    def __init__(self, seed: int = 0) -> None:
+        self._seed = int(seed)
+
+    def factor(self, sigma: float, *key: object) -> float:
+        """Multiplicative noise factor ``exp(sigma * z)`` for this key.
+
+        ``z`` is a standard normal drawn from a generator seeded by a
+        stable hash of ``(seed, *key)``.  ``sigma == 0`` returns exactly
+        1.0.
+        """
+        if sigma < 0.0:
+            raise SimulationError(f"sigma must be non-negative, got {sigma}")
+        if sigma == 0.0:
+            return 1.0
+        digest = hashlib.blake2b(
+            repr((self._seed, *key)).encode("utf-8"), digest_size=8
+        ).digest()
+        rng = np.random.default_rng(int.from_bytes(digest, "little"))
+        z = rng.standard_normal()
+        # Subtract sigma^2/2 so the factor has unit mean (log-normal).
+        return math.exp(sigma * z - 0.5 * sigma * sigma)
+
+    def perturb(self, value: float, sigma: float, *key: object) -> float:
+        """Return ``value`` perturbed by this key's noise factor."""
+        if value < 0.0:
+            raise SimulationError(f"cannot perturb negative measurement {value}")
+        return value * self.factor(sigma, *key)
