@@ -21,7 +21,7 @@ import numpy as np
 from repro.bench.config import SweepConfig
 from repro.bench.results import ModeCurves
 from repro.core.evaluation import as_core_counts
-from repro.errors import BenchmarkError
+from repro.errors import BenchmarkError, ReproError
 from repro.memsim.arbiter import Arbiter
 from repro.memsim.noise import NoiseModel
 from repro.memsim.paths import build_resources
@@ -69,12 +69,8 @@ def _noisy(
         [(*keys[i], _CURVES[j], *rep) for i, j in noisy for rep in reps],
     )
     for k, (i, j) in enumerate(noisy):
-        if repetitions == 1:
-            rows[i][j] = samples[k]
-        else:
-            rows[i][j] = float(
-                np.median(samples[k * repetitions : (k + 1) * repetitions])
-            )
+        drawn = samples[k * repetitions : (k + 1) * repetitions]
+        rows[i][j] = drawn[0] if repetitions == 1 else float(np.median(drawn))
 
 
 class ModeSolver:
@@ -96,7 +92,6 @@ class ModeSolver:
         self._arbiter = Arbiter(build_resources(machine, profile), profile)
         self._comp_alone: dict[tuple[int, int], float] = {}
         self._comm_alone: dict[int, float] = {}
-        self._comm_streams: dict[int, list[Stream]] = {}
 
     def _solve(
         self, streams: list[Stream], n_cores: int, communicating: bool
@@ -122,7 +117,7 @@ class ModeSolver:
             streams = build_streams(
                 self.machine, self.profile, Scenario(top, m_comp, m_comm)
             )
-        except Exception:
+        except ReproError:
             for n in sweep:
                 build_streams(
                     self.machine, self.profile, Scenario(n, m_comp, m_comm)
@@ -130,21 +125,13 @@ class ModeSolver:
             raise
         return streams[:top], streams[top:]
 
-    def _alone_streams(self, m_comm: int) -> list[Stream]:
-        """The communication stream with no core computing."""
-        streams = self._comm_streams.get(m_comm)
-        if streams is None:
-            streams = self._comm_streams[m_comm] = build_streams(
-                self.machine, self.profile, Scenario(0, None, m_comm)
-            )
-        return streams
-
     def comm_alone(self, m_comm: int) -> float:
         """Bandwidth of the NIC receiving alone into ``m_comm``."""
         if m_comm not in self._comm_alone:
-            self._comm_alone[m_comm] = self._solve(
-                self._alone_streams(m_comm), 0, True
-            )[1]
+            streams = build_streams(
+                self.machine, self.profile, Scenario(0, None, m_comm)
+            )
+            self._comm_alone[m_comm] = self._solve(streams, 0, True)[1]
         return self._comm_alone[m_comm]
 
     def curves(
@@ -165,15 +152,14 @@ class ModeSolver:
         )
         # Plain ints: they key the noise through their repr.
         sweep = [int(n) for n in ns]
+        # The sweep's streams first: a core count that cannot be built
+        # fails before anything is solved.
         cpu, beside = self._sweep_streams(m_comp, m_comm, sweep)
-        alone = self._alone_streams(m_comm)
         comm_alone = self.comm_alone(m_comm)
 
         rows = []
         for n in sweep:
-            comp_par, comm_par = self._solve(
-                cpu[:n] + (beside if n else alone), n, True
-            )
+            comp_par, comm_par = self._solve(cpu[:n] + beside, n, True)
             key = (m_comp, n)
             comp_alone = self._comp_alone.get(key)
             if comp_alone is None:

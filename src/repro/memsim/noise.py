@@ -13,7 +13,7 @@ the underlying physics), keyed deterministically so that:
 Each key's draw is ``numpy.random.default_rng(h).standard_normal()``,
 where ``h`` is a 64-bit BLAKE2b hash of ``repr((seed, *key))``.  Seeding
 a generator costs far more than drawing from it, so
-:meth:`NoiseModel.factors` seeds a whole batch of keys at once instead
+:meth:`NoiseModel.perturbed` seeds a whole batch of keys at once instead
 of building a generator per key: it runs numpy's ``SeedSequence``
 mixing over every hash together, as 32-bit arithmetic on ``uint64``
 arrays (:func:`_seed_words`), turns each result into the PCG64 state
@@ -148,6 +148,7 @@ class NoiseModel:
     def _factors(
         self, sigmas: Sequence[float], keys: Sequence[tuple[object, ...]]
     ) -> list[float]:
+        """Each key's noise factor at its own, already checked, sigma."""
         drawn = [i for i, sigma in enumerate(sigmas) if sigma != 0.0]
         factors = [1.0] * len(sigmas)
         if drawn:
@@ -158,20 +159,19 @@ class NoiseModel:
                 factors[i] = math.exp(sigma * z - 0.5 * sigma * sigma)
         return factors
 
-    def factors(
-        self, sigmas: Sequence[float], keys: Sequence[tuple[object, ...]]
-    ) -> list[float]:
-        """Each key's multiplicative noise factor at its own ``sigma``.
+    def factor(self, sigma: float, *key: object) -> float:
+        """Multiplicative noise factor ``exp(sigma * z)`` for this key.
 
-        The factor is ``exp(sigma * z - sigma² / 2)``, with ``z`` the
-        standard normal of a generator seeded by a stable hash of
-        ``(seed, *key)``.  ``sigma == 0`` gives exactly 1.0 and draws
-        nothing (useful to switch noise off in tests).  All the keys'
-        generators are seeded in one batch.
+        ``z`` is a standard normal drawn from a generator seeded by a
+        stable hash of ``(seed, *key)``.  ``sigma == 0`` returns exactly
+        1.0 and draws nothing (useful to switch noise off in tests).
         """
-        for sigma in sigmas:
-            _check_sigma(sigma)
-        return self._factors(sigmas, keys)
+        _check_sigma(sigma)
+        return self._factors((sigma,), (key,))[0]
+
+    def perturb(self, value: float, sigma: float, *key: object) -> float:
+        """Return ``value`` perturbed by this key's noise factor."""
+        return self.perturbed((value,), (sigma,), (key,))[0]
 
     def perturbed(
         self,
@@ -179,11 +179,12 @@ class NoiseModel:
         sigmas: Sequence[float],
         keys: Sequence[tuple[object, ...]],
     ) -> list[float]:
-        """Each value times its key's noise factor, drawn in one batch.
+        """Each value perturbed by its key's factor at its own sigma.
 
-        Inputs are checked in order, each value before its sigma, so a
-        batch refuses what the first refused :meth:`perturb` call of a
-        loop over it would.
+        What :meth:`perturb` gives each ``(value, sigma, key)``, with
+        every key's generator seeded in one batch.  Inputs are checked
+        in order, each value before its sigma, so a batch refuses what
+        the first refused :meth:`perturb` of a loop over it would.
         """
         for value, sigma in zip(values, sigmas):
             if value < 0.0:
@@ -195,11 +196,3 @@ class NoiseModel:
             value * factor
             for value, factor in zip(values, self._factors(sigmas, keys))
         ]
-
-    def factor(self, sigma: float, *key: object) -> float:
-        """Multiplicative noise factor for one key (see :meth:`factors`)."""
-        return self.factors((sigma,), (key,))[0]
-
-    def perturb(self, value: float, sigma: float, *key: object) -> float:
-        """Return ``value`` perturbed by this key's noise factor."""
-        return self.perturbed((value,), (sigma,), (key,))[0]

@@ -17,7 +17,7 @@ import hashlib
 import pytest
 
 from repro.bench import SweepConfig, measure_curves, run_placement_grid
-from repro.errors import SimulationError, TopologyError
+from repro.errors import BenchmarkError, SimulationError, TopologyError
 from repro.topology import get_platform, platform_names
 
 CONFIGS = {
@@ -176,6 +176,10 @@ def test_one_core_past_the_socket_is_refused(name):
          "machine 'pyxis' has no NUMA node 98 (valid: 0..1)"),
         (0, 99, [0], TopologyError,
          "machine 'pyxis' has no NUMA node 99 (valid: 0..1)"),
+        # Core counts that build are measured, then refused as curves.
+        (0, 1, [0, 2], BenchmarkError, "core_counts must start at >= 1"),
+        (0, 1, [2, 1], BenchmarkError,
+         "core_counts must be strictly increasing"),
     ],
 )
 def test_a_sweep_fails_where_its_core_counts_fail(

@@ -35,36 +35,33 @@ keys = st.lists(key_parts, max_size=6).map(tuple)
 sigmas = st.one_of(
     st.just(0.0), st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
 )
+values = st.one_of(
+    st.just(1.0), st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+)
 
 
-def bits(values) -> list[int]:
-    return np.array(values, dtype=np.float64).view(np.int64).tolist()
+def bits(floats) -> list[int]:
+    return np.array(floats, dtype=np.float64).view(np.int64).tolist()
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=-(2**64), max_value=2**64),
-    draws=st.lists(st.tuples(sigmas, keys), min_size=1, max_size=40),
+    draws=st.lists(st.tuples(values, sigmas, keys), min_size=1, max_size=40),
 )
 def test_a_batch_draws_what_each_key_drew_alone(seed, draws):
     noise, expected = NoiseModel(seed), reference.NoiseModel(seed)
-    batch_sigmas = [sigma for sigma, _ in draws]
-    batch_keys = [key for _, key in draws]
-    assert bits(noise.factors(batch_sigmas, batch_keys)) == bits(
-        [expected.factor(sigma, *key) for sigma, key in draws]
+    batch = noise.perturbed(*(list(column) for column in zip(*draws)))
+    assert bits(batch) == bits(
+        [expected.perturb(value, sigma, *key) for value, sigma, key in draws]
     )
-    values = [float(i) * 0.75 for i in range(len(draws))]
-    assert bits(noise.perturbed(values, batch_sigmas, batch_keys)) == bits(
-        [
-            expected.perturb(value, sigma, *key)
-            for value, (sigma, key) in zip(values, draws)
-        ]
-    )
-    sigma, key = draws[0]
-    assert bits([noise.factor(sigma, *key)]) == bits([expected.factor(sigma, *key)])
-    assert bits([noise.perturb(2.5, sigma, *key)]) == bits(
-        [expected.perturb(2.5, sigma, *key)]
-    )
+    for value, sigma, key in draws[:3]:
+        assert bits([noise.factor(sigma, *key)]) == bits(
+            [expected.factor(sigma, *key)]
+        )
+        assert bits([noise.perturb(value, sigma, *key)]) == bits(
+            [expected.perturb(value, sigma, *key)]
+        )
 
 
 def test_the_seeding_is_default_rngs_at_the_entropy_edges():
@@ -81,45 +78,50 @@ def test_the_seeding_is_default_rngs_at_the_entropy_edges():
 def test_zero_sigma_is_exactly_one_and_draws_nothing():
     noise = NoiseModel(4)
     assert noise.factor(0.0, "k") == 1.0
-    assert noise.factors([0.0, 0.0], [("a",), ("b",)]) == [1.0, 1.0]
-    mixed = noise.factors([0.0, 0.05, 0.0], [("a",), ("b",), ("c",)])
-    assert mixed[0] == 1.0 and mixed[2] == 1.0
-    assert mixed[1] == reference.NoiseModel(4).factor(0.05, "b")
-    assert noise.factors([], []) == []
+    got = noise.perturbed(
+        [2.0, 3.0, 4.0], [0.0, 0.05, 0.0], [("a",), ("b",), ("c",)]
+    )
+    assert got[0] == 2.0 and got[2] == 4.0
+    assert got[1] == reference.NoiseModel(4).perturb(3.0, 0.05, "b")
+    assert noise.perturbed([], [], []) == []
 
 
-def test_errors_match_the_per_key_code():
+def test_errors_match_a_loop_of_single_calls():
     noise = NoiseModel(0)
-    with pytest.raises(SimulationError, match=r"^sigma must be non-negative, got -0\.1$"):
-        noise.factors([0.1, -0.1], [("a",), ("b",)])
+    with pytest.raises(
+        SimulationError, match=r"^sigma must be non-negative, got -0\.1$"
+    ):
+        noise.perturbed([1.0, 2.0], [0.1, -0.1], [("a",), ("b",)])
     with pytest.raises(
         SimulationError, match=r"^cannot perturb negative measurement -1\.0$"
     ):
         noise.perturbed([2.0, -1.0], [0.1, 0.1], [("a",), ("b",)])
-    # The value is checked before the sigma, as ``perturb`` always did.
+    # Each value is checked before its sigma, and the first bad input
+    # decides, as in a loop of ``perturb`` calls.
     with pytest.raises(SimulationError, match="negative measurement"):
         noise.perturb(-1.0, -0.1, "k")
+    with pytest.raises(SimulationError, match="sigma must be non-negative"):
+        noise.perturbed([1.0, -1.0], [-0.1, 0.1], [("a",), ("b",)])
+    with pytest.raises(SimulationError, match="sigma must be non-negative"):
+        noise.factor(-0.1, "k")
 
 
 def test_threads_drawing_batches_get_the_serial_answers():
     noise = NoiseModel(9)
-    batches = [
-        [("henri", m, t, n, mode) for n in range(1, 19) for mode in ("a", "b")]
-        for m in range(4)
-        for t in range(2)
-    ]
-    sigma_lists = [[0.004 * (1 + i % 3)] * len(batch) for i, batch in enumerate(batches)]
-    expected = [
-        noise.factors(s, batch) for s, batch in zip(sigma_lists, batches)
-    ]
+    batches = []
+    for i in range(8):
+        keys = [("henri", i, n, mode) for n in range(1, 19) for mode in "ab"]
+        values = [float(k) for k in range(len(keys))]
+        batches.append((values, [0.004 * (1 + i % 3)] * len(keys), keys))
+    expected = [noise.perturbed(*batch) for batch in batches]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
             futures = [
-                pool.submit(noise.factors, s, batch)
+                pool.submit(noise.perturbed, *batch)
                 for _ in range(4)
-                for s, batch in zip(sigma_lists, batches)
+                for batch in batches
             ]
             answers = [future.result(timeout=60) for future in futures]
     finally:
