@@ -121,6 +121,10 @@ class ClusterRouter:
         self._server: asyncio.base_events.Server | None = None
         self._health_task: asyncio.Task | None = None
         self._connections: set[asyncio.Task] = set()
+        #: Connection tasks waiting for, or reading, a request: nothing
+        #: of theirs is in flight, so shutdown cancels them at once.
+        self._reading: set[asyncio.Task] = set()
+        self._closing = False
         self._shutdown = asyncio.Event()
         self._started_at = time.monotonic()
 
@@ -161,6 +165,9 @@ class ClusterRouter:
         self._shutdown.set()
 
     async def shutdown(self) -> None:
+        """Stop accepting, close idle connections, drain in-flight
+        forwards, close sockets."""
+        self._closing = True
         if self._health_task is not None:
             self._health_task.cancel()
             try:
@@ -170,7 +177,8 @@ class ClusterRouter:
             self._health_task = None
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
+        for task in self._reading:
+            task.cancel()
         pending = {t for t in self._connections if not t.done()}
         if pending:
             _, stragglers = await asyncio.wait(pending, timeout=10.0)
@@ -178,6 +186,10 @@ class ClusterRouter:
                 task.cancel()
             if stragglers:
                 await asyncio.gather(*stragglers, return_exceptions=True)
+        if self._server is not None:
+            # From Python 3.12.1 this also waits for every open
+            # connection, hence last.
+            await self._server.wait_closed()
         await self._pool.aclose()
         self._shutdown.set()
 
@@ -216,11 +228,13 @@ class ClusterRouter:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
         try:
             # Same keep-alive loop as the single-process service: honour
             # explicit keep-alive clients, close after one exchange
-            # otherwise.
-            while True:
+            # otherwise or once shutdown begins.
+            while not self._closing:
+                self._reading.add(task)
                 try:
                     method, path, body, keep_alive = await read_request(reader)
                 except HttpError as exc:
@@ -234,10 +248,17 @@ class ClusterRouter:
                     return
                 except (asyncio.IncompleteReadError, ConnectionError):
                     return
+                finally:
+                    self._reading.discard(task)
                 status, payload = await self._dispatch(method, path, body)
                 self.metrics.observe(path.lstrip("/") or "_root", status)
+                # A forward in flight when shutdown began is answered,
+                # and then its connection closes.
                 await write_response(
-                    writer, status, payload, keep_alive=keep_alive
+                    writer,
+                    status,
+                    payload,
+                    keep_alive=keep_alive and not self._closing,
                 )
                 if not keep_alive:
                     return

@@ -12,8 +12,11 @@ answered as JSON.  Operational behaviour:
 * **structured errors** — every :class:`ReproError` maps to the JSON
   envelope and HTTP status of :mod:`repro.service.protocol`;
 * **graceful shutdown** — :meth:`ContentionService.shutdown` stops
-  accepting, drains in-flight requests (bounded by ``drain_timeout_s``)
-  and flushes the batcher, so clients never see a torn response.
+  accepting, closes at once every connection that is waiting for a
+  request or part-way through reading one, drains in-flight requests
+  (bounded by ``drain_timeout_s``; each answer carries
+  ``Connection: close``) and flushes the batcher, so clients never see
+  a torn response.
 
 Endpoints: ``GET /healthz``, ``GET /metrics``, ``POST /calibrate``,
 ``POST /predict``, ``POST /predict_grid``, ``POST /advise`` — schemas
@@ -83,6 +86,10 @@ class ContentionService:
         self._drain_timeout_s = drain_timeout_s
         self._server: asyncio.base_events.Server | None = None
         self._connections: set[asyncio.Task] = set()
+        #: Connection tasks waiting for, or reading, a request: nothing
+        #: of theirs is in flight, so shutdown cancels them at once.
+        self._reading: set[asyncio.Task] = set()
+        self._closing = False
         self._shutdown = asyncio.Event()
         self._started_at = time.monotonic()
         self._routes = {
@@ -125,10 +132,13 @@ class ContentionService:
         self._shutdown.set()
 
     async def shutdown(self) -> None:
-        """Stop accepting, drain in-flight requests, close sockets."""
+        """Stop accepting, close idle connections, drain in-flight
+        requests, close sockets."""
+        self._closing = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
+        for task in self._reading:
+            task.cancel()
         if self.batcher is not None:
             await self.batcher.drain()
         pending = {t for t in self._connections if not t.done()}
@@ -140,6 +150,10 @@ class ContentionService:
                 task.cancel()
             if stragglers:
                 await asyncio.gather(*stragglers, return_exceptions=True)
+        if self._server is not None:
+            # From Python 3.12.1 this also waits for every open
+            # connection, hence last.
+            await self._server.wait_closed()
         self._shutdown.set()
 
     # ---- connection handling ---------------------------------------------------
@@ -156,10 +170,13 @@ class ContentionService:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
         try:
             # Serve requests until the client closes or stops asking for
-            # keep-alive; one-shot clients exit the loop after one turn.
-            while True:
+            # keep-alive, or shutdown begins; one-shot clients exit the
+            # loop after one turn.
+            while not self._closing:
+                self._reading.add(task)
                 try:
                     method, path, body, keep_alive = await read_request(reader)
                 except HttpError as exc:
@@ -173,6 +190,8 @@ class ContentionService:
                     return
                 except (asyncio.IncompleteReadError, ConnectionError):
                     return  # client went away mid-request or between requests
+                finally:
+                    self._reading.discard(task)
                 await self._dispatch(
                     writer, method, path, body, keep_alive=keep_alive
                 )
@@ -271,7 +290,14 @@ class ContentionService:
         self.metrics.observe_request(
             endpoint, status, time.perf_counter() - started
         )
-        await write_response(writer, status, payload, keep_alive=keep_alive)
+        # A request that was in flight when shutdown began is answered,
+        # and then its connection closes.
+        await write_response(
+            writer,
+            status,
+            payload,
+            keep_alive=keep_alive and not self._closing,
+        )
 
     # ---- endpoint handlers -----------------------------------------------------
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -31,6 +32,8 @@ class StubWorker:
         self.responses: dict[str, tuple[int, dict]] = {}
         #: Per-path raw replies, written as they are: a broken worker.
         self.raw_replies: dict[str, bytes] = {}
+        #: Seconds each request waits before its answer: a slow worker.
+        self.delay_s = 0.0
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -39,6 +42,7 @@ class StubWorker:
                 raw = self.rfile.read(length) if length else b""
                 body = json.loads(raw) if raw else None
                 stub.requests.append((method, self.path, body))
+                time.sleep(stub.delay_s)
                 if self.path in stub.raw_replies:
                     self.wfile.write(stub.raw_replies[self.path])
                     return

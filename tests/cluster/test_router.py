@@ -15,10 +15,12 @@ from repro.topology import get_platform
 from tests.cluster.conftest import FakeSupervisor, RouterThread
 from tests.service.conftest import (
     DEEPLY_NESTED,
+    HALF_SENT,
     NEGATIVE_CONTENT_LENGTH,
     OVERLONG_LINES,
     ServerThread,
     exchange,
+    stop_with_a_reader,
 )
 from tests.service.test_bulk_parity import post
 
@@ -316,3 +318,45 @@ class TestWireDefects:
         # answers.
         assert all(not stub.requests for stub in workers.values())
         assert router.client().healthz()["workers_alive"] == len(workers)
+
+
+class TestShutdown:
+    @pytest.mark.parametrize(
+        "sent", [b"", HALF_SENT], ids=["idle", "half-sent"]
+    )
+    def test_shutdown_closes_a_reading_connection_at_once(
+        self, router_factory, sent
+    ):
+        """Nothing is in flight on a connection that has not sent a
+        whole request: shutdown closes it instead of draining it."""
+        thread = router_factory()
+        elapsed, closed = stop_with_a_reader(thread, thread.router, sent)
+        assert elapsed < 1.0
+        assert closed
+
+    def test_shutdown_answers_in_flight_keep_alive_then_closes(
+        self, stub_fleet, router_factory
+    ):
+        supervisor, workers = stub_fleet
+        for stub in workers.values():
+            stub.delay_s = 0.5
+        thread = router_factory()
+        body = json.dumps({"platform": "occigen", "n": 4}).encode()
+        request = (
+            b"POST /predict HTTP/1.1\r\nConnection: keep-alive\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body)
+        ) + body
+        with socket.create_connection(("127.0.0.1", thread.port), 10) as sock:
+            sock.sendall(request)
+            time.sleep(0.2)  # the forward is now in flight
+            started = time.perf_counter()
+            thread.stop()
+            elapsed = time.perf_counter() - started
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert b"\r\nConnection: close\r\n" in head + b"\r\n"
+        assert json.loads(payload)["echo"]["n"] == 4
+        assert elapsed < 1.0

@@ -11,6 +11,7 @@ import asyncio
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -111,6 +112,32 @@ OVERLONG_LINES = {
         b"POST /predict HTTP/1.1\r\nX-Pad: " + b"a" * 200_000 + b"\r\n\r\n"
     ),
 }
+#: A request cut off inside its headers: the server is part-way through
+#: reading it.
+HALF_SENT = b"POST /predict HTTP/1.1\r\nContent-Le"
+
+
+def stop_with_a_reader(thread, front, sent: bytes) -> tuple[float, bool]:
+    """Stop ``thread`` while a client that sent only ``sent`` is
+    connected to ``front`` (its service or router) -> (seconds the stop
+    took, whether the client then saw its connection closed)."""
+    with socket.create_connection(("127.0.0.1", thread.port), 5) as sock:
+        sock.sendall(sent)
+        deadline = time.monotonic() + 5
+        while not front._connections:
+            assert time.monotonic() < deadline, "connection never accepted"
+            time.sleep(0.005)
+        started = time.perf_counter()
+        thread.stop()
+        elapsed = time.perf_counter() - started
+        sock.settimeout(1)
+        try:
+            closed = sock.recv(1) == b""
+        except ConnectionResetError:
+            closed = True
+    return elapsed, closed
+
+
 DEEPLY_NESTED = (
     b"POST /predict HTTP/1.1\r\nContent-Length: 100000\r\n\r\n"
     + b"[" * 100_000

@@ -10,6 +10,7 @@ envelopes and graceful shutdown.
 
 import http.client
 import json
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -24,9 +25,11 @@ from repro.service.registry import ModelEntry, ModelKey, ModelRegistry
 
 from tests.service.conftest import (
     DEEPLY_NESTED,
+    HALF_SENT,
     NEGATIVE_CONTENT_LENGTH,
     OVERLONG_LINES,
     exchange,
+    stop_with_a_reader,
 )
 from tests.service.test_registry import CountingCalibrator
 
@@ -369,6 +372,44 @@ class TestOperational:
         # The socket is actually closed afterwards.
         with pytest.raises(ServiceError, match="cannot reach"):
             client.healthz()
+
+    @pytest.mark.parametrize(
+        "sent", [b"", HALF_SENT], ids=["idle", "half-sent"]
+    )
+    def test_shutdown_closes_a_reading_connection_at_once(
+        self, server_factory, sent
+    ):
+        """Nothing is in flight on a connection that has not sent a
+        whole request: shutdown closes it instead of draining it."""
+        server = server_factory()
+        elapsed, closed = stop_with_a_reader(server, server.service, sent)
+        assert elapsed < 1.0
+        assert closed
+
+    def test_shutdown_answers_in_flight_keep_alive_then_closes(
+        self, server_factory
+    ):
+        registry = ModelRegistry(calibrator=CountingCalibrator(delay_s=0.6))
+        server = server_factory(registry=registry)
+        body = json.dumps({"platform": PLATFORM}).encode()
+        request = (
+            b"POST /calibrate HTTP/1.1\r\nConnection: keep-alive\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body)
+        ) + body
+        with socket.create_connection(("127.0.0.1", server.port), 10) as sock:
+            sock.sendall(request)
+            time.sleep(0.2)  # request is now in flight
+            started = time.perf_counter()
+            server.stop()
+            elapsed = time.perf_counter() - started
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert b"\r\nConnection: close\r\n" in head + b"\r\n"
+        assert json.loads(payload)["platform"] == PLATFORM
+        assert elapsed < 1.0
 
     def test_cli_query_roundtrip(self, server, capsys):
         """`python -m repro query ...` drives a live server end to end."""
