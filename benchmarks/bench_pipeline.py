@@ -6,10 +6,10 @@ Two artefacts are guarded here:
   the sweep and calibration from the artifact store instead of
   recomputing them, so it must be substantially faster than a cold run
   while staying bit-identical.
-* **Parallel bit-identity** — ``run_all_pipelines(jobs=N)`` fans the
-  platforms out across workers and must reproduce the serial output bit
-  for bit.  A wall-clock speedup is asserted only on multi-core hosts
-  (single-core CI still checks identity).
+* **Parallel bit-identity** — ``run_all_experiments(jobs=N)`` fans
+  the platforms out across worker processes and must reproduce the
+  serial output bit for bit.  A wall-clock speedup is asserted only on
+  multi-core hosts (single-core CI still checks identity).
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import numpy as np
 from _common import best_of
 
 from repro.bench import SweepConfig
-from repro.pipeline import ArtifactStore, run_all_pipelines, run_platform_pipeline
+from repro.evaluation import run_all_experiments, run_platform_experiment
+from repro.pipeline import ArtifactStore
 
 CONFIG = SweepConfig(seed=1)
 PLATFORM = "henri-subnuma"  # 16 placements: the largest per-platform grid
@@ -61,18 +62,20 @@ def collect(recorder) -> None:
     with tempfile.TemporaryDirectory() as cache_dir:
         store = ArtifactStore(cache_dir)
         cold_start = time.perf_counter()
-        cold = run_platform_pipeline(PLATFORM, config=CONFIG, store=store)
+        cold = run_platform_experiment(PLATFORM, config=CONFIG, store=store)
         t_cold = time.perf_counter() - cold_start
         assert cold.stats.computed_stages == ("measure", "calibrate")
 
         # Identity first: a fast wrong answer is worthless.
-        warm = run_platform_pipeline(PLATFORM, config=CONFIG, store=store)
+        warm = run_platform_experiment(PLATFORM, config=CONFIG, store=store)
         assert warm.stats.cached_stages == ("measure", "calibrate")
-        _identical(cold.result, warm.result)
+        _identical(cold, warm)
 
         # The run above is the warmup; best_of only times from here.
         t_warm = best_of(
-            lambda: run_platform_pipeline(PLATFORM, config=CONFIG, store=store),
+            lambda: run_platform_experiment(
+                PLATFORM, config=CONFIG, store=store
+            ),
             rounds=WARM_ROUNDS,
             warmup=0,
         )
@@ -121,9 +124,9 @@ def test_warm_cache_speedup(benchmark):
     )
     with tempfile.TemporaryDirectory() as cache_dir:
         store = ArtifactStore(cache_dir)
-        run_platform_pipeline(PLATFORM, config=CONFIG, store=store)  # prime
+        run_platform_experiment(PLATFORM, config=CONFIG, store=store)  # prime
         benchmark.pedantic(
-            run_platform_pipeline,
+            run_platform_experiment,
             args=(PLATFORM,),
             kwargs={"config": CONFIG, "store": store},
             rounds=5,
@@ -133,17 +136,17 @@ def test_warm_cache_speedup(benchmark):
 
 def test_parallel_all_platforms(benchmark):
     t_serial_start = time.perf_counter()
-    serial = run_all_pipelines(config=CONFIG)
+    serial = run_all_experiments(config=CONFIG)
     t_serial = time.perf_counter() - t_serial_start
 
     jobs = min(4, os.cpu_count() or 1)
     t_parallel_start = time.perf_counter()
-    parallel = run_all_pipelines(config=CONFIG, jobs=jobs)
+    parallel = run_all_experiments(config=CONFIG, jobs=jobs)
     t_parallel = time.perf_counter() - t_parallel_start
 
     assert list(serial) == list(parallel)
     for name in serial:
-        _identical(serial[name].result, parallel[name].result)
+        _identical(serial[name], parallel[name])
 
     speedup = t_serial / t_parallel
     if (os.cpu_count() or 1) >= 2 and jobs >= 2:
@@ -164,7 +167,7 @@ def test_parallel_all_platforms(benchmark):
         }
     )
     benchmark.pedantic(
-        run_all_pipelines,
+        run_all_experiments,
         kwargs={"config": CONFIG, "jobs": jobs},
         rounds=2,
         iterations=1,

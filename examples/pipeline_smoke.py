@@ -3,7 +3,7 @@
 
 Drives the real CLI (``python -m repro``) as subprocesses against a
 temporary cache directory and checks the load-bearing guarantees of the
-staged pipeline end to end, across process boundaries:
+cached pipeline end to end, across process boundaries:
 
 1. a cold ``figure`` run populates the cache (measure + calibrate),
 2. a warm rerun is bit-identical and provably served from the cache

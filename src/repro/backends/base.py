@@ -39,7 +39,7 @@ from repro.errors import ModelError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.bench.results import ModeCurves, PlatformDataset
-    from repro.pipeline.stage import StageKey
+    from repro.pipeline.store import StageKey
     from repro.pipeline.store import ArtifactStore
     from repro.topology.platforms import Platform
 
@@ -117,7 +117,7 @@ class ModelBackend(abc.ABC):
         """Artifact fingerprint: sweep-config fingerprint + backend config.
 
         Backend id and version live in the stage name / stage version
-        of the :class:`~repro.pipeline.stage.StageKey`, so the
+        of the :class:`~repro.pipeline.store.StageKey`, so the
         fingerprint only has to capture what *else* influenced the
         calibration: the measurement config and the backend's own knobs.
         """
@@ -210,7 +210,7 @@ def backend_key(
     """The store address of one backend's calibration for one platform:
     stage ``backend-<id>``, the code version as stage version, and
     :meth:`ModelBackend.fingerprint` of the sweep-config fingerprint."""
-    from repro.pipeline.stage import StageKey
+    from repro.pipeline.store import StageKey
 
     return StageKey(
         platform=platform,

@@ -47,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.bench.results import ModeCurves
     from repro.core.placement import PlacementPrediction
     from repro.evaluation.experiments import ExperimentResult
-    from repro.pipeline.stage import StageKey
+    from repro.pipeline.store import StageKey
     from repro.pipeline.store import ArtifactStore
 
 __all__ = [
@@ -250,7 +250,7 @@ def tournament_key(
     fingerprint covers the sweep config and the full roster (ids and
     code versions): any change to either re-runs the tournament."""
     from repro.pipeline.fingerprint import fingerprint_mapping
-    from repro.pipeline.stage import StageKey
+    from repro.pipeline.store import StageKey
 
     roster = {b.backend_id: b.version for b in backends.values()}
     return StageKey(

@@ -100,14 +100,12 @@ def run_placement_grid(
     config: SweepConfig | None = None,
     core_counts: Sequence[int] | None = None,
     jobs: int = 1,
-    executor_mode: str = "process",
 ) -> PlatformDataset:
     """Measure every ``(m_comp, m_comm)`` placement combination.
 
-    ``jobs > 1`` measures placements concurrently (``executor_mode``
-    selects processes or threads).  Measurement noise is keyed by the
-    measurement itself, never by call order, so the parallel grid is
-    bit-identical to the serial one.
+    ``jobs > 1`` measures placements in worker processes.  Measurement
+    noise is keyed by the measurement itself, never by call order, so
+    the parallel grid is bit-identical to the serial one.
 
     Each distinct scenario is solved once: computations alone once per
     ``(m_comp, n)``, communications alone once per ``m_comm``, and the
@@ -120,11 +118,10 @@ def run_placement_grid(
         core_counts = as_core_counts(core_counts, error=BenchmarkError)
     placements = list(platform.machine.placements())
     log.debug(
-        "sweeping %d placements of %s (jobs=%s, mode=%s)",
+        "sweeping %d placements of %s (jobs=%s)",
         len(placements),
         platform.name,
         jobs,
-        executor_mode,
     )
     rows: dict[int, list[PlacementKey]] = {}
     for key in placements:
@@ -137,9 +134,9 @@ def run_placement_grid(
         jobs=jobs,
     ):
         if jobs != 1 and len(rows) > 1:
-            # Imported here: repro.pipeline's stages import this module.
-            # Per-placement spans are recorded inside the workers (lost
-            # for process pools, laned by tid for thread pools); the
+            # Imported here: the process pool costs boot time that a
+            # serial sweep never needs.  Per-placement spans are
+            # recorded inside the workers and lost with them; the
             # parent always observes this grid span.
             from repro.pipeline.executor import parallel_map
 
@@ -153,7 +150,6 @@ def run_placement_grid(
                 ),
                 list(rows.values()),
                 jobs=jobs,
-                mode=executor_mode,
             )
             by_key = {
                 key: curves

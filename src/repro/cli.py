@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
         "suffix selects Chrome trace-event format)",
     )
 
-    # Shared by every command that runs the staged pipeline.
+    # Shared by every command that runs the pipeline.
     pipeline_opts = argparse.ArgumentParser(add_help=False, parents=[trace_opts])
     pipeline_opts.add_argument(
         "--cache-dir",

@@ -81,7 +81,7 @@ class ClusterError(ReproError):
 
 
 class PipelineError(ReproError):
-    """Raised when the staged pipeline or its artifact store is misused.
+    """Raised when the pipeline or its artifact store is misused.
 
     Cache *corruption* never raises: a corrupted, truncated, or
     version-mismatched entry is logged, discarded, and recomputed.  This

@@ -10,9 +10,9 @@ request path.  Design constraints, in order:
    two attribute stores — no locks, no clock reads, no recording.  The
    overhead bound is asserted by ``tests/obs/test_overhead.py``.
 2. **Thread-safe collection.**  Spans may finish concurrently on
-   ``parallel_map`` worker threads; the record list is guarded by one
-   lock taken only at span *exit* (and counter increments), never per
-   clock read.
+   several threads (the service registry calibrates on executor
+   threads); the record list is guarded by one lock taken only at span
+   *exit* (and counter increments), never per clock read.
 3. **Correct nesting everywhere.**  The current-span chain lives in a
    :mod:`contextvars` variable, so parents resolve correctly across
    ``await`` points in the asyncio service as well as across plain
@@ -20,9 +20,9 @@ request path.  Design constraints, in order:
    therefore a fresh span root — its spans are distinguished by
    ``tid``, exactly how Chrome's trace viewer lanes them.
 
-Process-pool fan-out (``parallel_map(mode="process")``) records spans
-in the *child* process's tracer, which dies with the worker; callers
-that need per-item spans under a process pool should instrument at the
+Process-pool fan-out (``parallel_map``) records spans in the *child*
+process's tracer, which dies with the worker; callers that need
+per-item spans under a process pool should instrument at the
 granularity the parent observes (the grid span), as
 :mod:`repro.bench.sweep` does.
 
@@ -293,7 +293,7 @@ def tracing(tracer: Tracer | None = None) -> Iterator[Tracer]:
     Convenience for tests and library callers::
 
         with tracing() as tracer:
-            run_platform_pipeline("henri")
+            run_platform_experiment("henri")
         write_jsonl(tracer, "trace.jsonl")
     """
     global _active

@@ -1,57 +1,25 @@
-"""Cached, parallel pipeline layer for the §IV evaluation.
+"""Cached, parallel execution for the §IV evaluation.
 
-The measure → calibrate → predict → score workflow is modelled as a DAG
-of deterministic stages (:mod:`repro.pipeline.stages`) with explicit,
-hashable inputs; expensive stage outputs are persisted in a
-content-addressed artifact store (:mod:`repro.pipeline.store`) and
-independent stage instances fan out across workers
+:func:`repro.evaluation.experiments.run_platform_experiment` runs the
+measure → calibrate → predict → score steps; this package holds what
+they run on: the content-addressed artifact store
+(:mod:`repro.pipeline.store`) that persists the measurement and the
+calibration under a :class:`StageKey`, the config fingerprints that
+address it (:mod:`repro.pipeline.fingerprint`), and the process fan-out
 (:mod:`repro.pipeline.executor`).  See ``docs/PIPELINE.md``.
-
-Most callers never touch this package directly:
-:func:`repro.evaluation.experiments.run_platform_experiment` and
-:func:`~repro.evaluation.experiments.run_all_experiments` accept
-``cache_dir``/``jobs`` and route through it.
 """
 
 from repro.pipeline.executor import parallel_map, resolve_jobs
 from repro.pipeline.fingerprint import config_fingerprint, fingerprint_mapping
-from repro.pipeline.runner import (
-    PipelineRun,
-    PipelineStats,
-    StageOutcome,
-    run_all_pipelines,
-    run_platform_pipeline,
-)
-from repro.pipeline.stage import Artifact, PipelineContext, Stage, StageKey
-from repro.pipeline.stages import (
-    PIPELINE_STAGES,
-    CalibrateStage,
-    MeasureStage,
-    PredictStage,
-    ScoreStage,
-)
-from repro.pipeline.store import ArtifactStore, EntryInfo, StoreStats
+from repro.pipeline.store import ArtifactStore, EntryInfo, StageKey, StoreStats
 
 __all__ = [
-    "Artifact",
     "ArtifactStore",
-    "CalibrateStage",
     "EntryInfo",
-    "MeasureStage",
-    "PIPELINE_STAGES",
-    "PipelineContext",
-    "PipelineRun",
-    "PipelineStats",
-    "PredictStage",
-    "ScoreStage",
-    "Stage",
     "StageKey",
-    "StageOutcome",
     "StoreStats",
     "config_fingerprint",
     "fingerprint_mapping",
     "parallel_map",
     "resolve_jobs",
-    "run_all_pipelines",
-    "run_platform_pipeline",
 ]

@@ -1,30 +1,22 @@
-"""Parallel execution of independent stage instances.
+"""Parallel execution of independent units of pipeline work.
 
-Independent units of pipeline work — one placement of a sweep, one
-platform of ``run_all_experiments`` — share no state: measurement noise
-is keyed by ``(seed, measurement key)``, never by call order, so the
-numbers are bit-identical no matter how the units are scheduled.  This
-module provides the one scheduling primitive the pipeline needs:
-:func:`parallel_map`, an order-preserving map over
-:mod:`concurrent.futures` executors.
+Independent units of pipeline work — one row of placements of a sweep,
+one platform of ``run_all_experiments`` — share no state: measurement
+noise is keyed by ``(seed, measurement key)``, never by call order, so
+the numbers are bit-identical no matter how the units are scheduled.
+This module provides the one scheduling primitive the pipeline needs:
+:func:`parallel_map`, an order-preserving map over a process pool.
 
-``mode="process"`` sidesteps the GIL (the sweeps are Python-loop bound)
-and is the default for ``jobs > 1``; it requires the callable and items
-to be picklable, which every pipeline work unit is.  ``mode="thread"``
-avoids pickling entirely and is useful for IO-bound work and for
-exercising concurrency in tests.  ``jobs=1`` runs inline with no
-executor at all, so the serial path stays the trivially debuggable one.
+Processes sidestep the GIL (the sweeps are Python-loop bound); the
+callable and the items must be picklable, which every pipeline work
+unit is.  ``jobs=1`` runs inline with no executor at all, so the serial
+path stays the trivially debuggable one.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import (
-    FIRST_EXCEPTION,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.errors import PipelineError
@@ -33,8 +25,6 @@ __all__ = ["parallel_map", "resolve_jobs"]
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
-
-_MODES = ("process", "thread")
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -57,26 +47,20 @@ def parallel_map(
     items: Iterable[_T],
     *,
     jobs: int = 1,
-    mode: str = "process",
 ) -> list[_R]:
-    """``[fn(item) for item in items]``, possibly across workers.
+    """``[fn(item) for item in items]``, possibly across worker processes.
 
     Results are returned in item order regardless of completion order.
     The first worker exception propagates to the caller unchanged (its
     siblings are cancelled where possible), so error behaviour matches
     the serial loop.
     """
-    if mode not in _MODES:
-        raise PipelineError(
-            f"unknown executor mode {mode!r}; expected one of {_MODES}"
-        )
     jobs = resolve_jobs(jobs)
     work: Sequence[_T] = list(items)
     if jobs == 1 or len(work) <= 1:
         return [fn(item) for item in work]
 
-    executor_cls = ProcessPoolExecutor if mode == "process" else ThreadPoolExecutor
-    with executor_cls(max_workers=min(jobs, len(work))) as executor:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as executor:
         futures = [executor.submit(fn, item) for item in work]
         _, not_done = wait(futures, return_when=FIRST_EXCEPTION)
         for future in not_done:

@@ -1,11 +1,11 @@
 """Content-addressed on-disk store for pipeline artifacts.
 
 Layout: one directory per artifact, addressed by its
-:class:`~repro.pipeline.stage.StageKey`::
+:class:`StageKey`::
 
     <root>/<platform>/<stage>-v<version>-<fingerprint>/
         manifest.json     # provenance: key, config, file checksums
-        <payload files>   # whatever the stage serialised (CSV/JSON text)
+        <payload files>   # whatever the encoder wrote (CSV/JSON text)
         stats.json        # sidecar hit counter (not covered by checksums)
 
 Guarantees:
@@ -20,14 +20,14 @@ Guarantees:
   checksums do not match is *never served*: the entry is logged,
   discarded, and the caller recomputes.  Corruption can cost time, not
   correctness.
-* **Bit-identical reload** — payloads are UTF-8 text produced by the
-  stages' full-precision serialisers, so a warm run reconstructs the
-  exact float64 values of the cold run.
+* **Bit-identical reload** — payloads are UTF-8 text produced by each
+  kind's full-precision encoder, so a warm run reconstructs the exact
+  float64 values of the cold run.
 
 The cache policy on top — serve a hit its decoder accepts, otherwise
 discard, compute and publish — is :func:`load_or_compute`, shared by
-every artifact kind (the pipeline stages, backend calibrations, the
-tournament winner table).  :func:`json_payload`/:func:`json_member`
+every artifact kind (the pipeline's measurement and calibration,
+backend calibrations, the tournament winner table).  :func:`json_payload`/:func:`json_member`
 are the shared codec of single-JSON-member artifacts.
 """
 
@@ -45,7 +45,6 @@ from typing import Any, Callable, Mapping, TypeVar
 
 from repro.errors import PipelineError, ReproError
 from repro.obs import counter, span
-from repro.pipeline.stage import StageKey
 
 try:  # POSIX; the hit counter degrades to best-effort elsewhere.
     import fcntl
@@ -57,6 +56,7 @@ __all__ = [
     "DECODE_ERRORS",
     "EntryInfo",
     "MANIFEST_VERSION",
+    "StageKey",
     "StoreStats",
     "json_member",
     "json_payload",
@@ -76,6 +76,31 @@ _STATS = "stats.json"
 #: keeps it out of the payload namespace (save() rejects dotted names).
 _STATS_LOCK = ".stats.lock"
 _TMP = ".tmp"
+
+
+@dataclass(frozen=True)
+class StageKey:
+    """The full cache address of one stored artifact.
+
+    Two runs share a key iff nothing that can change the artifact
+    differs: same platform, same kind (``stage``) and code version,
+    same sweep-config fingerprint.
+    """
+
+    platform: str
+    stage: str
+    version: str
+    fingerprint: str
+
+    @property
+    def entry_name(self) -> str:
+        return f"{self.stage}-v{self.version}-{self.fingerprint}"
+
+    @property
+    def entry_id(self) -> str:
+        """``<platform>/<stage>-v<version>-<fingerprint>`` — the id shown
+        by ``repro cache ls`` and accepted by ``repro cache info``."""
+        return f"{self.platform}/{self.entry_name}"
 
 
 @dataclass

@@ -7,8 +7,9 @@ observes, never perturbs.
 """
 
 from repro.bench import SweepConfig
+from repro.evaluation import run_platform_experiment
 from repro.obs import tracing
-from repro.pipeline import ArtifactStore, run_platform_pipeline
+from repro.pipeline import ArtifactStore
 from tests.pipeline.test_pipeline_cache import assert_results_identical
 
 CONFIG = SweepConfig(seed=3)
@@ -19,7 +20,7 @@ STAGES = ("measure", "calibrate", "predict", "score")
 class TestPipelineSpans:
     def test_cold_run_covers_all_stages_and_misses(self, tmp_path):
         with tracing() as tracer:
-            run_platform_pipeline(
+            run_platform_experiment(
                 "henri", config=CONFIG, store=ArtifactStore(tmp_path)
             )
         names = {s.name for s in tracer.spans()}
@@ -36,9 +37,9 @@ class TestPipelineSpans:
 
     def test_warm_run_records_hits(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        run_platform_pipeline("henri", config=CONFIG, store=store)
+        run_platform_experiment("henri", config=CONFIG, store=store)
         with tracing() as tracer:
-            run_platform_pipeline("henri", config=CONFIG, store=store)
+            run_platform_experiment("henri", config=CONFIG, store=store)
         totals = tracer.counter_totals()
         assert totals.get("store.hit", 0) >= 2  # measure + calibrate
         assert totals.get("store.store", 0) == 0
@@ -49,7 +50,7 @@ class TestPipelineSpans:
 
     def test_stage_spans_nest_under_run(self, tmp_path):
         with tracing() as tracer:
-            run_platform_pipeline(
+            run_platform_experiment(
                 "henri", config=CONFIG, store=ArtifactStore(tmp_path)
             )
         by_name = {s.name: s for s in tracer.spans()}
@@ -60,7 +61,7 @@ class TestPipelineSpans:
 
     def test_stage_spans_tag_platform(self, tmp_path):
         with tracing() as tracer:
-            run_platform_pipeline(
+            run_platform_experiment(
                 "henri", config=CONFIG, store=ArtifactStore(tmp_path)
             )
         for stage in STAGES:
@@ -72,18 +73,18 @@ class TestPipelineSpans:
 
 class TestTracingDoesNotPerturb:
     def test_results_bit_identical_on_and_off(self):
-        plain = run_platform_pipeline("henri", config=CONFIG)
+        plain = run_platform_experiment("henri", config=CONFIG)
         with tracing():
-            traced = run_platform_pipeline("henri", config=CONFIG)
-        assert_results_identical(plain.result, traced.result)
+            traced = run_platform_experiment("henri", config=CONFIG)
+        assert_results_identical(plain, traced)
 
     def test_cached_results_bit_identical(self, tmp_path):
-        cold = run_platform_pipeline(
+        cold = run_platform_experiment(
             "henri", config=CONFIG, cache_dir=tmp_path
         )
         with tracing():
-            warm = run_platform_pipeline(
+            warm = run_platform_experiment(
                 "henri", config=CONFIG, cache_dir=tmp_path
             )
         assert warm.stats.cached_stages == ("measure", "calibrate")
-        assert_results_identical(cold.result, warm.result)
+        assert_results_identical(cold, warm)

@@ -48,14 +48,14 @@ from repro.bench import SweepConfig
 from repro.bench.sweep import run_placement_grid
 from repro.core.calibration import calibrate_placement_model
 from repro.errors import ModelError
-from repro.pipeline import (
-    ArtifactStore,
-    CalibrateStage,
-    MeasureStage,
-    PipelineContext,
-    StageKey,
-    run_platform_pipeline,
+from repro.evaluation.experiments import (
+    decode_dataset,
+    decode_model,
+    encode_dataset,
+    encode_model,
+    run_platform_experiment,
 )
+from repro.pipeline import ArtifactStore, StageKey
 from repro.pipeline.store import load_or_compute
 from repro.topology import get_platform
 
@@ -81,26 +81,25 @@ KINDS = _kinds(BACKENDS)
 
 
 def _run(store, roster=tuple(BACKENDS)):
-    """One pipeline + tournament pass: ``({kind: served?}, run, tour)``."""
-    run = run_platform_pipeline(PLATFORM, config=CONFIG, store=store)
+    """One pipeline + tournament pass: ``({kind: served?}, result, tour)``."""
+    result = run_platform_experiment(PLATFORM, config=CONFIG, store=store)
     tour = run_platform_tournament(
-        run.result,
+        result,
         config=CONFIG,
         store=store,
         backends={backend_id: BACKENDS[backend_id] for backend_id in roster},
     )
     served = {
-        "measure": run.stats.source_of("measure") == "cached",
-        "calibrate": run.stats.source_of("calibrate") == "cached",
+        "measure": result.stats.source_of("measure") == "cached",
+        "calibrate": result.stats.source_of("calibrate") == "cached",
         **{f"backend-{b}": c for b, c in tour.backend_cached.items()},
         "tournament": tour.cached,
     }
-    return served, run, tour
+    return served, result, tour
 
 
-def _material(run, tour):
+def _material(result, tour):
     """Everything a run returns, in exactly comparable form."""
-    result = run.result
     calibrated = dict(tour.calibrated)
     assert calibrated.pop("threshold") is result.model
     return (
@@ -438,11 +437,15 @@ def _golden_roster() -> tuple[str, ...]:
     return tuple(json.loads(table.read_text("utf-8"))["roster"])
 
 
-def _codec(kind: str, ctx: PipelineContext):
+def _codec(kind: str, platform):
     """``(decode, encode)`` of one artifact kind."""
-    if kind in ("measure", "calibrate"):
-        stage = MeasureStage() if kind == "measure" else CalibrateStage()
-        return functools.partial(stage.deserialize, ctx=ctx), stage.serialize
+    if kind == "measure":
+        return (
+            functools.partial(decode_dataset, platform=platform),
+            encode_dataset,
+        )
+    if kind == "calibrate":
+        return functools.partial(decode_model, platform=platform), encode_model
     if kind == "tournament":
         return (
             functools.partial(
@@ -480,17 +483,20 @@ class TestGoldenStore:
         platform = get_platform(PLATFORM)
         dataset = run_placement_grid(platform, config=CONFIG)
         model = calibrate_placement_model(dataset, platform)
-        for stage, value in ((MeasureStage(), dataset), (CalibrateStage(), model)):
-            entry = _entry(GOLDEN, stage.name)
+        for kind, encode, value in (
+            ("measure", encode_dataset, dataset),
+            ("calibrate", encode_model, model),
+        ):
+            entry = _entry(GOLDEN, kind)
             manifest = json.loads((entry / "manifest.json").read_text("utf-8"))
-            payloads = stage.serialize(value)
+            payloads = encode(value)
             assert sorted(payloads) == sorted(manifest["files"])
             for name, text in payloads.items():
                 assert text.encode("utf-8") == (entry / name).read_bytes(), name
 
     def test_decode_then_encode_reproduces_the_bytes(self, golden):
         store = ArtifactStore(golden)
-        ctx = PipelineContext(platform=get_platform(PLATFORM), config=CONFIG)
+        platform = get_platform(PLATFORM)
         entries = [
             e for e in store.entries() if e.key.stage != "backend-threshold"
         ]
@@ -498,6 +504,6 @@ class TestGoldenStore:
             _kinds(_golden_roster())
         )
         for info in entries:
-            decode, encode = _codec(info.key.stage, ctx)
+            decode, encode = _codec(info.key.stage, platform)
             payloads = store.load(info.key)
             assert encode(decode(payloads)) == payloads, info.entry_id

@@ -45,25 +45,17 @@ class TestParallelMap:
     def test_empty(self):
         assert parallel_map(_square, [], jobs=4) == []
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_order_preserved(self, mode):
+    def test_order_preserved(self):
         items = list(range(8))
-        assert parallel_map(_square, items, jobs=4, mode=mode) == [
-            x * x for x in items
-        ]
+        assert parallel_map(_square, items, jobs=4) == [x * x for x in items]
 
     def test_single_item_runs_inline(self):
         assert parallel_map(_square, [5], jobs=8) == [25]
 
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(PipelineError):
-            parallel_map(_square, [1, 2], jobs=2, mode="fiber")
-
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_real_exception_propagates(self, mode):
+    def test_real_exception_propagates(self):
         """The worker's own error surfaces, never a CancelledError."""
         with pytest.raises(ValueError, match="item two is broken"):
-            parallel_map(_boom, [0, 1, 2, 3], jobs=2, mode=mode)
+            parallel_map(_boom, [0, 1, 2, 3], jobs=2)
 
     def test_serial_exception_propagates(self):
         with pytest.raises(ValueError, match="item two is broken"):

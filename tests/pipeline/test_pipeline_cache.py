@@ -1,4 +1,4 @@
-"""Cache semantics of the staged pipeline.
+"""Cache semantics of the pipeline.
 
 The load-bearing guarantees: a warm run is bit-identical to a cold run
 and provably skips the expensive stages; parallel execution is
@@ -15,12 +15,7 @@ import pytest
 from repro.bench import SweepConfig
 from repro.errors import PipelineError
 from repro.evaluation import run_all_experiments, run_platform_experiment
-from repro.pipeline import (
-    ArtifactStore,
-    config_fingerprint,
-    run_all_pipelines,
-    run_platform_pipeline,
-)
+from repro.pipeline import ArtifactStore, config_fingerprint
 
 CONFIG = SweepConfig(seed=1)
 
@@ -47,42 +42,59 @@ def assert_results_identical(a, b):
 class TestColdWarm:
     def test_warm_run_is_bit_identical_and_skips(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        cold = run_platform_pipeline("henri", config=CONFIG, store=store)
+        cold = run_platform_experiment("henri", config=CONFIG, store=store)
         assert cold.stats.source_of("measure") == "computed"
         assert cold.stats.source_of("calibrate") == "computed"
         assert cold.stats.source_of("predict") == "derived"
         assert cold.stats.source_of("score") == "derived"
 
-        warm = run_platform_pipeline("henri", config=CONFIG, store=store)
+        warm = run_platform_experiment("henri", config=CONFIG, store=store)
         assert warm.stats.cached_stages == ("measure", "calibrate")
         assert warm.stats.computed_stages == ()
-        assert_results_identical(cold.result, warm.result)
+        assert_results_identical(cold, warm)
 
     def test_cache_dir_and_store_are_equivalent(self, tmp_path):
-        first = run_platform_pipeline("henri", config=CONFIG, cache_dir=tmp_path)
-        second = run_platform_pipeline(
+        first = run_platform_experiment(
+            "henri", config=CONFIG, cache_dir=tmp_path
+        )
+        second = run_platform_experiment(
             "henri", config=CONFIG, store=ArtifactStore(tmp_path)
         )
         assert second.stats.cached_stages == ("measure", "calibrate")
-        assert_results_identical(first.result, second.result)
+        assert_results_identical(first, second)
 
     def test_uncached_matches_cached(self, tmp_path):
-        cached = run_platform_pipeline("henri", config=CONFIG, cache_dir=tmp_path)
-        plain = run_platform_pipeline("henri", config=CONFIG)
+        cached = run_platform_experiment(
+            "henri", config=CONFIG, cache_dir=tmp_path
+        )
+        plain = run_platform_experiment("henri", config=CONFIG)
         assert plain.stats.cached_stages == ()
-        assert_results_identical(cached.result, plain.result)
+        assert_results_identical(cached, plain)
 
     def test_store_and_cache_dir_together_rejected(self, tmp_path):
         with pytest.raises(PipelineError, match="not both"):
-            run_platform_pipeline(
+            run_platform_experiment(
                 "henri",
                 config=CONFIG,
                 store=ArtifactStore(tmp_path),
                 cache_dir=tmp_path,
             )
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_all_platforms_reject_store_and_cache_dir(self, tmp_path, jobs):
+        """Checked before any platform runs, serial or fanned out."""
+        store_root, cache_root = tmp_path / "store", tmp_path / "cache"
+        with pytest.raises(PipelineError, match="not both"):
+            run_all_experiments(
+                config=CONFIG,
+                store=ArtifactStore(store_root),
+                cache_dir=cache_root,
+                jobs=jobs,
+            )
+        assert not any(store_root.iterdir())
+        assert not cache_root.exists()
+
     def test_experiment_facade_uses_the_cache(self, tmp_path):
-        """run_platform_experiment is a thin consumer of the pipeline."""
         store = ArtifactStore(tmp_path)
         first = run_platform_experiment("henri", config=CONFIG, store=store)
         before = store.stats.as_dict()
@@ -134,8 +146,8 @@ class TestFingerprintInvalidation:
 
     def test_changed_config_recomputes(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        run_platform_pipeline("henri", config=CONFIG, store=store)
-        other = run_platform_pipeline(
+        run_platform_experiment("henri", config=CONFIG, store=store)
+        other = run_platform_experiment(
             "henri", config=dataclasses.replace(CONFIG, seed=2), store=store
         )
         assert other.stats.computed_stages == ("measure", "calibrate")
@@ -145,7 +157,7 @@ class TestFingerprintInvalidation:
 class TestCorruptionRecovery:
     def _warm_store(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        cold = run_platform_pipeline("henri", config=CONFIG, store=store)
+        cold = run_platform_experiment("henri", config=CONFIG, store=store)
         return store, cold
 
     def _measure_entry(self, store):
@@ -155,18 +167,18 @@ class TestCorruptionRecovery:
     def test_tampered_payload_recomputes(self, tmp_path):
         store, cold = self._warm_store(tmp_path)
         (self._measure_entry(store) / "dataset.csv").write_bytes(b"junk")
-        warm = run_platform_pipeline("henri", config=CONFIG, store=store)
+        warm = run_platform_experiment("henri", config=CONFIG, store=store)
         assert warm.stats.source_of("measure") == "computed"
         assert warm.stats.source_of("calibrate") == "cached"
-        assert_results_identical(cold.result, warm.result)
+        assert_results_identical(cold, warm)
 
     def test_truncated_manifest_recomputes(self, tmp_path):
         store, cold = self._warm_store(tmp_path)
         manifest = self._measure_entry(store) / "manifest.json"
         manifest.write_text(manifest.read_text()[:25])
-        warm = run_platform_pipeline("henri", config=CONFIG, store=store)
+        warm = run_platform_experiment("henri", config=CONFIG, store=store)
         assert warm.stats.source_of("measure") == "computed"
-        assert_results_identical(cold.result, warm.result)
+        assert_results_identical(cold, warm)
 
     def test_version_mismatch_recomputes(self, tmp_path):
         store, cold = self._warm_store(tmp_path)
@@ -174,9 +186,9 @@ class TestCorruptionRecovery:
         manifest = json.loads(manifest_path.read_text())
         manifest["manifest_version"] = 999
         manifest_path.write_text(json.dumps(manifest))
-        warm = run_platform_pipeline("henri", config=CONFIG, store=store)
+        warm = run_platform_experiment("henri", config=CONFIG, store=store)
         assert warm.stats.source_of("measure") == "computed"
-        assert_results_identical(cold.result, warm.result)
+        assert_results_identical(cold, warm)
 
     def test_undeserialisable_entry_recomputes(self, tmp_path):
         """A checksum-valid entry for the wrong platform is discarded."""
@@ -198,41 +210,34 @@ class TestCorruptionRecovery:
         manifest["files"]["dataset_meta.json"]["bytes"] = len(new_text)
         manifest_path.write_bytes(json.dumps(manifest).encode("utf-8"))
 
-        warm = run_platform_pipeline("henri", config=CONFIG, store=store)
+        warm = run_platform_experiment("henri", config=CONFIG, store=store)
         assert warm.stats.source_of("measure") == "computed"
-        assert_results_identical(cold.result, warm.result)
+        assert_results_identical(cold, warm)
 
 
 class TestParallelBitIdentity:
-    def test_grid_jobs_thread_and_process(self):
-        serial = run_platform_pipeline("henri", config=CONFIG)
-        for mode in ("thread", "process"):
-            par = run_platform_pipeline(
-                "henri", config=CONFIG, jobs=2, executor_mode=mode
-            )
-            assert_results_identical(serial.result, par.result)
+    def test_grid_jobs_in_processes(self):
+        serial = run_platform_experiment("henri", config=CONFIG)
+        par = run_platform_experiment("henri", config=CONFIG, jobs=2)
+        assert_results_identical(serial, par)
 
     def test_all_platforms_parallel_matches_serial(self):
-        serial = run_all_pipelines(config=CONFIG)
-        parallel = run_all_pipelines(config=CONFIG, jobs=3, executor_mode="thread")
+        serial = run_all_experiments(config=CONFIG)
+        parallel = run_all_experiments(config=CONFIG, jobs=3)
         assert list(serial) == list(parallel)  # Table I order preserved
         for name in serial:
-            assert_results_identical(serial[name].result, parallel[name].result)
+            assert_results_identical(serial[name], parallel[name])
 
     def test_run_all_experiments_facade(self, tmp_path):
         serial = run_all_experiments(config=CONFIG, cache_dir=tmp_path)
-        warm = run_all_experiments(
-            config=CONFIG, cache_dir=tmp_path, jobs=2, executor_mode="thread"
-        )
+        warm = run_all_experiments(config=CONFIG, cache_dir=tmp_path, jobs=2)
         for name in serial:
             assert_results_identical(serial[name], warm[name])
 
     def test_parallel_writers_share_one_cache(self, tmp_path):
         """Platforms fanned out over one cache dir all persist cleanly."""
-        run_all_pipelines(
-            config=CONFIG, cache_dir=tmp_path, jobs=3, executor_mode="thread"
-        )
+        run_all_experiments(config=CONFIG, cache_dir=tmp_path, jobs=3)
         store = ArtifactStore(tmp_path)
-        warm = run_all_pipelines(config=CONFIG, store=store)
-        for run in warm.values():
-            assert run.stats.cached_stages == ("measure", "calibrate")
+        warm = run_all_experiments(config=CONFIG, store=store)
+        for result in warm.values():
+            assert result.stats.cached_stages == ("measure", "calibrate")

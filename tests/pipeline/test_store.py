@@ -10,7 +10,7 @@ import threading
 import pytest
 
 from repro.errors import PipelineError
-from repro.pipeline.stage import StageKey
+from repro.pipeline.store import StageKey
 from repro.pipeline.store import MANIFEST_VERSION, ArtifactStore
 
 

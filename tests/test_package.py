@@ -110,3 +110,37 @@ class TestDeclaredDependencies:
             "import repro.cli, repro.backends, repro.service.server",
         )
         assert done.returncode == 0, done.stderr
+
+
+#: Modules a pipeline run needs and a booting server or CLI does not:
+#: each costs import time on every start.
+RUN_ONLY = ("repro.pipeline", "multiprocessing", "concurrent.futures.process")
+
+
+class TestBootPath:
+    def test_boot_loads_no_pipeline_or_process_pool(self):
+        src = Path(repro.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys\n"
+                "import repro.cli, repro.backends.tournament, "
+                "repro.service.server\n"
+                "print('\\n'.join(sys.modules))",
+            ],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        loaded = [
+            name
+            for name in done.stdout.split()
+            if any(
+                name == prefix or name.startswith(prefix + ".")
+                for prefix in RUN_ONLY
+            )
+        ]
+        assert loaded == []
