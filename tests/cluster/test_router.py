@@ -20,6 +20,8 @@ from tests.service.conftest import (
     OVERLONG_LINES,
     ServerThread,
     exchange,
+    keep_alive_post,
+    stop_in_flight,
     stop_with_a_reader,
 )
 from tests.service.test_bulk_parity import post
@@ -341,22 +343,10 @@ class TestShutdown:
         for stub in workers.values():
             stub.delay_s = 0.5
         thread = router_factory()
-        body = json.dumps({"platform": "occigen", "n": 4}).encode()
-        request = (
-            b"POST /predict HTTP/1.1\r\nConnection: keep-alive\r\n"
-            b"Content-Length: %d\r\n\r\n" % len(body)
-        ) + body
-        with socket.create_connection(("127.0.0.1", thread.port), 10) as sock:
-            sock.sendall(request)
-            time.sleep(0.2)  # the forward is now in flight
-            started = time.perf_counter()
-            thread.stop()
-            elapsed = time.perf_counter() - started
-            reply = b""
-            while chunk := sock.recv(65536):
-                reply += chunk
-        head, _, payload = reply.partition(b"\r\n\r\n")
+        elapsed, head, payload = stop_in_flight(
+            thread, keep_alive_post("/predict", {"platform": "occigen", "n": 4})
+        )
         assert head.startswith(b"HTTP/1.1 200 ")
         assert b"\r\nConnection: close\r\n" in head + b"\r\n"
-        assert json.loads(payload)["echo"]["n"] == 4
+        assert payload["echo"]["n"] == 4
         assert elapsed < 1.0

@@ -138,6 +138,32 @@ def stop_with_a_reader(thread, front, sent: bytes) -> tuple[float, bool]:
     return elapsed, closed
 
 
+def keep_alive_post(path: str, payload: dict) -> bytes:
+    """One POST that asks to keep its connection open."""
+    body = json.dumps(payload).encode()
+    return (
+        b"POST %s HTTP/1.1\r\nConnection: keep-alive\r\n"
+        b"Content-Length: %d\r\n\r\n" % (path.encode(), len(body))
+    ) + body
+
+
+def stop_in_flight(thread, data: bytes) -> tuple[float, bytes, dict]:
+    """Stop ``thread`` 0.2 s after sending ``data``, a request it takes
+    longer than that to answer -> (seconds the stop took, the reply's
+    head, its JSON body), read up to the close."""
+    with socket.create_connection(("127.0.0.1", thread.port), 10) as sock:
+        sock.sendall(data)
+        time.sleep(0.2)  # the request is now in flight
+        started = time.perf_counter()
+        thread.stop()
+        elapsed = time.perf_counter() - started
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return elapsed, head, json.loads(body)
+
+
 DEEPLY_NESTED = (
     b"POST /predict HTTP/1.1\r\nContent-Length: 100000\r\n\r\n"
     + b"[" * 100_000

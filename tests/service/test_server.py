@@ -10,7 +10,6 @@ envelopes and graceful shutdown.
 
 import http.client
 import json
-import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -29,6 +28,8 @@ from tests.service.conftest import (
     NEGATIVE_CONTENT_LENGTH,
     OVERLONG_LINES,
     exchange,
+    keep_alive_post,
+    stop_in_flight,
     stop_with_a_reader,
 )
 from tests.service.test_registry import CountingCalibrator
@@ -391,24 +392,12 @@ class TestOperational:
     ):
         registry = ModelRegistry(calibrator=CountingCalibrator(delay_s=0.6))
         server = server_factory(registry=registry)
-        body = json.dumps({"platform": PLATFORM}).encode()
-        request = (
-            b"POST /calibrate HTTP/1.1\r\nConnection: keep-alive\r\n"
-            b"Content-Length: %d\r\n\r\n" % len(body)
-        ) + body
-        with socket.create_connection(("127.0.0.1", server.port), 10) as sock:
-            sock.sendall(request)
-            time.sleep(0.2)  # request is now in flight
-            started = time.perf_counter()
-            server.stop()
-            elapsed = time.perf_counter() - started
-            reply = b""
-            while chunk := sock.recv(65536):
-                reply += chunk
-        head, _, payload = reply.partition(b"\r\n\r\n")
+        elapsed, head, payload = stop_in_flight(
+            server, keep_alive_post("/calibrate", {"platform": PLATFORM})
+        )
         assert head.startswith(b"HTTP/1.1 200 ")
         assert b"\r\nConnection: close\r\n" in head + b"\r\n"
-        assert json.loads(payload)["platform"] == PLATFORM
+        assert payload["platform"] == PLATFORM
         assert elapsed < 1.0
 
     def test_cli_query_roundtrip(self, server, capsys):
