@@ -39,8 +39,7 @@ from repro.errors import ModelError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.bench.results import ModeCurves, PlatformDataset
-    from repro.pipeline.store import StageKey
-    from repro.pipeline.store import ArtifactStore
+    from repro.pipeline.store import ArtifactStore, StageKey
     from repro.topology.platforms import Platform
 
 __all__ = [

@@ -47,8 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.bench.results import ModeCurves
     from repro.core.placement import PlacementPrediction
     from repro.evaluation.experiments import ExperimentResult
-    from repro.pipeline.store import StageKey
-    from repro.pipeline.store import ArtifactStore
+    from repro.pipeline.store import ArtifactStore, StageKey
 
 __all__ = [
     "PlatformTournament",
