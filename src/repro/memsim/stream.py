@@ -16,6 +16,7 @@ onto exactly two stream families:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
@@ -85,6 +86,15 @@ class Stream:
     def __post_init__(self) -> None:
         if not self.stream_id:
             raise SimulationError("stream_id must be non-empty")
+        # NaN passes every sign check below, and the arbiter would turn
+        # it into NaN rates instead of a diagnosis.
+        for name in ("demand_gbps", "issue_gbps", "min_guarantee_gbps"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise SimulationError(
+                    f"stream {self.stream_id!r}: {name} must be finite, "
+                    f"got {value!r}"
+                )
         if self.demand_gbps <= 0.0:
             raise SimulationError(
                 f"stream {self.stream_id!r}: demand must be positive, "

@@ -1,5 +1,7 @@
 """Stream and Resource invariants."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -57,6 +59,16 @@ class TestStream:
     def test_negative_issue_rejected(self):
         with pytest.raises(SimulationError, match="issue"):
             make_stream(issue_gbps=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name", ["demand_gbps", "issue_gbps", "min_guarantee_gbps"]
+    )
+    def test_non_finite_rate_rejected(self, name, value):
+        with pytest.raises(
+            SimulationError, match=f"'s': {name} must be finite"
+        ):
+            make_stream(kind=StreamKind.DMA, **{name: value})
 
 
 class TestResource:
