@@ -376,12 +376,13 @@ def run_tournament(
 ) -> dict[str, TournamentRun]:
     """The full tournament: every archived platform, every backend."""
     from repro.bench.config import SweepConfig
-    from repro.evaluation.experiments import run_platform_experiment
-    from repro.pipeline.store import ArtifactStore
+    from repro.evaluation.experiments import (
+        _resolve_store,
+        run_platform_experiment,
+    )
     from repro.topology.platforms import platform_names
 
-    if store is None and cache_dir is not None:
-        store = ArtifactStore(cache_dir)
+    store = _resolve_store(store, cache_dir)
     config = config or SweepConfig()
     names = list(platforms) if platforms is not None else list(platform_names())
     runs: dict[str, TournamentRun] = {}

@@ -19,7 +19,7 @@ from repro.backends.tournament import (
     tournament_key,
 )
 from repro.bench.config import SweepConfig
-from repro.errors import ModelError
+from repro.errors import ModelError, PipelineError
 from repro.pipeline import ArtifactStore
 from repro.pipeline.fingerprint import config_fingerprint
 
@@ -178,6 +178,17 @@ class TestFullTournament:
         )
         assert set(runs) == {"henri"}
         assert runs["henri"].tournament.platform == "henri"
+
+    def test_store_and_cache_dir_are_refused_together(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        with pytest.raises(PipelineError, match="not both"):
+            run_tournament(
+                platforms=["occigen"],
+                store=store,
+                cache_dir=str(tmp_path / "cache"),
+            )
+        assert store.entries() == []
+        assert not (tmp_path / "cache").exists()
 
     def test_winner_table_lists_every_regime(self, henri_run):
         text = render_winner_table({"henri": henri_run})
