@@ -40,7 +40,11 @@ construction.
 
 A solve reads each stream's numbers into flat lists once, applies the
 LLC factors to those lists, and runs the passes on plain floats, with
-streams named by their index.  The per-resource diagnostics of an
+streams named by their index.  The LLC factors depend only on the
+cached streams' ids, sockets and working sets, so an arbiter keeps the
+last ones it worked out: a solve whose cached streams are the same, in
+the same order, reuses them (a tenant scenario's segments mostly change
+levels, not working sets).  The per-resource diagnostics of an
 :class:`Allocation` are worked out when first read.
 """
 
@@ -55,7 +59,7 @@ from repro.memsim.llc import filter_dram_demand, llc_by_socket
 from repro.memsim.paths import ResourceMap
 from repro.memsim.policies import Crossing, ResourceRule
 from repro.memsim.profile import ContentionProfile
-from repro.memsim.stream import Stream
+from repro.memsim.stream import Stream, StreamKind
 
 __all__ = ["Allocation", "Arbiter"]
 
@@ -186,6 +190,10 @@ class Arbiter:
         }
         self._llc = llc_by_socket(resource_map.resources)
         self._paths: dict[tuple[str, ...], _Path] = {}
+        #: The working-set key and the LLC factors of the last solve
+        #: that had one, as one tuple so that threads read a matching
+        #: pair.
+        self._last_llc: tuple[tuple, dict[str, float]] = ((), {})
 
     def _path(self, stream: Stream) -> _Path:
         known = self._paths.get(stream.path)
@@ -221,9 +229,12 @@ class Arbiter:
             start = end
 
         demand = [s.demand_gbps for s in streams]
-        cpu = [s.is_cpu for s in streams]
+        cpu = [s.kind is StreamKind.CPU for s in streams]
         origin = [s.origin_socket for s in streams]
-        pressure = [s.pressure_gbps for s in streams]
+        pressure = [
+            s.issue_gbps if s.issue_gbps > 0.0 else s.demand_gbps
+            for s in streams
+        ]
         floor = [s.min_guarantee_gbps for s in streams]
 
         # ---- pass 0: LLC capacity filter ------------------------------------
@@ -232,8 +243,23 @@ class Arbiter:
         # bandwidth resources below, and stores served by the cache
         # never enter the mesh queues either.  Streams without a
         # working set — every pre-existing caller — pass through
-        # untouched.
-        llc_factors = filter_dram_demand(self._llc, streams)
+        # untouched.  The factors depend only on each cached stream's
+        # id, socket and working set, in input order, so a solve whose
+        # cached streams match the last ones reuses their factors.
+        cached = tuple(
+            [
+                (s.stream_id, s.origin_socket, s.working_set_bytes)
+                for s in streams
+                if s.working_set_bytes is not None
+            ]
+        )
+        last_cached, last_factors = self._last_llc
+        if cached and cached == last_cached:
+            llc_factors = dict(last_factors)
+        else:
+            llc_factors = filter_dram_demand(self._llc, streams)
+            if cached:
+                self._last_llc = (cached, dict(llc_factors))
         if llc_factors:
             for i, sid in enumerate(ids):
                 factor = llc_factors.get(sid)
@@ -296,7 +322,10 @@ class Arbiter:
                 map(min, _gather(demand, members), _gather(ctrl_share, members))
             )
             for k, i in enumerate(members):
-                for earlier in path_of[i].pipes_before[rid]:
+                before = path_of[i].pipes_before[rid]
+                if not before:
+                    continue
+                for earlier in before:
                     solved = pipe_share.get(earlier)
                     if solved is not None:
                         offers[k] = min(offers[k], solved[i])

@@ -200,11 +200,14 @@ class ResourceRule:
             return base
 
         cpu = crossing.cpu
-        cpu_offers = [g for g, c in zip(offers, cpu) if c]
+        if all(cpu):
+            cpu_offers, dma_total = offers, 0
+        else:
+            cpu_offers = [g for g, c in zip(offers, cpu) if c]
+            if not cpu_offers:
+                return base  # pure DMA traffic: no inter-core interference
+            dma_total = sum([g for g, c in zip(offers, cpu) if not c])
         n_cpu = len(cpu_offers)
-        if n_cpu == 0:
-            return base  # pure DMA traffic: no inter-core interference
-        dma_total = sum([g for g, c in zip(offers, cpu) if not c])
 
         per_core = sum(cpu_offers) / n_cpu
         if dma_total > _EPS:
@@ -237,9 +240,9 @@ class ResourceRule:
         at most the effective capacity.  Offers of at most 1e-9 GB/s
         get nothing.
         """
-        live = [k for k, g in enumerate(offers) if g > _EPS]
-        if len(live) == len(offers):
+        if offers and min(offers) > _EPS:
             return self._allocate_live(offers, crossing)
+        live = [k for k, g in enumerate(offers) if g > _EPS]
         shares = [0.0] * len(offers)
         if live:
             live_shares = self._allocate_live(

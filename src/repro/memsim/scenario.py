@@ -17,14 +17,16 @@ several independent jobs sharing one machine: each :class:`Tenant` has
 its own kernel mix (demand/issue overrides and temporal working set),
 core count, data placement and a time-varying :class:`LoadEnvelope`;
 :func:`solve_tenant_scenario` merges them into one stream set per load
-segment and attributes the solved bandwidth back per tenant.
+segment and attributes the solved bandwidth back per tenant.  Within
+one call it solves each distinct vector of levels once, and builds each
+tenant's streams once per level and number of communicating tenants.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, MutableMapping
 
 from repro.errors import SimulationError
 from repro.memsim.arbiter import Allocation, Arbiter
@@ -641,19 +643,74 @@ def _tenant_active(tenant: Tenant, level: float) -> bool:
     return level > 0.0 and (tenant.computing or tenant.communicating)
 
 
+def _tenant_streams(
+    machine: Machine,
+    profile: ContentionProfile,
+    tenant: Tenant,
+    level: float,
+    n_comm: int,
+) -> tuple[Stream, ...]:
+    """One active tenant's streams: its CPU streams, then its DMA ones."""
+    streams: list[Stream] = []
+    if tenant.computing:
+        assert tenant.m_comp is not None
+        streams.extend(
+            _comp_streams(
+                machine,
+                profile,
+                prefix=f"{tenant.name}/",
+                socket=tenant.socket,
+                n_cores=tenant.n_cores,
+                m_comp=tenant.m_comp,
+                demand_override=tenant.comp_demand_gbps,
+                issue_override=tenant.comp_issue_gbps,
+                working_set_bytes=tenant.working_set_bytes,
+                level=level,
+            )
+        )
+    if tenant.communicating:
+        assert tenant.m_comm is not None
+        streams.extend(
+            _comm_streams(
+                machine,
+                profile,
+                prefix=f"{tenant.name}/",
+                m_comm=tenant.m_comm,
+                demand_override=tenant.comm_demand_gbps,
+                bidirectional=tenant.bidirectional,
+                cross_traffic=(
+                    tenant.computing and tenant.m_comp != tenant.m_comm
+                ),
+                level=level,
+                floor_split=n_comm,
+            )
+        )
+    return tuple(streams)
+
+
 def build_tenant_streams(
     machine: Machine,
     profile: ContentionProfile,
     scenario: TenantScenario,
     *,
     levels: Mapping[str, float] | None = None,
+    reuse: MutableMapping[tuple[str, float, int], tuple[Stream, ...]]
+    | None = None,
 ) -> list[Stream]:
     """Merged stream set of all active tenants at the given load levels.
 
     Stream ids are namespaced ``{tenant}/core{i}``, ``{tenant}/nic``,
-    ``{tenant}/nic-tx``.  Tenants at level 0 (or with no activity)
-    contribute no streams at all, so a solve with an idle tenant is
-    bit-identical to the same solve without it.
+    ``{tenant}/nic-tx``, in tenant order.  Tenants at level 0 (or with
+    no activity) contribute no streams at all, so a solve with an idle
+    tenant is bit-identical to the same solve without it.
+
+    A tenant's streams depend only on its level and, through the split
+    DMA floor, on how many active tenants communicate.  ``reuse`` maps
+    ``(tenant name, level, communicating tenants)`` to a tenant's
+    streams, with 0 for the count when the tenant does not communicate;
+    a key found there is not built again.  The caller owns the map and
+    keeps it to one machine, profile and scenario.  Streams are frozen,
+    so stream sets may share them.
     """
     if levels is None:
         levels = {t.name: 1.0 for t in scenario.tenants}
@@ -678,40 +735,18 @@ def build_tenant_streams(
     ]
     n_comm = sum(1 for t in active if t.communicating)
 
+    if reuse is None:
+        reuse = {}
     streams: list[Stream] = []
     for t in active:
         level = levels.get(t.name, 1.0)
-        if t.computing:
-            assert t.m_comp is not None
-            streams.extend(
-                _comp_streams(
-                    machine,
-                    profile,
-                    prefix=f"{t.name}/",
-                    socket=t.socket,
-                    n_cores=t.n_cores,
-                    m_comp=t.m_comp,
-                    demand_override=t.comp_demand_gbps,
-                    issue_override=t.comp_issue_gbps,
-                    working_set_bytes=t.working_set_bytes,
-                    level=level,
-                )
+        key = (t.name, level, n_comm if t.communicating else 0)
+        built = reuse.get(key)
+        if built is None:
+            built = reuse[key] = _tenant_streams(
+                machine, profile, t, level, n_comm
             )
-        if t.communicating:
-            assert t.m_comm is not None
-            streams.extend(
-                _comm_streams(
-                    machine,
-                    profile,
-                    prefix=f"{t.name}/",
-                    m_comm=t.m_comm,
-                    demand_override=t.comm_demand_gbps,
-                    bidirectional=t.bidirectional,
-                    cross_traffic=(t.computing and t.m_comp != t.m_comm),
-                    level=level,
-                    floor_split=n_comm,
-                )
-            )
+        streams.extend(built)
     return streams
 
 
@@ -778,7 +813,9 @@ def solve_tenant_scenario(
     The steady-state solve depends only on the tenants' levels, so each
     distinct level vector is solved once per call: segments with equal
     levels share one :class:`Allocation`, and each segment gets its own
-    copy of the per-tenant attribution.
+    copy of the per-tenant attribution.  The level vectors of one call
+    build each tenant's streams once per level and number of
+    communicating tenants (:func:`build_tenant_streams`' ``reuse``).
     """
     if arbiter is None:
         if resource_map is None:
@@ -786,6 +823,8 @@ def solve_tenant_scenario(
         arbiter = Arbiter(resource_map, profile)
 
     cuts = _segment_boundaries(scenario)
+    # (tenant, level, communicating tenants) -> that tenant's streams.
+    reuse: dict[tuple[str, float, int], tuple[Stream, ...]] = {}
     phases: list[PhaseResult] = []
     sums: dict[str, list[float]] = {
         t.name: [0.0, 0.0, 0.0, 0.0] for t in scenario.tenants
@@ -801,7 +840,7 @@ def solve_tenant_scenario(
         known = solved.get(key)
         if known is None:
             streams = build_tenant_streams(
-                machine, profile, scenario, levels=levels
+                machine, profile, scenario, levels=levels, reuse=reuse
             )
             allocation = arbiter.solve(streams)
             per_tenant = _attribute(scenario, levels, allocation)

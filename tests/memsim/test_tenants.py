@@ -9,11 +9,13 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.memsim import (
+    Arbiter,
     LoadEnvelope,
     LoadPhase,
     Scenario,
     Tenant,
     TenantScenario,
+    build_resources,
     build_tenant_streams,
     solve_scenario,
     solve_tenant_scenario,
@@ -424,3 +426,247 @@ class TestMultiTenant:
             ),
         ).tenant("job").comm_gbps
         assert lo * steady < diurnal < hi * steady
+
+
+# ---- Streams and LLC factors built once per call ------------------------------
+
+
+def _reuse_scenario(machine) -> TenantScenario:
+    """Bursty, day-night and steady tenants, cached and not, two of
+    them communicating so that the split DMA floor changes with time."""
+    llc = max(machine.sockets[0].caches, key=lambda c: c.level)
+    share = llc.size_bytes // machine.cores_per_socket
+    return TenantScenario(
+        (
+            Tenant(
+                name="cached", n_cores=4, m_comp=0, m_comm=1,
+                working_set_bytes=2 * share,
+            ),
+            Tenant(
+                name="burst", n_cores=2, m_comp=1,
+                working_set_bytes=share // 4,
+                envelope=LoadEnvelope.bursty(period_s=2.0, low=0.2, cycles=3),
+            ),
+            Tenant(
+                name="net", m_comm=0, bidirectional=True,
+                envelope=LoadEnvelope.bursty(period_s=1.5, cycles=4),
+            ),
+            Tenant(
+                name="day", n_cores=3, m_comp=1,
+                envelope=LoadEnvelope.diurnal(day_s=6.0, samples=6),
+            ),
+        )
+    )
+
+
+def _tenant_keys(scenario, result):
+    """Every ``(tenant, level, communicating tenants)`` a solve needs."""
+    keys = set()
+    for phase in result.phases:
+        active = [t for t in scenario.tenants if phase.levels[t.name] > 0.0]
+        n_comm = sum(t.communicating for t in active)
+        for t in active:
+            keys.add(
+                (t.name, phase.levels[t.name], n_comm if t.communicating else 0)
+            )
+    return keys
+
+
+class TestReuse:
+    def test_each_tenant_is_built_once_per_level_and_floor_split(
+        self, monkeypatch
+    ):
+        from collections import Counter
+
+        from repro.memsim import scenario as scenario_module
+
+        machine, profile = HENRI.machine, HENRI.profile
+        scenario = _reuse_scenario(machine)
+        comp_calls, comm_calls, builds = [], [], []
+        comp, comm = scenario_module._comp_streams, scenario_module._comm_streams
+        build = scenario_module.build_tenant_streams
+
+        def counted_comp(*args, **kwargs):
+            comp_calls.append((kwargs["prefix"][:-1], kwargs["level"]))
+            return comp(*args, **kwargs)
+
+        def counted_comm(*args, **kwargs):
+            comm_calls.append(
+                (kwargs["prefix"][:-1], kwargs["level"], kwargs["floor_split"])
+            )
+            return comm(*args, **kwargs)
+
+        def counted_build(*args, **kwargs):
+            builds.append(tuple(kwargs["levels"].values()))
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(scenario_module, "_comp_streams", counted_comp)
+        monkeypatch.setattr(scenario_module, "_comm_streams", counted_comm)
+        monkeypatch.setattr(
+            scenario_module, "build_tenant_streams", counted_build
+        )
+        result = solve_tenant_scenario(machine, profile, scenario)
+
+        by_name = {t.name: t for t in scenario.tenants}
+        keys = _tenant_keys(scenario, result)
+        assert Counter(comp_calls) == Counter(
+            (name, level) for name, level, _ in keys if by_name[name].computing
+        )
+        assert Counter(comm_calls) == Counter(
+            key for key in keys if by_name[key[0]].communicating
+        )
+        # The solve still builds each distinct level vector's set once,
+        # from fewer tenant builds than one per active tenant per set.
+        levels = [tuple(p.levels.values()) for p in result.phases]
+        assert builds == list(dict.fromkeys(levels))
+        per_build = sum(
+            t.computing + t.communicating
+            for vector in builds
+            for t, level in zip(scenario.tenants, vector)
+            if level > 0.0
+        )
+        assert len(comp_calls) + len(comm_calls) < per_build
+
+    def test_a_reuse_map_changes_no_stream(self):
+        machine, profile = HENRI.machine, HENRI.profile
+        scenario = _reuse_scenario(machine)
+        reuse = {}
+        vectors = [
+            {"cached": 1.0, "burst": 1.0, "net": 1.0, "day": 0.5},
+            {"cached": 1.0, "burst": 0.2, "net": 0.0, "day": 0.5},
+            {"cached": 1.0, "burst": 1.0, "net": 0.0, "day": 0.7},
+            {"cached": 1.0, "burst": 1.0, "net": 1.0, "day": 0.5},
+        ]
+        shared = [
+            build_tenant_streams(
+                machine, profile, scenario, levels=levels, reuse=reuse
+            )
+            for levels in vectors
+        ]
+        for levels, streams in zip(vectors, shared):
+            assert streams == build_tenant_streams(
+                machine, profile, scenario, levels=levels
+            )
+        # Same level and floor split: the very same stream objects.
+        assert shared[0][0] is shared[3][0]
+        assert shared[1][0] is shared[2][0]
+        # A different floor split rebuilds the communicating tenant.
+        assert shared[0][0] is not shared[1][0]
+
+    def test_checks_run_on_every_call_despite_the_map(self):
+        machine, profile = HENRI.machine, HENRI.profile
+        scenario = TenantScenario(
+            (Tenant(name="a", n_cores=machine.cores_per_socket + 1, m_comp=0),)
+        )
+        reuse = {}
+        for _ in range(2):
+            with pytest.raises(SimulationError, match="per socket"):
+                build_tenant_streams(
+                    machine, profile, scenario, reuse=reuse
+                )
+        assert reuse == {}
+
+    def test_llc_factors_once_per_working_set_key(self, monkeypatch):
+        from repro.memsim import arbiter as arbiter_module
+
+        calls = []
+        filter_dram_demand = arbiter_module.filter_dram_demand
+
+        def counted(llc, streams):
+            calls.append(
+                tuple(
+                    s.stream_id for s in streams
+                    if s.working_set_bytes is not None
+                )
+            )
+            return filter_dram_demand(llc, streams)
+
+        monkeypatch.setattr(arbiter_module, "filter_dram_demand", counted)
+        machine, profile = HENRI.machine, HENRI.profile
+        result = solve_tenant_scenario(
+            machine, profile, _reuse_scenario(machine)
+        )
+        assert len({id(p.allocation) for p in result.phases}) > 1
+        # Every segment has the same cached streams: one pre-pass.
+        assert len(calls) == 1 and calls[0]
+
+        # A cached tenant that goes idle: its stream set has no working
+        # set then, and such a set always runs the (empty) pre-pass.
+        calls.clear()
+        idle = TenantScenario(
+            (
+                Tenant(
+                    name="burst", n_cores=2, m_comp=0, working_set_bytes=1 << 20,
+                    envelope=LoadEnvelope.bursty(cycles=3),
+                ),
+                Tenant(
+                    name="day", m_comm=0,
+                    envelope=LoadEnvelope.diurnal(day_s=3.0, samples=6),
+                ),
+            )
+        )
+        result = solve_tenant_scenario(machine, profile, idle)
+        cached = [key for key in calls if key]
+        assert cached == [("burst/core0", "burst/core1")]
+        assert len(calls) - len(cached) == len(
+            {
+                id(p.allocation)
+                for p in result.phases
+                if p.levels["burst"] == 0.0
+            }
+        )
+
+    def test_each_allocation_owns_its_llc_factors(self):
+        """Every segment has the same cached streams, so every solve
+        after the first reuses the first one's factors: changing one
+        allocation's map leaves every other one, and the next solve, as
+        they were."""
+        machine, profile = HENRI.machine, HENRI.profile
+        arbiter = Arbiter(build_resources(machine, profile), profile)
+        scenario = _reuse_scenario(machine)
+        result = solve_tenant_scenario(
+            machine, profile, scenario, arbiter=arbiter
+        )
+        # Segments with equal levels share one Allocation (one solve).
+        allocations = list(
+            {id(p.allocation): p.allocation for p in result.phases}.values()
+        )
+        assert len(allocations) > 2
+        kept = [list(a.llc_factors.items()) for a in allocations]
+        assert kept[0] and all(factors == kept[0] for factors in kept)
+        changed = set()
+        for j in (1, 0):
+            allocations[j].llc_factors["cached/core0"] = 0.5
+            allocations[j].llc_factors["extra"] = 1.0
+            changed.add(j)
+            for k, allocation in enumerate(allocations):
+                if k not in changed:
+                    assert list(allocation.llc_factors.items()) == kept[k]
+        again = solve_tenant_scenario(
+            machine, profile, scenario, arbiter=arbiter
+        )
+        assert all(
+            list(p.allocation.llc_factors.items()) == kept[0]
+            for p in again.phases
+        )
+
+    def test_a_shared_arbiter_gives_a_fresh_ones_answers(self):
+        machine, profile = HENRI.machine, HENRI.profile
+        arbiter = Arbiter(build_resources(machine, profile), profile)
+        base = _reuse_scenario(machine)
+        # Shuffled tenant orders: same cached streams in another order.
+        scenarios = [base, TenantScenario(base.tenants[::-1]), base]
+        for scenario in scenarios:
+            shared = solve_tenant_scenario(
+                machine, profile, scenario, arbiter=arbiter
+            )
+            fresh = solve_tenant_scenario(machine, profile, scenario)
+            for got, want in zip(shared.phases, fresh.phases):
+                for name in ("rates", "llc_factors", "resource_usage",
+                             "effective_capacity"):
+                    assert list(getattr(got.allocation, name).items()) == list(
+                        getattr(want.allocation, name).items()
+                    ), name
+            assert list(shared.per_tenant.items()) == list(
+                fresh.per_tenant.items()
+            )
