@@ -670,3 +670,58 @@ class TestReuse:
             assert list(shared.per_tenant.items()) == list(
                 fresh.per_tenant.items()
             )
+
+    def test_threads_sharing_an_arbiter_get_matching_factors(self):
+        """The last factors are kept as one (key, factors) pair, so a
+        thread never reads one solve's key with another's factors."""
+        import sys
+        import threading
+
+        machine, profile = HENRI.machine, HENRI.profile
+        llc = max(machine.sockets[0].caches, key=lambda c: c.level)
+        share = llc.size_bytes // machine.cores_per_socket
+        stream_sets = [
+            build_tenant_streams(
+                machine,
+                profile,
+                TenantScenario(
+                    (
+                        Tenant(
+                            name=f"w{k}", n_cores=2 + k, m_comp=k % 2,
+                            working_set_bytes=(k + 1) * share,
+                        ),
+                        Tenant(name="net", m_comm=0),
+                    )
+                ),
+            )
+            for k in range(4)
+        ]
+        resources = build_resources(machine, profile)
+        want = [
+            list(Arbiter(resources, profile).solve(s).llc_factors.items())
+            for s in stream_sets
+        ]
+        shared = Arbiter(resources, profile)
+        wrong = []
+
+        def work(k):
+            for j in range(60):
+                which = (k + j // 3) % len(stream_sets)
+                got = shared.solve(stream_sets[which]).llc_factors
+                if list(got.items()) != want[which]:
+                    wrong.append((k, j))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(k,)) for k in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
