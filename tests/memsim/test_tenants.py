@@ -4,10 +4,15 @@ single-job :func:`solve_scenario` *bit for bit* on every archived
 platform, placement and core count."""
 
 import math
+import sys
+import threading
+from collections import Counter
 
 import pytest
 
 from repro.errors import SimulationError
+from repro.memsim import arbiter as arbiter_module
+from repro.memsim import scenario as scenario_module
 from repro.memsim import (
     Arbiter,
     LoadEnvelope,
@@ -476,10 +481,6 @@ class TestReuse:
     def test_each_tenant_is_built_once_per_level_and_floor_split(
         self, monkeypatch
     ):
-        from collections import Counter
-
-        from repro.memsim import scenario as scenario_module
-
         machine, profile = HENRI.machine, HENRI.profile
         scenario = _reuse_scenario(machine)
         comp_calls, comm_calls, builds = [], [], []
@@ -567,8 +568,6 @@ class TestReuse:
         assert reuse == {}
 
     def test_llc_factors_once_per_working_set_key(self, monkeypatch):
-        from repro.memsim import arbiter as arbiter_module
-
         calls = []
         filter_dram_demand = arbiter_module.filter_dram_demand
 
@@ -674,9 +673,6 @@ class TestReuse:
     def test_threads_sharing_an_arbiter_get_matching_factors(self):
         """The last factors are kept as one (key, factors) pair, so a
         thread never reads one solve's key with another's factors."""
-        import sys
-        import threading
-
         machine, profile = HENRI.machine, HENRI.profile
         llc = max(machine.sockets[0].caches, key=lambda c: c.level)
         share = llc.size_bytes // machine.cores_per_socket
