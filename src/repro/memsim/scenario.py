@@ -331,7 +331,7 @@ def read_rates(
     """
     per_core = tuple(allocation.rate(f"core{i}") for i in range(n_cores))
     comm = allocation.rate("nic") if communicating else 0.0
-    return per_core, sum(per_core), comm
+    return per_core, sum(per_core, 0.0), comm
 
 
 def solve_scenario(

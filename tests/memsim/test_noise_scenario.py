@@ -105,3 +105,11 @@ class TestScenario:
             result.comp_total_gbps + result.comm_gbps
         )
         assert len(result.comp_per_core_gbps) == 2
+
+    @pytest.mark.parametrize("m_comm", [0, None], ids=["comm-only", "idle"])
+    def test_comp_total_is_a_float_when_no_core_computes(self, henri, m_comm):
+        result = solve_scenario(
+            henri.machine, henri.profile, Scenario(0, None, m_comm)
+        )
+        assert type(result.comp_total_gbps) is float
+        assert result.comp_total_gbps == 0.0
