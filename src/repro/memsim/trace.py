@@ -77,13 +77,15 @@ def _require_streams(result: ScenarioResult) -> None:
         )
 
 
-def _contended_ids(result: ScenarioResult) -> set[str]:
-    """Resources that are saturated *and* actually cut someone.
+def _contended_ids(result: ScenarioResult) -> list[str]:
+    """Resources that are saturated *and* actually cut someone, in the
+    allocation's resource order.
 
     A NIC port carrying one stream at exactly its line rate is 100 %
     utilised but contention-free: the stream is demand-bound.  A
     resource only counts as contended when a stream crossing it runs
-    strictly below its demand.
+    strictly below its demand.  The order is fixed so that a tie, such
+    as both ports of a bidirectional NIC, always names the same one.
     """
     loads = resource_loads(result)
     throttled_paths: list[tuple[str, ...]] = [
@@ -91,11 +93,11 @@ def _contended_ids(result: ScenarioResult) -> set[str]:
         for s in result.streams
         if result.allocation.rates[s.stream_id] < s.demand_gbps - 1e-9
     ]
-    contended: set[str] = set()
-    for rid, load in loads.items():
-        if load.saturated and any(rid in path for path in throttled_paths):
-            contended.add(rid)
-    return contended
+    return [
+        rid
+        for rid, load in loads.items()
+        if load.saturated and any(rid in path for path in throttled_paths)
+    ]
 
 
 def binding_resources(result: ScenarioResult) -> Mapping[str, str | None]:

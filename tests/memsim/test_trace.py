@@ -51,6 +51,18 @@ class TestMostContended:
         assert top is not None
         assert top.resource_id == "ctrl:2"
 
+    def test_a_tie_names_the_resource_listed_first(self, henri):
+        """Both ports of a bidirectional NIC saturate equally; which one
+        is named used to follow the hash seed's set order."""
+        result = solve_scenario(
+            henri.machine, henri.profile,
+            Scenario(9, 1, 0, bidirectional=True),
+        )
+        loads = resource_loads(result)
+        assert loads["nic:0"].utilisation == loads["nic-tx:0"].utilisation
+        assert most_contended(result).resource_id == "nic:0"
+        assert "bottleneck: nic:0 (I/O path)" in bottleneck_report(result)
+
 
 class TestBindingResources:
     def test_demand_bound_streams_map_to_none(self, henri):
