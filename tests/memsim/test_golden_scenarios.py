@@ -1,0 +1,141 @@
+"""Golden single-job scenarios: every solved number of ``solve_scenario``,
+pinned by digest.
+
+Per platform, one SHA-256 covers the paper's three modes (computations
+alone, communications alone, both) at every placement and at 1, half
+and all of a socket's cores, plus one kernel with demand and issue
+overrides, one capped NIC demand and one bidirectional NIC.  For each
+solve it hashes the ``repr`` of the totals, the per-core rates, the
+allocation's rates in stream order, its resource usage and effective
+capacities, each stream's binding resource and the bottleneck report.
+Rates and binding resources are hashed as values only, so the digests
+hold whatever the streams are named.  One more digest covers henri's
+arithmetic-intensity and message-size sweeps, which solve single jobs
+too.  ``repr`` keeps every bit of a float, so a change to any stream,
+any solve or the order of any sum moves a digest.  A moved digest is a
+changed answer, never a test to re-record.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.bench.message_size import message_size_contention
+from repro.kernels.sweep import intensity_sweep
+from repro.memsim import (
+    Scenario,
+    binding_resources,
+    bottleneck_report,
+    solve_scenario,
+)
+from repro.topology import get_platform, platform_names
+
+#: ``platform -> sha256`` over its single-job solves.
+GOLDEN = {
+    "henri": (
+        "a8f9ef732ffe9ad8eb0d1eedf5bb84075c18380be58ec1c3d8d05828b3c3b1f4"
+    ),
+    "henri-subnuma": (
+        "fe9f53e4b7ffe65307604ac8861bf9ef4b33be31f23a986693321b76eec71c0d"
+    ),
+    "dahu": (
+        "5702703d1131e3256b8b34590950fd43a62b93856655cc51a23567e145e3d375"
+    ),
+    "diablo": (
+        "ca84470a6c7a255d209bfb447ddce2a026b7ee501baa6352175d656245362af3"
+    ),
+    "pyxis": (
+        "c85f4572bfc24da6ad5f4fd34d2860d9a6d65cae9b3d12414af9f21f005880d5"
+    ),
+    "occigen": (
+        "c91365547717a03ba5251905a63b52ef022ac2185e1e5bd89be3ac8708d6eae0"
+    ),
+}
+
+#: sha256 over henri's intensity and message-size sweep points.
+GOLDEN_SWEEPS = (
+    "bcad5bcffb9330e0bd46f0cb48eb9f6680b65fd01e01e603ea1d6060ba03ccf1"
+)
+
+
+def scenarios(machine) -> list[Scenario]:
+    full = machine.cores_per_socket
+    far = machine.n_numa_nodes - 1
+    out = []
+    for m_comp, m_comm in machine.placements():
+        for n in (1, full // 2, full):
+            out += [
+                Scenario(n, m_comp, None),
+                Scenario(0, None, m_comm),
+                Scenario(n, m_comp, m_comm),
+            ]
+    return out + [
+        Scenario(full, 0, far, comp_demand_gbps=2.5, comp_issue_gbps=4.0),
+        Scenario(full, 0, 0, comm_demand_gbps=3.0),
+        Scenario(full // 2, far, 0, bidirectional=True),
+    ]
+
+
+def platform_digest(name: str) -> str:
+    platform = get_platform(name)
+    h = hashlib.sha256()
+
+    def add(value) -> None:
+        h.update(repr(value).encode())
+        h.update(b"\n")
+
+    for scenario in scenarios(platform.machine):
+        result = solve_scenario(platform.machine, platform.profile, scenario)
+        add(
+            (
+                result.comp_total_gbps,
+                result.comm_gbps,
+                result.comm_tx_gbps,
+                result.total_gbps,
+            )
+        )
+        add(result.comp_per_core_gbps)
+        allocation = result.allocation
+        add(list(allocation.rates.values()))
+        add(list(allocation.resource_usage.items()))
+        add(list(allocation.effective_capacity.items()))
+        add(list(binding_resources(result).values()))
+        add(bottleneck_report(result))
+    return h.hexdigest()
+
+
+def sweeps_digest() -> str:
+    henri = get_platform("henri")
+    full = henri.machine.cores_per_socket
+    h = hashlib.sha256()
+    for n_cores, m_comm in ((full, 0), (full // 2, 1), (0, 0)):
+        for point in intensity_sweep(
+            henri,
+            intensities=[0.0, 0.25, 1.0, 4.0, 16.0],
+            n_cores=n_cores,
+            m_comm=m_comm,
+        ):
+            h.update(repr(point).encode())
+        for point in message_size_contention(
+            henri,
+            sizes=[64, 4096, 65536, 1 << 20, 1 << 24],
+            n_cores=n_cores,
+            m_comm=m_comm,
+        ):
+            h.update(repr(point).encode())
+    return h.hexdigest()
+
+
+def test_every_platform_is_pinned():
+    assert set(GOLDEN) == set(platform_names())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_single_job_answers_are_unchanged(name):
+    assert platform_digest(name) == GOLDEN[name]
+
+
+def test_henri_sweeps_are_unchanged():
+    assert sweeps_digest() == GOLDEN_SWEEPS
