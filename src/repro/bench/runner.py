@@ -26,7 +26,7 @@ from repro.memsim.arbiter import Arbiter
 from repro.memsim.noise import NoiseModel
 from repro.memsim.paths import build_resources
 from repro.memsim.profile import ContentionProfile
-from repro.memsim.scenario import Scenario, build_streams, read_rates
+from repro.memsim.scenario import Scenario, build_streams
 from repro.memsim.stream import Stream
 from repro.topology.objects import Machine
 
@@ -94,13 +94,14 @@ class ModeSolver:
         self._comm_alone: dict[int, float] = {}
 
     def _solve(
-        self, streams: list[Stream], n_cores: int, communicating: bool
+        self, cpu: list[Stream], beside: list[Stream]
     ) -> tuple[float, float]:
-        """Computation total and communication bandwidth of ``streams``."""
-        _, comp_total, comm = read_rates(
-            self._arbiter.solve(streams), n_cores, communicating
-        )
-        return comp_total, comm
+        """Solve the core streams ``cpu`` next to the communication
+        streams ``beside``: the core streams' summed rate, and the first
+        communication stream's rate (0.0 with none)."""
+        rates = self._arbiter.solve(cpu + beside).rates
+        comp_total = sum((rates[s.stream_id] for s in cpu), 0.0)
+        return comp_total, rates[beside[0].stream_id] if beside else 0.0
 
     def _sweep_streams(
         self, m_comp: int, m_comm: int, sweep: list[int]
@@ -131,7 +132,7 @@ class ModeSolver:
             streams = build_streams(
                 self.machine, self.profile, Scenario(0, None, m_comm)
             )
-            self._comm_alone[m_comm] = self._solve(streams, 0, True)[1]
+            self._comm_alone[m_comm] = self._solve([], streams)[1]
         return self._comm_alone[m_comm]
 
     def curves(
@@ -159,12 +160,12 @@ class ModeSolver:
 
         rows = []
         for n in sweep:
-            comp_par, comm_par = self._solve(cpu[:n] + beside, n, True)
+            comp_par, comm_par = self._solve(cpu[:n], beside)
             key = (m_comp, n)
             comp_alone = self._comp_alone.get(key)
             if comp_alone is None:
                 comp_alone = self._comp_alone[key] = self._solve(
-                    cpu[:n], n, False
+                    cpu[:n], []
                 )[0]
             rows.append([comp_alone, comm_alone, comp_par, comm_par])
 

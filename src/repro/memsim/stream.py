@@ -38,7 +38,8 @@ class Stream:
     Parameters
     ----------
     stream_id:
-        Unique identifier within a scenario (e.g. ``"core3"``, ``"nic"``).
+        Unique identifier within a scenario (e.g. ``"job/core3"``,
+        ``"job/nic"``).
     kind:
         :class:`StreamKind` — CPU streams get priority at saturated
         resources; DMA streams are protected by the minimum-guarantee

@@ -100,8 +100,8 @@ class TestBidirectionalScenario:
             henri.profile,
             Scenario(0, None, 0, bidirectional=True),
         )
-        rx = result.allocation.rate("nic")
-        tx = result.allocation.rate("nic-tx")
+        rx = result.allocation.rate("job/nic")
+        tx = result.allocation.rate("job/nic-tx")
         # Full-duplex ports: without computation both run at nominal
         # until the shared memory path caps them.
         assert rx > 0.7 * 12.3 and tx > 0.7 * 12.3
@@ -117,9 +117,9 @@ class TestBidirectionalScenario:
             henri.machine, henri.profile, Scenario(n, 0, 0, bidirectional=True)
         )
         # The receive direction gets less than in the pong-only run.
-        assert pingpong.allocation.rate("nic") <= pong.comm_gbps + 1e-9
+        assert pingpong.allocation.rate("job/nic") <= pong.comm_gbps + 1e-9
         # Aggregate network traffic is higher though.
-        total_net = pingpong.allocation.rate("nic") + pingpong.allocation.rate(
-            "nic-tx"
-        )
+        total_net = pingpong.allocation.rate(
+            "job/nic"
+        ) + pingpong.allocation.rate("job/nic-tx")
         assert total_net > pong.comm_gbps

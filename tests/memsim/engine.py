@@ -315,7 +315,7 @@ def _engine_parallel(
                 f"(n={n}, m_comp={m_comp}, m_comm={m_comm}); the "
                 "simulation cannot make progress"
             )
-        if any(f.stream.stream_id == "nic" and f.done for f in completed):
+        if any(f.stream.stream_id == "job/nic" and f.done for f in completed):
             if len(message_flows) >= max_messages:
                 raise BenchmarkError(
                     "computation outlasted 10k messages; bytes_per_core is "

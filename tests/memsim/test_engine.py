@@ -102,9 +102,9 @@ class TestConcurrentFlows:
         engine.submit(streams[0], 10 * MB)
         engine.submit(streams[1], 20 * MB)
         completed = engine.step()
-        assert [f.stream.stream_id for f in completed] == ["core0"]
+        assert [f.stream.stream_id for f in completed] == ["job/core0"]
         completed = engine.step()
-        assert [f.stream.stream_id for f in completed] == ["core1"]
+        assert [f.stream.stream_id for f in completed] == ["job/core1"]
         assert engine.step() == ()
 
 

@@ -86,7 +86,7 @@ class TestCommTx:
             Scenario(n_cores=0, m_comp=None, m_comm=0, bidirectional=True),
         )
         assert result.comm_tx_gbps > 0.0
-        assert result.comm_tx_gbps == result.allocation.rate("nic-tx")
+        assert result.comm_tx_gbps == result.allocation.rate("job/nic-tx")
 
     def test_tx_respects_its_anti_starvation_floor_under_load(self):
         machine, profile = HENRI.machine, HENRI.profile
@@ -483,50 +483,38 @@ class TestReuse:
     ):
         machine, profile = HENRI.machine, HENRI.profile
         scenario = _reuse_scenario(machine)
-        comp_calls, comm_calls, builds = [], [], []
-        comp, comm = scenario_module._comp_streams, scenario_module._comm_streams
+        calls, builds = [], []
+        tenant_streams = scenario_module._tenant_streams
         build = scenario_module.build_tenant_streams
 
-        def counted_comp(*args, **kwargs):
-            comp_calls.append((kwargs["prefix"][:-1], kwargs["level"]))
-            return comp(*args, **kwargs)
-
-        def counted_comm(*args, **kwargs):
-            comm_calls.append(
-                (kwargs["prefix"][:-1], kwargs["level"], kwargs["floor_split"])
+        def counted_tenant(machine, profile, tenant, level, n_comm):
+            calls.append(
+                (tenant.name, level, n_comm if tenant.communicating else 0)
             )
-            return comm(*args, **kwargs)
+            return tenant_streams(machine, profile, tenant, level, n_comm)
 
         def counted_build(*args, **kwargs):
             builds.append(tuple(kwargs["levels"].values()))
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(scenario_module, "_comp_streams", counted_comp)
-        monkeypatch.setattr(scenario_module, "_comm_streams", counted_comm)
+        monkeypatch.setattr(scenario_module, "_tenant_streams", counted_tenant)
         monkeypatch.setattr(
             scenario_module, "build_tenant_streams", counted_build
         )
         result = solve_tenant_scenario(machine, profile, scenario)
 
-        by_name = {t.name: t for t in scenario.tenants}
-        keys = _tenant_keys(scenario, result)
-        assert Counter(comp_calls) == Counter(
-            (name, level) for name, level, _ in keys if by_name[name].computing
-        )
-        assert Counter(comm_calls) == Counter(
-            key for key in keys if by_name[key[0]].communicating
-        )
+        assert Counter(calls) == Counter(_tenant_keys(scenario, result))
         # The solve still builds each distinct level vector's set once,
         # from fewer tenant builds than one per active tenant per set.
         levels = [tuple(p.levels.values()) for p in result.phases]
         assert builds == list(dict.fromkeys(levels))
         per_build = sum(
-            t.computing + t.communicating
+            t.computing or t.communicating
             for vector in builds
             for t, level in zip(scenario.tenants, vector)
             if level > 0.0
         )
-        assert len(comp_calls) + len(comm_calls) < per_build
+        assert len(calls) < per_build
 
     def test_a_reuse_map_changes_no_stream(self):
         machine, profile = HENRI.machine, HENRI.profile
@@ -561,7 +549,9 @@ class TestReuse:
         )
         reuse = {}
         for _ in range(2):
-            with pytest.raises(SimulationError, match="per socket"):
+            with pytest.raises(
+                SimulationError, match="cores requested but socket 0 has only"
+            ):
                 build_tenant_streams(
                     machine, profile, scenario, reuse=reuse
                 )

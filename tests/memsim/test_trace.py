@@ -68,21 +68,21 @@ class TestBindingResources:
     def test_demand_bound_streams_map_to_none(self, henri):
         result = solve_scenario(henri.machine, henri.profile, Scenario(2, 0, 1))
         bindings = binding_resources(result)
-        assert bindings["core0"] is None
-        assert bindings["nic"] is None
+        assert bindings["job/core0"] is None
+        assert bindings["job/nic"] is None
 
     def test_contended_cores_bound_by_their_controller(self, henri):
         result = solve_scenario(henri.machine, henri.profile, Scenario(16, 0, None))
         bindings = binding_resources(result)
-        assert bindings["core0"] == "ctrl:0"
+        assert bindings["job/core0"] == "ctrl:0"
 
     def test_nic_binding_differs_from_cores_in_cross_placement(self, henri):
         """Comp saturates ctrl:0; the NIC (writing to node 1) is sagged
         at the mesh — different bottlenecks for different streams."""
         result = solve_scenario(henri.machine, henri.profile, Scenario(16, 0, 1))
         bindings = binding_resources(result)
-        assert bindings["core0"] == "ctrl:0"
-        assert bindings["nic"] in ("mesh:0", None)
+        assert bindings["job/core0"] == "ctrl:0"
+        assert bindings["job/nic"] in ("mesh:0", None)
 
     def test_requires_streams(self, henri):
         result = solve_scenario(henri.machine, henri.profile, Scenario(4, 0, 0))
