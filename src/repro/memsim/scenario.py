@@ -376,10 +376,12 @@ class Tenant(_Job):
             raise SimulationError(
                 f"tenant {self.name!r}: socket must be >= 0, got {self.socket}"
             )
-        if self.working_set_bytes is not None and self.working_set_bytes <= 0:
+        # Written so that NaN fails it too.
+        size = self.working_set_bytes
+        if size is not None and not 0 < size < math.inf:
             raise SimulationError(
-                f"tenant {self.name!r}: working set must be positive when "
-                f"given, got {self.working_set_bytes}"
+                f"tenant {self.name!r}: working set must be positive and "
+                f"finite when given, got {size!r}"
             )
 
 

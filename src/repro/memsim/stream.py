@@ -122,10 +122,11 @@ class Stream:
                 "property of PCIe traffic)"
             )
         if self.working_set_bytes is not None:
-            if self.working_set_bytes <= 0:
+            # Written so that NaN fails it too.
+            if not 0 < self.working_set_bytes < math.inf:
                 raise SimulationError(
                     f"stream {self.stream_id!r}: working set must be positive "
-                    f"when given, got {self.working_set_bytes}"
+                    f"and finite when given, got {self.working_set_bytes!r}"
                 )
             if self.kind is not StreamKind.CPU:
                 raise SimulationError(

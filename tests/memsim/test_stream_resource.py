@@ -70,6 +70,13 @@ class TestStream:
         ):
             make_stream(kind=StreamKind.DMA, **{name: value})
 
+    @pytest.mark.parametrize("size", [math.nan, math.inf, -math.inf, 0, -1])
+    def test_working_set_must_be_positive_and_finite(self, size):
+        """NaN passes a ``<= 0`` check, and the LLC pre-pass used to
+        turn it into a traffic factor."""
+        with pytest.raises(SimulationError, match="'s': working set"):
+            make_stream(working_set_bytes=size)
+
 
 class TestResource:
     def test_valid_controller(self):

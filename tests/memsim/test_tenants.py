@@ -202,6 +202,13 @@ class TestTenantValidation:
         with pytest.raises(SimulationError, match="working set"):
             Tenant(name="job", n_cores=1, m_comp=0, working_set_bytes=0)
 
+    @pytest.mark.parametrize("size", [math.nan, math.inf, -math.inf, 0, -1])
+    def test_working_set_must_be_finite_too(self, size):
+        """A NaN working set used to solve as a quarter of a core's LLC
+        share: a DRAM traffic factor of 0.02."""
+        with pytest.raises(SimulationError, match="'job': working set"):
+            Tenant(name="job", n_cores=4, m_comp=0, working_set_bytes=size)
+
     def test_scenario_needs_tenants_with_unique_names(self):
         with pytest.raises(SimulationError, match="at least one tenant"):
             TenantScenario(())
