@@ -101,7 +101,7 @@ class ModeSolver:
         communication stream's rate (0.0 with none)."""
         rates = self._arbiter.solve(cpu + beside).rates
         comp_total = sum((rates[s.stream_id] for s in cpu), 0.0)
-        return comp_total, rates[beside[0].stream_id] if beside else 0.0
+        return comp_total, (rates[beside[0].stream_id] if beside else 0.0)
 
     def _sweep_streams(
         self, m_comp: int, m_comm: int, sweep: list[int]
