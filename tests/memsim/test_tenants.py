@@ -8,6 +8,7 @@ import sys
 import threading
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -272,6 +273,36 @@ class TestTenantValidation:
         )
         with pytest.raises(SimulationError, match="'a'"):
             result.tenant("nope")
+
+
+#: The one-job scenario of each job class, with ``n`` computing cores.
+_ONE_JOB = {
+    "Scenario": lambda n: (solve_scenario, Scenario(n, 0, 0)),
+    "Tenant": lambda n: (
+        solve_tenant_scenario,
+        TenantScenario((Tenant(name="job", n_cores=n, m_comp=0, m_comm=0),)),
+    ),
+}
+
+
+class TestCoreCountValidation:
+    @pytest.mark.parametrize("n_cores", [2.5, 2.0, True, "3"], ids=repr)
+    @pytest.mark.parametrize("job", _ONE_JOB)
+    def test_non_integer_core_count_rejected(self, job, n_cores):
+        """2.5 used to fail in the stream builder with a TypeError, and
+        True to solve as one core."""
+        with pytest.raises(
+            SimulationError, match="n_cores must be an integer"
+        ):
+            _ONE_JOB[job](n_cores)
+
+    @pytest.mark.parametrize("job", _ONE_JOB)
+    def test_numpy_integer_solves_as_its_int(self, job):
+        solve, scenario = _ONE_JOB[job](np.int64(4))
+        _, as_int = _ONE_JOB[job](4)
+        assert solve(HENRI.machine, HENRI.profile, scenario) == solve(
+            HENRI.machine, HENRI.profile, as_int
+        )
 
 
 # ---- the acceptance-criterion regression ---------------------------------------
