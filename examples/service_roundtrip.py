@@ -77,10 +77,13 @@ def main() -> int:
             f"comm {prediction['comm_parallel']:.2f} GB/s"
         )
 
-        bulk = client.predict_many(
-            PLATFORM, [(n, 0, n % 2) for n in range(1, 15)]
-        )
+        # The server reads this body, as ``json.dumps`` writes it,
+        # without a JSON decode: each row must echo its own query.
+        queries = [(n, 0, n % 2) for n in range(1, 15)]
+        bulk = client.predict_many(PLATFORM, queries)
         assert len(bulk) == 14
+        echoed = [(row["n"], row["m_comp"], row["m_comm"]) for row in bulk]
+        assert echoed == queries, echoed
 
         best = client.advise(PLATFORM, comp_bytes=1e9, comm_bytes=1e8, top=1)
         rec = best["recommendations"][0]

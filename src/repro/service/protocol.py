@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from itertools import chain
 from operator import itemgetter
 
@@ -38,6 +39,7 @@ __all__ = [
     "parse_calibrate",
     "parse_predict",
     "parse_predict_grid",
+    "read_bulk_predict",
     "result_rows",
 ]
 
@@ -382,3 +384,76 @@ def encode_results(echo: dict, columns: dict[str, np.ndarray]) -> bytes:
     rows[0] = head + b"{" + rows[0]
     rows[-1] += b"}]}"
     return b"}, {".join(rows)
+
+
+# ---- bulk /predict bodies as json.dumps writes them -----------------------------
+
+#: A JSON integer of at most 18 digits, which always fits int64.
+_INT = rb"-?(?:0|[1-9][0-9]{0,17})"
+#: ``{"platform": "…"[, "seed": N], "queries": [{``, the platform
+#: printable ASCII with no escape.
+_BULK_HEAD = re.compile(
+    rb'\{"platform": "([ !#-\[\]-~]*)"(?:, "seed": (' + _INT + rb"))?"
+    rb', "queries": \[\{'
+)
+_QUERY = rb'"n": ' + _INT + rb', "m_comp": ' + _INT + rb', "m_comm": ' + _INT
+#: Queries between the ``}, {`` that separate them.
+_QUERY_LIST = re.compile(_QUERY + rb"(?:\}, \{" + _QUERY + rb")*")
+#: The bytes of a query list that are not its values or the commas and
+#: spaces between them: the keys with their quotes and colons, and the
+#: braces.
+_QUERY_PUNCTUATION = b'"nm_cop:{}'
+
+
+def read_bulk_predict(
+    body: bytes,
+) -> tuple[str, int, np.ndarray, bool, None] | None:
+    """``parse_predict(json.loads(body))`` of a bulk ``/predict`` body
+    in the exact form ``json.dumps`` writes with its default separators,
+    and ``None`` for any other body.
+
+    The form is ``{"platform": "…"[, "seed": N], "queries": [{"n": …,
+    "m_comp": …, "m_comm": …}, …]}``: what the client's
+    ``predict_many`` sends when it names no backend.  Whitespace,
+    another key order, a ``backend``, an escape or a control character
+    in the platform, a value of more than 18 digits or any malformed
+    byte gives ``None``, and the caller decodes the body as JSON
+    instead.
+
+    The decode side of :func:`encode_results`: a bulk repeats queries,
+    so the list is split on the ``}, {`` between two queries and each
+    distinct query text is read once.  One regular expression checks
+    every distinct text, and one ``np.fromstring`` converts their
+    values; the rows are then gathered in query order into the
+    C-contiguous ``(N, 3)`` int64 array ``parse_predict`` builds.
+    """
+    head = _BULK_HEAD.match(body)
+    if head is None or not body.endswith(b"}]}"):
+        return None
+    texts = body[head.end():-3].split(b"}, {")
+    # Each distinct text once, in order of first appearance.
+    distinct = dict.fromkeys(texts)
+    joined = b"}, {".join(distinct)
+    if _QUERY_LIST.fullmatch(joined) is None:
+        return None
+    values = np.fromstring(
+        joined.translate(None, _QUERY_PUNCTUATION), dtype=np.int64, sep=","
+    ).reshape(-1, len(_QUERY_FIELDS))
+    # With no query repeated, the values are already in query order.
+    if len(distinct) < len(texts):
+        distinct.update(zip(distinct, range(len(distinct))))
+        values = values[
+            np.fromiter(
+                map(distinct.__getitem__, texts),
+                dtype=np.intp,
+                count=len(texts),
+            )
+        ]
+    platform, seed = head.group(1, 2)
+    return (
+        platform.decode("ascii"),
+        0 if seed is None else int(seed),
+        values,
+        True,
+        None,
+    )

@@ -46,6 +46,16 @@ __all__ = ["ContentionService"]
 log = logging.getLogger("repro.service")
 
 
+def _decode_json(body: bytes) -> object:
+    """The JSON value of a request body; ``None`` when it is empty."""
+    try:
+        return json.loads(body.decode("utf-8")) if body else None
+    # Nesting past the interpreter's recursion limit is a RecursionError,
+    # not a JSONDecodeError.
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ServiceError(f"invalid JSON body: {exc}") from None
+
+
 class ContentionService:
     """One serving instance: registry + batcher + HTTP front end."""
 
@@ -100,6 +110,7 @@ class ContentionService:
             ("POST", "/predict_grid"): self._handle_predict_grid,
             ("POST", "/advise"): self._handle_advise,
         }
+        self._known_paths = frozenset(path for _, path in self._routes)
 
     # ---- lifecycle -------------------------------------------------------------
 
@@ -213,13 +224,13 @@ class ContentionService:
         *,
         keep_alive: bool = False,
     ) -> None:
-        known_paths = {p for _, p in self._routes}
         # Unknown paths share one metrics label so scanners cannot grow
         # the metric cardinality without bound.
-        endpoint = path.lstrip("/") if path in known_paths else "_unknown"
+        known = path in self._known_paths
+        endpoint = path.lstrip("/") if known else "_unknown"
         handler = self._routes.get((method, path))
         if handler is None:
-            if path in known_paths:
+            if known:
                 status, payload = 405, protocol.error_payload(
                     ServiceError(f"method {method} not allowed on {path}"),
                     status=405,
@@ -253,14 +264,13 @@ class ContentionService:
         started = time.perf_counter()
         with span("service.request", endpoint=endpoint) as request_span:
             try:
-                try:
-                    parsed = json.loads(body.decode("utf-8")) if body else None
-                # Nesting past the interpreter's recursion limit is a
-                # RecursionError, not a JSONDecodeError.
-                except (
-                    UnicodeDecodeError, json.JSONDecodeError, RecursionError
-                ) as exc:
-                    raise ServiceError(f"invalid JSON body: {exc}") from None
+                parsed = None
+                if (method, path) == ("POST", "/predict"):
+                    # A bulk body in the form ``json.dumps`` writes is
+                    # read straight to its parsed request.
+                    parsed = protocol.read_bulk_predict(body)
+                if parsed is None:
+                    parsed = _decode_json(body)
                 payload = await asyncio.wait_for(
                     handler(parsed), timeout=self._request_timeout_s
                 )
@@ -378,9 +388,11 @@ class ContentionService:
                     )
 
     async def _handle_predict(self, body: object) -> dict | bytes:
-        platform, seed, queries, is_bulk, backend = protocol.parse_predict(
-            body
-        )
+        # A tuple is a request ``protocol.read_bulk_predict`` has already
+        # parsed; JSON never decodes to one.
+        if not isinstance(body, tuple):
+            body = protocol.parse_predict(body)
+        platform, seed, queries, is_bulk, backend = body
         entry = await self.registry.get(platform, seed)
         model, backend_id, routes_before = self._backend_model(entry, backend)
         echo = {"platform": platform, "seed": seed}
