@@ -56,6 +56,10 @@ BULK_ROWS = 10_000
 #: into one int64 array and grouping rows by sorted bit patterns took
 #: it from a median of 6.5x (5.9-8.0x) to 5.5x (4.4-8.1x) over 5-6 runs
 #: per side on a loaded 2-vCPU VM; the kernel is still timed on tuples.
+#: Reading the bulk body without ``json.loads``
+#: (``protocol.read_bulk_predict``) took it from a median of 5.4x
+#: (4.3-8.9x) to 2.7x (2.5-3.4x) over 6 alternating runs per side on a
+#: 2-vCPU VM.
 BULK_KERNEL_FACTOR = 15.0
 
 
