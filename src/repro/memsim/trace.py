@@ -143,11 +143,17 @@ def most_contended(result: ScenarioResult) -> ResourceLoad | None:
 def bottleneck_report(result: ScenarioResult) -> str:
     """Human-readable contention report for one scenario."""
     scenario = result.scenario
+    # The stacked total counts the transmit stream, so print it too.
+    transmit = (
+        f", transmit {result.comm_tx_gbps:6.2f} GB/s"
+        if result.comm_tx_gbps
+        else ""
+    )
     lines = [
         f"scenario: n={scenario.n_cores} cores, "
         f"comp data on {scenario.m_comp}, comm data on {scenario.m_comm}",
         f"  computation {result.comp_total_gbps:7.2f} GB/s, "
-        f"communication {result.comm_gbps:6.2f} GB/s "
+        f"communication {result.comm_gbps:6.2f} GB/s{transmit} "
         f"(stacked {result.total_gbps:7.2f} GB/s)",
         "  resource utilisation:",
     ]

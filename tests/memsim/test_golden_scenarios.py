@@ -35,22 +35,22 @@ from repro.topology import get_platform, platform_names
 #: ``platform -> sha256`` over its single-job solves.
 GOLDEN = {
     "henri": (
-        "a8f9ef732ffe9ad8eb0d1eedf5bb84075c18380be58ec1c3d8d05828b3c3b1f4"
+        "2aa820c9ee0e91244d83786d6bfaf9a617ce1136fccff048b84a792cdf3e7a54"
     ),
     "henri-subnuma": (
-        "fe9f53e4b7ffe65307604ac8861bf9ef4b33be31f23a986693321b76eec71c0d"
+        "40e208c7aba0d8d6d92f249259b73791665706472f00a5bc1dfb5fbeeb8eda72"
     ),
     "dahu": (
-        "5702703d1131e3256b8b34590950fd43a62b93856655cc51a23567e145e3d375"
+        "ad66e07ffca199c9305f52f3d3835690a4acc20d5928e543541adba814499ca5"
     ),
     "diablo": (
-        "ca84470a6c7a255d209bfb447ddce2a026b7ee501baa6352175d656245362af3"
+        "3c69e28fd40614e7a2258f4af08d6279aa8250c5e03580f6d6a2794d27ad87ea"
     ),
     "pyxis": (
-        "c85f4572bfc24da6ad5f4fd34d2860d9a6d65cae9b3d12414af9f21f005880d5"
+        "b7e0d6dc72862f59fda2edc5ee3a2520bac0cc5beef15e93424a7290715925fa"
     ),
     "occigen": (
-        "c91365547717a03ba5251905a63b52ef022ac2185e1e5bd89be3ac8708d6eae0"
+        "76bd1b0d519f36d652e5ad3cc80d6ac51a8b0c2b25fb06101e23beb0fa2c5253"
     ),
 }
 

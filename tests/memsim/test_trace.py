@@ -1,6 +1,7 @@
 """Bottleneck analysis (memsim.trace)."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -104,3 +105,15 @@ class TestReport:
         result = solve_scenario(diablo.machine, diablo.profile, Scenario(4, 0, 1))
         text = bottleneck_report(result)
         assert "contention-free" in text
+
+    def test_printed_parts_add_up_to_the_stacked_total(self, henri):
+        """A bidirectional NIC's transmit stream is part of the stacked
+        total, so the report prints it beside the other two parts."""
+        result = solve_scenario(
+            henri.machine, henri.profile, Scenario(9, 1, 0, bidirectional=True)
+        )
+        assert result.comm_tx_gbps > 0.0
+        line = bottleneck_report(result).splitlines()[1]
+        *parts, stacked = map(float, re.findall(r"(\d+\.\d+) GB/s", line))
+        assert len(parts) == 3
+        assert sum(parts) == pytest.approx(stacked, abs=0.015)
