@@ -52,6 +52,11 @@ log = logging.getLogger("repro.cluster")
 #: POST endpoints forwarded to shard owners; everything else is local.
 FORWARDED_ENDPOINTS = ("/calibrate", "/predict", "/predict_grid", "/advise")
 
+#: Every path the router answers, forwarded or local.
+_KNOWN_PATHS = frozenset(
+    FORWARDED_ENDPOINTS + ("/healthz", "/shards", "/metrics")
+)
+
 
 class RouterMetrics:
     """Counters of the routing tier itself (workers keep their own)."""
@@ -251,7 +256,12 @@ class ClusterRouter:
                 finally:
                     self._reading.discard(task)
                 status, payload = await self._dispatch(method, path, body)
-                self.metrics.observe(path.lstrip("/") or "_root", status)
+                # Unknown paths share one label so scanners cannot grow
+                # the metric cardinality without bound.
+                self.metrics.observe(
+                    path.lstrip("/") if path in _KNOWN_PATHS else "_unknown",
+                    status,
+                )
                 # A forward in flight when shutdown began is answered,
                 # and then its connection closes.
                 await write_response(
@@ -280,11 +290,7 @@ class ClusterRouter:
             return 200, await self._cluster_metrics()
         if method == "POST" and path in FORWARDED_ENDPOINTS:
             return await self._forward(path, body)
-        if path in FORWARDED_ENDPOINTS or path in (
-            "/healthz",
-            "/shards",
-            "/metrics",
-        ):
+        if path in _KNOWN_PATHS:
             exc = ServiceError(f"method {method} not allowed on {path}")
             return 405, protocol.error_payload(exc, status=405)
         exc = ServiceError(f"unknown endpoint {path}")

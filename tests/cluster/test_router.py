@@ -89,6 +89,21 @@ class TestRouting:
             client._request("POST", "/healthz", {})
         assert excinfo.value.status == 405
 
+    def test_unknown_paths_share_one_metrics_label(
+        self, stub_fleet, router_factory
+    ):
+        """Probe paths must not grow the request counter without bound."""
+        client = router_factory().client()
+        for path in ("/", "/nope", "/scan/1", "/scan/2"):
+            with pytest.raises(ServiceResponseError):
+                client._request("GET", path)
+        client.healthz()
+        labels = {
+            row["endpoint"]: row["count"]
+            for row in client.metrics()["router"]["requests"]["by_endpoint"]
+        }
+        assert labels == {"_unknown": 4, "healthz": 1}
+
 
 class TestFailover:
     def test_dead_primary_fails_over_to_replica(
