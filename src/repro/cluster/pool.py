@@ -73,10 +73,12 @@ class WorkerPool:
     ) -> tuple[int, bytes]:
         """One pooled exchange -> ``(status, raw body)``.
 
-        Same contract as :func:`repro.service.http11.request`:
-        connection-level failures raise their concrete ``OSError``
-        subclasses (the router's failover trigger), HTTP-level error
-        responses are returned, never raised.
+        Connection-level failures raise their concrete ``OSError``
+        subclasses (``ConnectionRefusedError``,
+        ``ConnectionResetError``…) and an expired ``timeout`` raises
+        ``asyncio.TimeoutError``, so a caller can tell a dead peer (the
+        router's failover trigger) from an HTTP-level error response,
+        which is returned, never raised.
         """
         return await asyncio.wait_for(
             self._request(host, port, method, path, body), timeout=timeout

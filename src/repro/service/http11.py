@@ -36,7 +36,6 @@ __all__ = [
     "encode_request",
     "read_request",
     "read_response",
-    "request",
     "write_response",
 ]
 
@@ -254,42 +253,3 @@ async def read_response(
         if len(payload) > MAX_RESPONSE_BYTES:
             raise HttpError(502, "response body too large")
     return status, payload, reusable
-
-
-async def _request_on_stream(
-    host: str, port: int, method: str, path: str, body: bytes | None
-) -> tuple[int, bytes]:
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(encode_request(method, path, body))
-        await writer.drain()
-        status, payload, _reusable = await read_response(reader)
-        return status, payload
-    finally:
-        try:
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-
-async def request(
-    host: str,
-    port: int,
-    method: str,
-    path: str,
-    body: bytes | None = None,
-    *,
-    timeout: float = 30.0,
-) -> tuple[int, bytes]:
-    """One async request -> ``(status, raw body)``.
-
-    Connection-level failures propagate as their concrete ``OSError``
-    subclasses (``ConnectionRefusedError``, ``ConnectionResetError``,
-    ``asyncio.TimeoutError``…) so callers can distinguish a dead peer —
-    the router's failover trigger — from an HTTP-level error response,
-    which is returned, never raised.
-    """
-    return await asyncio.wait_for(
-        _request_on_stream(host, port, method, path, body), timeout=timeout
-    )
