@@ -12,7 +12,7 @@ families of stream sets:
 * the benchmark's scenarios on random machines and profiles;
 * seeded multi-tenant sets on the six platforms: tied offers, binding
   budgets, LLC working sets, bidirectional NICs and idle tenants, plus
-  one fixed set whose shares hang on the water-fill's tie order;
+  one fixed set of tied offers whose cores must get bit-equal rates;
 * two-machine clusters, whose paths cross two controllers and many
   pipes.
 
@@ -156,9 +156,10 @@ def test_tenant_stream_sets(case):
 
 
 @pytest.mark.parametrize("name", ["henri", "pyxis"])
-def test_tied_offers_keep_the_water_fill_order(name):
+def test_tied_offers_get_bit_equal_rates(name):
     """Two groups of tied offers, the larger first, under a binding
-    budget: which stream takes which share is argsort's tie order."""
+    budget: every core of a tenant gets the same rate, bit for bit, and
+    the reference agrees."""
     platform = get_platform(name)
     machine, profile = platform.machine, platform.profile
     half = machine.cores_per_socket // 2
@@ -170,7 +171,16 @@ def test_tied_offers_keep_the_water_fill_order(name):
         )
     )
     streams = build_tenant_streams(machine, profile, scenario)
-    assert_same_solve(build_resources(machine, profile), profile, streams)
+    resources = build_resources(machine, profile)
+    assert_same_solve(resources, profile, streams)
+    rates = Arbiter(resources, profile).solve(streams).rates
+    for tenant in ("fast", "slow"):
+        tied = {
+            rate.hex()
+            for stream_id, rate in rates.items()
+            if stream_id.startswith(f"{tenant}/core")
+        }
+        assert len(tied) == 1, tenant
 
 
 def envelopes():
