@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.backends.base import fit_error
 from repro.errors import ModelError
+from repro.memsim.policies import waterfill
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.bench.results import ModeCurves
@@ -161,37 +162,24 @@ class LangguthSide(BaselineInputs):
     each entitled to an equal slice of the bus when it saturates;
     unused entitlement redistributes.
 
-    The split is :func:`~repro.memsim.policies.waterfill` over ``n``
-    offers of ``b_comp_seq`` and one of ``b_comm_seq``: each offer gets
-    ``min(offer, level)``, and the computation gets ``n`` core shares.
-    With two offer values the level has a closed form, evaluated here
-    for every core count at once.
+    The split is :func:`~repro.memsim.policies.waterfill` over ``n + 1``
+    offers, run once per distinct core count.  Its bits depend on the
+    order ``np.argsort`` gives equal offers, so there is no closed form
+    to vectorize; the cost is O(n) per core count.
     """
 
     def curves(self, ns: np.ndarray) -> dict[str, np.ndarray]:
-        core, comm = self.b_comp_seq, self.b_comm_seq
-        budget = self.bus_capacity_gbps
-        n = ns.astype(float)
-        # The water-fill's level: the smaller offer value sets an even
-        # split of the budget if it reaches it; otherwise the larger one
-        # may reach what the smaller offers leave; otherwise every offer
-        # fits.  At n = 0 there is no core offer, and this still gives
-        # the NIC min(b_comm_seq, budget).
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if comm < core:
-                left = (budget - comm) / n
-                level = np.where(core >= left, left, np.inf)
-            elif core < comm:
-                left = budget - n * core
-                level = np.where(comm >= left, left, np.inf)
-            else:
-                level = np.full(n.shape, np.inf)
-        even = budget / (n + 1.0)
-        level = np.where(min(core, comm) >= even, even, level)
-        # The computation-alone ceiling still applies.
-        comp = np.minimum(n * np.minimum(core, level), self.t_seq_max)
+        points, at = np.unique(ns, return_inverse=True)
+        comp = np.empty(points.size)
+        comm = np.empty(points.size)
+        for i, n in enumerate(points.tolist()):
+            demands = [self.b_comp_seq] * n + [self.b_comm_seq]
+            shares = waterfill(demands, self.bus_capacity_gbps)
+            # The computation-alone ceiling still applies.
+            comp[i] = min(sum(shares[:n]), self.t_seq_max)
+            comm[i] = shares[n]
         return {
-            "comp_par": np.where(ns == 0, 0.0, comp),
-            "comm_par": np.minimum(comm, level),
+            "comp_par": np.where(ns == 0, 0.0, comp[at]),
+            "comm_par": comm[at],
             "comp_alone": self._comp_alone(ns),
         }

@@ -15,7 +15,7 @@ system shares a saturated resource:
    guaranteed floor the arbiter never cuts into.
 4. *"the performance of computations decreases uniformly between
    computing cores"* — the CPU share is split by an egalitarian
-   water-fill, in which equal offers get bit-equal shares.
+   water-fill.
 
 On top of the paper's hypotheses, the simulated hardware throttles the
 NIC *smoothly* as utilisation rises (``sag_onset``/``sag_span``) instead
@@ -32,9 +32,9 @@ mesh and what floor they are owed.
 
 from __future__ import annotations
 
-import bisect
-import math
 from typing import Sequence
+
+import numpy as np
 
 from repro.memsim.profile import ContentionProfile
 from repro.memsim.resource import Resource
@@ -71,28 +71,29 @@ def waterfill(offers: Sequence[float], budget: float) -> list[float]:
     """Egalitarian water-filling: equal shares, capped at each offer.
 
     Implements the paper's uniform degradation between computing cores.
-    Each offer gets ``min(offer, level)``.  The level is the budget
-    left by the offers below it (their exactly rounded sum), split
-    evenly among the rest; when every offer fits, each keeps its offer.
-    Equal offers thus get bit-equal shares, in any order.  Shares sum
-    to ``min(sum(offers), budget)`` up to floating-point error.
+    Returns one share per offer; shares sum to ``min(sum(offers),
+    budget)`` up to floating-point error.
     """
     n = len(offers)
     if n == 0:
         return []
     if budget <= 0.0:
         return [0.0] * n
-    ordered = sorted(offers)
-    # Walk the distinct offer values upwards.  The k offers below the
-    # current value keep their offer; the first value that reaches an
-    # even split of what they leave sets the level.
-    k = 0
-    while k < n:
-        level = (budget - math.fsum(ordered[:k])) / (n - k)
-        if ordered[k] >= level:
-            return [level if level < g else g for g in offers]
-        k = bisect.bisect_right(ordered, ordered[k], k)
-    return list(offers)
+    remaining = float(budget)
+    shares = [0.0] * n
+    # Fill the smallest offers first; whoever needs less than the equal
+    # share keeps its demand, the rest split what remains.  Equal offers
+    # take their shares in argsort's order, and those shares differ in
+    # the last bit, so the sort kind is part of the results.
+    order = np.argsort(np.asarray(offers, dtype=float))
+    unsatisfied = n
+    for idx in order:
+        fair = remaining / unsatisfied
+        take = min(offers[idx], fair)
+        shares[idx] = take
+        remaining -= take
+        unsatisfied -= 1
+    return shares
 
 
 class Crossing:

@@ -6,11 +6,7 @@ implementations those array forms replaced — the baseline predictors,
 and the scalar methods of the overlap and cxlmem sides — with the
 equation 6/7 replay that combined them per placement
 (:func:`replay`).  ``tests/backends/test_reference.py`` holds every
-model's answers equal to them, bit for bit.  The thread-fair predictor
-runs :func:`~repro.memsim.policies.waterfill` over all ``n + 1`` offers
-at each core count, O(n), and sums the core shares exactly
-(``math.fsum``), so it holds the closed form of
-:class:`~repro.backends.baseline.LangguthSide` to the water-fill.
+model's answers equal to them, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +14,6 @@ from __future__ import annotations
 import abc
 import dataclasses
 import functools
-import math
 from typing import Any
 
 import numpy as np
@@ -120,7 +115,7 @@ class LangguthModel(BaselinePredictor):
         per_core = self._in.b_comp_seq
         demands = [per_core] * n + [self._in.b_comm_seq]
         shares = waterfill(demands, capacity)
-        comp = math.fsum(shares[:n])
+        comp = sum(shares[:n])
         comm = shares[n]
         # Computation-alone ceiling still applies.
         return min(comp, self._in.t_seq_max), comm

@@ -27,46 +27,46 @@ CORE_COUNTS = [*range(257), 300, 1000, 4096]
 #: answered from tables; the answers must not move by one bit.
 GOLDEN = {
     ("henri", "threshold"): (
-        "cb26bce7b2d6199b4b9c91f9fb3fe856c4733e9e9f63557a8db3c1e05f6e969b"
+        "e88cd2bb06ad5c42610a3281265f9250c5cf965dd556322794fb16b5eea0baee"
     ),
     ("henri", "naive"): (
         "51a6cf60aba79e401a6f8dd4e28370b562d8f69c63482a9ab8c447807059e549"
     ),
     ("henri", "queueing-ps"): (
-        "6a1d2cdb27be85c75ae5f5f6b6d08bb27796f599421d1bfa661dad74a9bede67"
+        "06f910d28a069b6e8cf688c39f00ca97def8ec9f69ec66124807ab801d6b09aa"
     ),
     ("henri", "langguth-threadfair"): (
-        "926c935ec8f4bf9ca983aff2e257237b176f8d2a71cbacc7fcfa932db79694d1"
+        "0407d69f0cfcbb4e710b2bced1c8e16a887412dc7a3ae0b4ff8e5407fd676685"
     ),
     ("henri", "overlap-afzal"): (
         "93c5a296da4c85d6a1980fb22c647e3dfea5434c3f12c6de83b41c7028f06842"
     ),
     ("henri", "cxlmem-messagefree"): (
-        "e8c99b5e3e6705f1a6f4270e49e1520c5671081ee179169dd37a1db882fd97ee"
+        "4cfc489e93af62a3fe37a738c0bbf69f7439c3ff66f31c5dbb33a38547bd05aa"
     ),
     ("henri", "tournament"): (
-        "a077da9f66b24fe8656811133f172b5987807bbc4ad8492aa9e27b8b8a32540f"
+        "acbadd6233d29a0536faf53a34749fce69161e4aa47a600cbffc44cbe7f13c13"
     ),
     ("henri-subnuma", "threshold"): (
-        "4d62fa8e0d311d659fe269fe59c19a945738dc99978dc647db1e4c9d002bb2c1"
+        "0de725cafb2c11e7e84a3dd2f58a7ba254bf55ebecaead0fc66afc894b6c948b"
     ),
     ("henri-subnuma", "naive"): (
         "afa972813ac8639a193818c21ab5dcda5a57e9b967fee0812efb32ee60120fb9"
     ),
     ("henri-subnuma", "queueing-ps"): (
-        "250b11aec4a5d3decfb1d2f4ae73385346eadf168c02e9e3908bf0de038b3f27"
+        "3e79f9bc151e3852e2761d8286a464da5d16369af8f1423d58f7773775ed03de"
     ),
     ("henri-subnuma", "langguth-threadfair"): (
-        "aa36033e755bce2c64d6b72a1cd685c48e0537e795f4ab84083d041ddb6f11bf"
+        "bb2c2529753a4756f8012f09621e0de55b2700efc9b3c951bf96dc2ea2313f2f"
     ),
     ("henri-subnuma", "overlap-afzal"): (
         "7bbe10955764a96f2a8d971a1026b87dfd4c9545f37efe73285a857d60ac122d"
     ),
     ("henri-subnuma", "cxlmem-messagefree"): (
-        "8f40022d1c2220946363a9d9f9c9d7384648ffa5812076316e4a760385beb926"
+        "8e9d6492c65265e40083c0e8a714e496b3f2424bd62c142a40315311dc0eabfb"
     ),
     ("henri-subnuma", "tournament"): (
-        "30cb324dd9400a04f8d71f722b77fa84b9c2968a9d49e8dbdaf7f5b93e4b83ec"
+        "fb035585cd7124a16014af5a7c7cd42530d44ebf224c164491a3132354a21405"
     ),
     ("dahu", "threshold"): (
         "4188123902aac6d7087b2a2cd34b02c743109906526c85a6e696bc8f9dc43a6a"
@@ -78,7 +78,7 @@ GOLDEN = {
         "7d2b082af53d1c3648e00ab8bc33358a493d99fc6fab466ff73c991793abd634"
     ),
     ("dahu", "langguth-threadfair"): (
-        "6efaa1e8b1ccfe21f30985a285f814bb2950f5141ed8ec82d8a2ba94a5b2a67a"
+        "73b79be999cd1a249ff8d8852f87472fdd942b07292f78dd4d0fd3f9b98b543f"
     ),
     ("dahu", "overlap-afzal"): (
         "871b918283d4b71220fa88da69da5507902e12dcc77e4dc18b07419752c5ba81"
@@ -87,7 +87,7 @@ GOLDEN = {
         "04fb0a6070a91811189697723d92cd383bdcaf66c685013dd63f3c84d57b1af9"
     ),
     ("dahu", "tournament"): (
-        "3881dfeb2e67790f887b0e5e65111185ff207897d538a07af79bc171b1af8ed9"
+        "536dea9f15450a7a31df90730fdf29dc61bd0cdf56c64f9648d5467c1bdedec5"
     ),
     ("diablo", "threshold"): (
         "ca1d6f0633eea87e7810d4c45315064ea9f1ff0171f2f79d8028c720f528f080"
@@ -99,7 +99,7 @@ GOLDEN = {
         "bbaa55f9105d581bcb10fbfb24e7963c51ca8e318cb5b7d2fc06059aa29c3276"
     ),
     ("diablo", "langguth-threadfair"): (
-        "c68f924a648533cd00f101e05c6ac3b03dacbf92be16dc635d7d5e980ad08c64"
+        "f854f17d95547e6748c5b6060352bd9623a023804d475ec8a5dc4e5f6bc4d960"
     ),
     ("diablo", "overlap-afzal"): (
         "ebdeb0f9c1659b381af66a579460a2f2f9e5f3b19b389a5009ae1385c058f5c8"
@@ -108,10 +108,10 @@ GOLDEN = {
         "3a5e0da4c20839d1ab2ffc3a1cc0afe844f21e0260f326ec2a810e40318ebb7f"
     ),
     ("diablo", "tournament"): (
-        "cccfef6eb6b4c74f00613f63b56eabf8608081b7a0ebfcca9a18ee0420e50a54"
+        "b0d29c10c4afe7af7ba7f2d151a72e160f5a3ef38df4dd22ae5a40b5db67b5ac"
     ),
     ("pyxis", "threshold"): (
-        "280b53e35f475525bd3678d85c31d2e5c27ce3dc41cfc940eff11bb39215f706"
+        "a2b4f2c0298a6607c8f53b0840a7fdb57abbe616fe1aff31b7b6be30f302abd4"
     ),
     ("pyxis", "naive"): (
         "d1082e8d2733146cdf52ce9ced2ddc5a6ec1e13333193e5d2ea472e65f8b8d3f"
@@ -120,28 +120,28 @@ GOLDEN = {
         "96bac0a8529100a73eb108fc29b9cdd6f87a5b4d6c9479b24dd42443dfd48ecd"
     ),
     ("pyxis", "langguth-threadfair"): (
-        "5a911f44f6317a0bb9d0fe6003593b12fdae8b032be03408202917002647dcea"
+        "701644160defb70b752ba214aef14fcf7054d7539468020d20b9cfb5196903f0"
     ),
     ("pyxis", "overlap-afzal"): (
         "7f722427aee20f2b5bdd2c2812c4cb2c0693c5ce5fa8e849821570433c6bf44a"
     ),
     ("pyxis", "cxlmem-messagefree"): (
-        "2bf07e26bc7d9a17f78474c52c8525dd6d5585dc7e79aebcc5cc9586b4c348da"
+        "e3acff6836017af4a73620f876e205f053dc9455812f0366eba836fc4ba21391"
     ),
     ("pyxis", "tournament"): (
-        "db12706dbb21023db95c37a04072bc2e037a0724a09ccf57fc1a02802f020a1a"
+        "d9d2eec62afda4a8131c4a64d1ffba517986ffc91dd63bcbf5ae2ab79aed361a"
     ),
     ("occigen", "threshold"): (
-        "8a4905c870841e5ac56ac1732dd5982f5ff45231c7fefe9a2a53d2b73d976366"
+        "b87b98aaf04435ac686e4d44efe20c57a26a30b11756d0410bbe4770c03bfb6e"
     ),
     ("occigen", "naive"): (
         "05aa48ffa4a67b565ab037b77cb0faea90718167f83eac30c2eb98d1c36274e8"
     ),
     ("occigen", "queueing-ps"): (
-        "b7af2f37450b9a166736cad6ced14c3a6bd2e81ae2ba8fa9341acdd1cebea0b1"
+        "2efbbb24f81bbd8fbd1441729ebf9c58ead2734c7846d4d4f17cb1914cc766be"
     ),
     ("occigen", "langguth-threadfair"): (
-        "1af7f45df681b69ca7f5612417c78bbb753c19c2e2355eb4d8cacda4ee1f8bb3"
+        "5ff1918ec27b157a5bfb220c9643f9a1633fc41b27f279b463df19d65bfe11e1"
     ),
     ("occigen", "overlap-afzal"): (
         "efe6ed465980c6a6f1736f7348f02e92412c8ec0db4c1a91072400f83118dc5d"
@@ -150,7 +150,7 @@ GOLDEN = {
         "09fdbe33712e425200c600da73255456d9e606fc79435ab52ab34a8dda8004e7"
     ),
     ("occigen", "tournament"): (
-        "6e9d3d4411f79244a9302ce98d61af96d1dab5b2f8ec255947535d3d49d8e924"
+        "4228cdd20fe62dbf02a2a9a6c41926ae1a4026a174a97da2408f08227fd85aa7"
     ),
 }
 

@@ -12,8 +12,6 @@ parameters.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +25,7 @@ from repro.backends.tournament import run_platform_tournament
 from repro.core.placement import PlacementModel
 from repro.topology import platform_names
 
-from tests.backends.reference import LangguthModel, replay, scalar_sides
+from tests.backends.reference import replay, scalar_sides
 from tests.core.test_model_properties import model_params
 
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -176,55 +174,3 @@ def test_drawn_thread_fair_sides_match(data):
     model = _drawn_model(data, SIDES[backend_id])
     ns = data.draw(_core_counts(backend_id), label="ns")
     assert_matches_reference(model, backend_id, ns)
-
-
-# ---- the thread-fair side's closed form ------------------------------------------
-
-#: Every table column and three core counts past the tables.
-_TABLE_AND_PAST = np.array([*range(257), 300, 1000, 4096], dtype=np.int64)
-
-
-def assert_thread_fair_curves_are_the_water_fill(side: LangguthSide) -> None:
-    """``side.curves`` against the water-fill over ``n + 1`` offers at
-    each core count, bit for bit."""
-    curves = side.curves(_TABLE_AND_PAST)
-    reference = LangguthModel(side)
-    ns = _TABLE_AND_PAST.tolist()
-    assert _bits(curves["comp_par"]) == _bits(
-        [reference.comp_parallel(n) for n in ns]
-    )
-    assert _bits(curves["comm_par"]) == _bits(
-        [reference.comm_parallel(n) for n in ns]
-    )
-
-
-def test_platform_thread_fair_curves_are_the_water_fill(rosters):
-    for roster in rosters.values():
-        model = roster["langguth-threadfair"]
-        for side in (model.local, model.remote):
-            assert_thread_fair_curves_are_the_water_fill(side)
-
-
-@settings(max_examples=40, deadline=None)
-@given(side=_baseline_inputs(LangguthSide))
-def test_drawn_thread_fair_curves_are_the_water_fill(side):
-    assert_thread_fair_curves_are_the_water_fill(side)
-
-
-def test_a_million_cores_cost_no_per_core_work():
-    """A thread-fair query far past the tables answers in constant
-    time: best of five well under the 0.9 s a per-core water-fill
-    takes at this core count."""
-    side = LangguthSide(
-        bus_capacity_gbps=100.0,
-        b_comp_seq=5.0,
-        b_comm_seq=12.0,
-        t_seq_max=80.0,
-    )
-    model = PlacementModel(side, side, nodes_per_socket=1, n_numa_nodes=2)
-    timings = []
-    for _ in range(5):
-        start = time.perf_counter()
-        model.predict_columns([(10**6, 0, 0)])
-        timings.append(time.perf_counter() - start)
-    assert min(timings) < 0.05

@@ -30,34 +30,34 @@ CONFIGS = {
 #: ``(platform, config) -> sha256`` of the full-precision grid CSV.
 GOLDEN_GRID = {
     ("henri", "seed1"): (
-        "f1013f6689dcf5afab3521dd9d9d9ec4c69c53e8ba0bcc3b7a5f0e2646fb42c5"
+        "27f49e30e5b818080a8842af882f42561a73487dca09391dba032a0cb8207261"
     ),
     ("henri", "seed7"): (
-        "21fd0d432057eb0ffd8f70629bdb6f06c2105522c8caba0f3d4a9fc6e00a772d"
+        "c8ffd1924b54d78cf0037ba3ca43c87b8b9e16bcc64a032a8f91737ff8846cf7"
     ),
     ("henri", "seed3-noiseless"): (
-        "1430eeb4fc22114d8084214c6ca5b4238aa927d107daadd705fe48fd2ba36f84"
+        "728e54bf8960513f9e2837353f31a5ddfee3d6272123bb12dd5248bdac5afaed"
     ),
     ("henri-subnuma", "seed1"): (
-        "6517a143787bbe447e03e91606b330d2ed1f2e010e807f20c4ff9d8081a0253d"
+        "3b47f2d202420fa32fb733322c955a780dc877846b9dcc06595780005e81278e"
     ),
     ("henri-subnuma", "seed7"): (
-        "80f8947645514a04e0d96a2cccf7ca6a161ad09a1450a8e4cfa9eb9f84c964f4"
+        "a3bb79d2b228306728b8b1aa58d450c83a73d50339fdaf3cc43529018762862e"
     ),
     ("henri-subnuma", "seed3-noiseless"): (
-        "2da31dc014ee3d327418d0b8477a2fe2e03c4520619abefb8e66e3d96b72a57e"
+        "7ca4f564f43471ac1987aa4cfa051972bee0cd67d56f456ccf339aa43a383269"
     ),
     ("henri-subnuma", "seed2-reps3"): (
-        "d684a4b5c3eab3c1b786609568ce280264bcdead9b2be3e345b1597b5eb66132"
+        "f9d5dc50c447fd2986d2f99c13fe7b84036c9857b76763e8fcb88cd97d0f757f"
     ),
     ("dahu", "seed1"): (
-        "06f63e9012e2d0927c9f55c3f4290bf298ec1d43a12479f1fa016e82d35f90f6"
+        "30114637415097ded23bb8e7a79cdb046b5ae21ffc2f42e1f9be2f6f1bf159f0"
     ),
     ("dahu", "seed7"): (
-        "a85b548221f3fd4a0111a1a33c593e81efa9ff3a1646c5432ed166115f7ce4ae"
+        "5b5e963b22d380a73b153b36465a1cab5ff2412fd134f49a5d1be6d73c87ad13"
     ),
     ("dahu", "seed3-noiseless"): (
-        "3dd6a77713d744f66745850f7ee4f87f0a472efce102cccf0ba1fe2ced72c288"
+        "4a583c2ac7c94629222dd633312daeb069eede5de0398d283aa2f441c2d0fad3"
     ),
     ("diablo", "seed1"): (
         "ef1abd72e4e1929a7ca2aae16e0218f21a358718cf80dfebf100ca8fd2878335"
@@ -69,25 +69,25 @@ GOLDEN_GRID = {
         "7bb00a0ff796031bb8bc0ff851167d11e31c40cc291ebf6714b07c0b4c2023a4"
     ),
     ("pyxis", "seed1"): (
-        "2e14b7300b84f3d2ee98c116ce36c395ceb07f3fcbf6ec67b33ac6f7e4be1e03"
+        "7dcfa5295fb2b56ef8ce7c0f36b69b4e43584365327634a7d31887daf7fffad2"
     ),
     ("pyxis", "seed7"): (
-        "198fbbf3d1ce51b85421bc52442df2f1d3839707a94deb90a1cc48ee303d7db3"
+        "96ce64b3a93cb82e56934a10462c3e9997e6a8bc2f882540bf20b06d599bdf14"
     ),
     ("pyxis", "seed3-noiseless"): (
-        "900865fe5c88b579f4269f0af1636f30feacb868ebdaff1f8d6f2f9919ed0165"
+        "a2db16cf5e3082d888f2b8546f590e49b4992a678d1888bda75be7abf4d39b7f"
     ),
     ("pyxis", "seed2-reps3"): (
-        "2095c993a07e7f4213d2ee62d77b91b5b142759bf4a4d1e452c1953913b13625"
+        "7cb4188229967e4251a20660a1823f1495d3f377980f923e4f6857854e7b8133"
     ),
     ("occigen", "seed1"): (
-        "ccf94e6065e116c42e54b75b2c6c363c8ad1ff55f395a7fbb9329bd5b44cadba"
+        "41050005510d232b5ad295c1af79f757fd82f7b60c30d00dbd5a2957baafb3e1"
     ),
     ("occigen", "seed7"): (
-        "d98baa4c5ce7f72489ccef65b5c100a9e88a9dc0fc785a8b0a55ea329b8cef78"
+        "5801956f1fe5d512b65b72c0584f952e501abe7bcfdb000ae7044bbf3de0bf7b"
     ),
     ("occigen", "seed3-noiseless"): (
-        "64f1c72290b2d543169cba04e45117a3a688cc1f61fc0fcf70bb9c9132e20205"
+        "0659e6380f041494f53dc053f677db738aa1d45600d5eacd2585a5b76c88949b"
     ),
 }
 

@@ -13,9 +13,7 @@ seeded a batch of keys at once; ``tests/memsim/test_noise_batch.py``
 holds the two equal.  Only the stream builders, the per-tenant
 attribution, the LLC's share and factor maths and the result types are
 shared with the product; everything else is the older code, unchanged,
-but for the water-fill.  That is the product's closed form, written
-over the distinct offer values: equal offers get bit-equal shares, so
-no sort order enters any answer.
+the water-fill's ``numpy.argsort`` included.
 """
 
 from __future__ import annotations
@@ -109,24 +107,27 @@ def waterfill(offers: Sequence[float], budget: float) -> list[float]:
     """Egalitarian water-filling: equal shares, capped at each offer.
 
     Implements the paper's uniform degradation between computing cores.
-    Every offer gets ``min(offer, level)``: the level is what the offers
-    below it leave of the budget, summed exactly, split evenly among
-    the others, and infinite when every offer fits.
+    Returns one share per offer; shares sum to ``min(sum(offers),
+    budget)`` up to floating-point error.
     """
     n = len(offers)
     if n == 0:
         return []
     if budget <= 0.0:
         return [0.0] * n
-    level = math.inf
-    below: list[float] = []
-    for value in sorted(set(offers)):
-        fair = (budget - math.fsum(below)) / (n - len(below))
-        if value >= fair:
-            level = fair
-            break
-        below += [g for g in offers if g == value]
-    return [min(g, level) for g in offers]
+    remaining = float(budget)
+    shares = [0.0] * n
+    # Fill the smallest offers first; whoever needs less than the equal
+    # share keeps its demand, the rest split what remains.
+    order = np.argsort(np.asarray(offers, dtype=float))
+    unsatisfied = n
+    for idx in order:
+        fair = remaining / unsatisfied
+        take = min(offers[idx], fair)
+        shares[idx] = take
+        remaining -= take
+        unsatisfied -= 1
+    return shares
 
 
 class ArbitrationPolicy:

@@ -35,28 +35,28 @@ from repro.topology import get_platform, platform_names
 #: ``platform -> sha256`` over its single-job solves.
 GOLDEN = {
     "henri": (
-        "4b72a5251569fd7f494a5538c1d8c256c4ab1bcf40b252cb244c7f694f4bbb37"
+        "2aa820c9ee0e91244d83786d6bfaf9a617ce1136fccff048b84a792cdf3e7a54"
     ),
     "henri-subnuma": (
-        "3168f191061e98fe3f02a940f5c65729814f9b45bdd26bd8404351c700cb4bac"
+        "40e208c7aba0d8d6d92f249259b73791665706472f00a5bc1dfb5fbeeb8eda72"
     ),
     "dahu": (
-        "2aaf44860ee355edd2756aa68e9c8d211bd26b8b1f6d49a46db82f09caef2379"
+        "ad66e07ffca199c9305f52f3d3835690a4acc20d5928e543541adba814499ca5"
     ),
     "diablo": (
         "3c69e28fd40614e7a2258f4af08d6279aa8250c5e03580f6d6a2794d27ad87ea"
     ),
     "pyxis": (
-        "6c32159bc1b2b8512ed6c5e1027313e285f1d7af1e79b18ad5ea5a474f7acbfa"
+        "b7e0d6dc72862f59fda2edc5ee3a2520bac0cc5beef15e93424a7290715925fa"
     ),
     "occigen": (
-        "2e0e39e93396813ec90d74c1b8f45502269c9fd90e7cdaf86787cf0dae2f140f"
+        "76bd1b0d519f36d652e5ad3cc80d6ac51a8b0c2b25fb06101e23beb0fa2c5253"
     ),
 }
 
 #: sha256 over henri's intensity and message-size sweep points.
 GOLDEN_SWEEPS = (
-    "1100e3bb5c51dc3c8e1d94e52f2a2d5c74ec741b04b19bd258f1369847cceaeb"
+    "bcad5bcffb9330e0bd46f0cb48eb9f6680b65fd01e01e603ea1d6060ba03ccf1"
 )
 
 

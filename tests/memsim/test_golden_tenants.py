@@ -36,22 +36,22 @@ SCENARIOS = 24
 #: ``platform -> sha256`` over its scenarios and its victim ranking.
 GOLDEN = {
     "henri": (
-        "1afbaaa734377a75cf1e1b59b8f250d5e1047a6b538bbeddebb1b2b3bc18f9b3"
+        "8752d69c0755fee3ddc41ac42c2b4eac95f04a39c0be2fdb561b854e9cfa5c25"
     ),
     "henri-subnuma": (
-        "4b6e2de98ff34158064c5974bd3b4787c79b803326abbc43985d2d533d6996b2"
+        "b547136cc40af41b6bd2541d5f8afde36518f19746923dfa02d8f5e1882cd8c8"
     ),
     "dahu": (
-        "283c0381e1d4a992a377635af35277db707e27cce5ed1d4304d64e6f19ad5c91"
+        "7a99a88c65665e863d133cdd6d86b4486cdf4208ca550cfed8d697e535eeb2dc"
     ),
     "diablo": (
-        "729c4f57ffee8608d3d789f4f974ff77fa221b5ff73338621136c68973bd7180"
+        "401a483aca07df3e36faa19f526194648f73a599d94003add440e2b684667c56"
     ),
     "pyxis": (
-        "e7709f5aa38767ea869e39d1a8284781fca0faeb7787860db5c91f8319d04281"
+        "ff750130a7865e834e9dfbccc7bf1ebb76e16af8203d5ca214c9c283091052a0"
     ),
     "occigen": (
-        "815b63a1cac89901c0de9e280b2a2cf77ceb58fca70404a4b7a946d83fcb1259"
+        "146312aae7269cfe436603c5e83aaa0a4935f1ecc20b42a86969ce6626a95188"
     ),
 }
 

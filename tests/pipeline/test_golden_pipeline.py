@@ -51,28 +51,28 @@ def result_digest(result) -> str:
 #: platform -> (seed 1 digest, seed 7 digest)
 RESULT_DIGESTS = {
     "dahu": (
-        "29d726d220f334d38f1b64dd6065cde27edeb9c61c270c5774e5228e8ad0cbe0",
-        "de55da615ee9df0a8d4c456327706970bf29a4bfeb2ec2df95086bd6bf7f527d",
+        "bf836e8c254e6301c88b69568056e9f8b61218de8874f66e58e9ee9130c4ad7e",
+        "fbdfa6382e3e7a3f28ff64921838e49a7a5886ceacc3c680c6acca88abe6e3ec",
     ),
     "diablo": (
         "201f23bd1ab83c181f5e114dc8c89b5d4b5a3fa49f0ed31288c391f781fee424",
         "b2092d1b14646f8da86bd8161c37e8e01df959c4286767bd5c1fdf74a435bbec",
     ),
     "henri": (
-        "cb7960a642dfe15c0525cfe1cb0e644f7e4d169b36367e826ee82847bb8d2b7f",
-        "49f0eecb7620eb49424b3b144f1cdbf4a4b2263c18f041d1a2f8a24a645a0c12",
+        "01d30de1301c530e51ddce4d76a0f889fa833a9c1de534b270f0a6d171add586",
+        "1a322489a58051236196977d5e64b83bd78a85b1de8454175b8230e1ef268363",
     ),
     "henri-subnuma": (
-        "9fcb1d902aa25644101b6b8e467d73c482b340a7ea3570749326e5ecdf34de94",
-        "d77e82a60df0507b0bdcfefb68cbc6339076e5cd0dfa2e8d44e0519b7fdaff38",
+        "8819b0d64c88ac33899b7894aaf11160d926f532c64f21b0d6908bfb25078228",
+        "e639760f515edc33bfe4e6592fbe7f95315505b9d7faca0f0309eaba44a7ac32",
     ),
     "occigen": (
-        "d5a4ce7ce045bc59c527d020b06f0cbbcace8ec7f1021eeee40c26eb83a290d0",
-        "a7309f148564c4737f29ccf1696a02914982478c8a60a7a75636fdf1f6c13949",
+        "ad9f45c971be4d3efe0e12d8511359b30d077029b253fc2b58888ab1a58853a3",
+        "256f5d0ce6e2eddf92bc10085ff8cbec64ad121775e9b047cfd7e80424803b0f",
     ),
     "pyxis": (
-        "40abd3ae0860acfb4727b656edae4ba7052ad3ace21829c2ee94ccd29dbf1e37",
-        "f259c12d2b703211392dad19ec898a026f5054036532aa052ad6be5905209c3c",
+        "9ca676b459c187f1ab35f76fc6e7fa6089cac7f96a68a5bfae874efcac831a63",
+        "da0d3a9d4fe307c198b83be7d056278bdfc2f9f6399936b1e0ec3d8d61be0869",
     ),
 }
 
@@ -186,16 +186,16 @@ MANIFESTS = {
     "henri/calibrate-v1-16d0f8fbe1d15ac4": {
         "files": {
             "model_local.json": _file(
-                312,
-                "3ea2def2224ed2dd26f94d65ddc7e9e5355b783068af8e27cae739143c82ba4d",
+                313,
+                "a9401d6a8f0391e230ade523f77b437ac5ccd615be0a6fc6ff6344f4196fa41e",
             ),
             "model_meta.json": _file(
                 48,
                 "1a1792f60ab1477b706fc14b459252180b100e4a19b6d531fab65e06b1db91da",
             ),
             "model_remote.json": _file(
-                314,
-                "0a06efafaf6d80ec50679fd546103bbd67b1e2257ce87b8132b3bf426976fbf2",
+                313,
+                "819c6d01be150d682131d3c2e5a1f66f98889c3d69dd070b15077739eb2f1240",
             ),
         },
         "key": _key("calibrate"),
@@ -205,8 +205,8 @@ MANIFESTS = {
     "henri/measure-v1-16d0f8fbe1d15ac4": {
         "files": {
             "dataset.csv": _file(
-                6381,
-                "f1013f6689dcf5afab3521dd9d9d9ec4c69c53e8ba0bcc3b7a5f0e2646fb42c5",
+                6382,
+                "27f49e30e5b818080a8842af882f42561a73487dca09391dba032a0cb8207261",
             ),
             "dataset_meta.json": _file(
                 70,
