@@ -26,6 +26,9 @@ Fleet-wide introspection: ``GET /healthz`` (worker states, shard-map
 version), ``GET /shards`` (the shard-map spec and worker addresses),
 ``GET /metrics`` (router counters plus a scrape-and-merge of every live
 worker's metrics and tracing snapshot).
+
+The listener, keep-alive loop, 404/405 routing and prompt shutdown are
+the worker's own: both are a :class:`~repro.service.front.HttpFrontEnd`.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from repro.cluster.pool import WorkerPool
 from repro.errors import ClusterError, ServiceError
 from repro.obs import merge_tracing_snapshots
 from repro.service import protocol
+from repro.service.front import HttpFrontEnd
 from repro.service.http11 import (
     HttpError,
     read_request,
@@ -52,10 +56,8 @@ log = logging.getLogger("repro.cluster")
 #: POST endpoints forwarded to shard owners; everything else is local.
 FORWARDED_ENDPOINTS = ("/calibrate", "/predict", "/predict_grid", "/advise")
 
-#: Every path the router answers, forwarded or local.
-_KNOWN_PATHS = frozenset(
-    FORWARDED_ENDPOINTS + ("/healthz", "/shards", "/metrics")
-)
+#: Seconds a forward may take on one replica before failing over.
+FORWARD_TIMEOUT_S = 60.0
 
 
 class RouterMetrics:
@@ -104,7 +106,7 @@ class RouterMetrics:
         }
 
 
-class ClusterRouter:
+class ClusterRouter(HttpFrontEnd):
     """Async HTTP front end over a :class:`~repro.cluster.Supervisor`."""
 
     def __init__(
@@ -113,66 +115,51 @@ class ClusterRouter:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        forward_timeout_s: float = 60.0,
         health_interval_s: float = 0.25,
     ) -> None:
+        super().__init__(
+            {
+                ("GET", "/healthz"): self._healthz,
+                ("GET", "/shards"): self._shards,
+                ("GET", "/metrics"): self._cluster_metrics,
+                **{
+                    ("POST", path): self._forward
+                    for path in FORWARDED_ENDPOINTS
+                },
+            },
+            host=host,
+            port=port,
+        )
         self.supervisor = supervisor
         self._pool = WorkerPool()
         self.metrics = RouterMetrics(pool=self._pool)
-        self._host = host
-        self._port = port
-        self._forward_timeout_s = forward_timeout_s
         self._health_interval_s = health_interval_s
-        self._server: asyncio.base_events.Server | None = None
         self._health_task: asyncio.Task | None = None
-        self._connections: set[asyncio.Task] = set()
-        #: Connection tasks waiting for, or reading, a request: nothing
-        #: of theirs is in flight, so shutdown cancels them at once.
-        self._reading: set[asyncio.Task] = set()
-        self._closing = False
-        self._shutdown = asyncio.Event()
-        self._started_at = time.monotonic()
 
-    # ---- lifecycle -------------------------------------------------------------
+    # ---- the front end's hooks -------------------------------------------------
 
-    @property
-    def host(self) -> str:
-        return self._host
+    def _read(self, reader):
+        return read_request(reader)
 
-    @property
-    def port(self) -> int:
-        if self._server is None:
-            raise ClusterError("router is not started")
-        return self._server.sockets[0].getsockname()[1]
+    def _write(self, writer, status, payload, *, keep_alive=False):
+        return write_response(writer, status, payload, keep_alive=keep_alive)
+
+    def _observe(self, endpoint: str, status: int, seconds: float) -> None:
+        self.metrics.observe(endpoint, status)
+
+    async def _answer(
+        self, handler, endpoint: str, method: str, path: str, body: bytes
+    ) -> tuple[int, "dict | bytes"]:
+        return await handler(path, body)
 
     async def start(self) -> None:
-        self._started_at = time.monotonic()
-        self._server = await asyncio.start_server(
-            self._on_connection, self._host, self._port
-        )
+        await super().start()
         if self._health_interval_s > 0:
             self._health_task = asyncio.get_running_loop().create_task(
                 self._health_loop()
             )
-        log.info(
-            "router listening on %s:%d over %d workers",
-            self._host,
-            self.port,
-            len(self.supervisor.shardmap),
-        )
 
-    async def run_until_shutdown(self) -> None:
-        if self._server is None:
-            await self.start()
-        await self._shutdown.wait()
-
-    def request_shutdown(self) -> None:
-        self._shutdown.set()
-
-    async def shutdown(self) -> None:
-        """Stop accepting, close idle connections, drain in-flight
-        forwards, close sockets."""
-        self._closing = True
+    async def _before_drain(self) -> None:
         if self._health_task is not None:
             self._health_task.cancel()
             try:
@@ -180,23 +167,9 @@ class ClusterRouter:
             except asyncio.CancelledError:
                 pass
             self._health_task = None
-        if self._server is not None:
-            self._server.close()
-        for task in self._reading:
-            task.cancel()
-        pending = {t for t in self._connections if not t.done()}
-        if pending:
-            _, stragglers = await asyncio.wait(pending, timeout=10.0)
-            for task in stragglers:
-                task.cancel()
-            if stragglers:
-                await asyncio.gather(*stragglers, return_exceptions=True)
-        if self._server is not None:
-            # From Python 3.12.1 this also waits for every open
-            # connection, hence last.
-            await self._server.wait_closed()
+
+    async def _after_close(self) -> None:
         await self._pool.aclose()
-        self._shutdown.set()
 
     # ---- health loop -----------------------------------------------------------
 
@@ -219,92 +192,18 @@ class ClusterRouter:
                 else:
                     self.metrics.workers_retired += 1
 
-    # ---- connection handling ---------------------------------------------------
-
-    def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.get_running_loop().create_task(
-            self._serve_connection(reader, writer)
-        )
-        self._connections.add(task)
-        task.add_done_callback(self._connections.discard)
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        try:
-            # Same keep-alive loop as the single-process service: honour
-            # explicit keep-alive clients, close after one exchange
-            # otherwise or once shutdown begins.
-            while not self._closing:
-                self._reading.add(task)
-                try:
-                    method, path, body, keep_alive = await read_request(reader)
-                except HttpError as exc:
-                    await write_response(
-                        writer,
-                        exc.status,
-                        protocol.error_payload(
-                            ServiceError(str(exc)), status=exc.status
-                        ),
-                    )
-                    return
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    return
-                finally:
-                    self._reading.discard(task)
-                status, payload = await self._dispatch(method, path, body)
-                # Unknown paths share one label so scanners cannot grow
-                # the metric cardinality without bound.
-                self.metrics.observe(
-                    path.lstrip("/") if path in _KNOWN_PATHS else "_unknown",
-                    status,
-                )
-                # A forward in flight when shutdown began is answered,
-                # and then its connection closes.
-                await write_response(
-                    writer,
-                    status,
-                    payload,
-                    keep_alive=keep_alive and not self._closing,
-                )
-                if not keep_alive:
-                    return
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _dispatch(
-        self, method: str, path: str, body: bytes
-    ) -> tuple[int, "dict | bytes"]:
-        if method == "GET" and path == "/healthz":
-            return 200, self._healthz()
-        if method == "GET" and path == "/shards":
-            return 200, self._shards()
-        if method == "GET" and path == "/metrics":
-            return 200, await self._cluster_metrics()
-        if method == "POST" and path in FORWARDED_ENDPOINTS:
-            return await self._forward(path, body)
-        if path in _KNOWN_PATHS:
-            exc = ServiceError(f"method {method} not allowed on {path}")
-            return 405, protocol.error_payload(exc, status=405)
-        exc = ServiceError(f"unknown endpoint {path}")
-        return 404, protocol.error_payload(exc, status=404)
-
     # ---- local endpoints -------------------------------------------------------
+    #
+    # Each route's handler takes the path and body and returns the
+    # status and payload, as :meth:`_forward` does.
 
-    def _healthz(self) -> dict:
+    async def _healthz(self, _path: str, _body: bytes) -> tuple[int, dict]:
         from repro import __version__
 
         statuses = [s.as_dict() for s in self.supervisor.statuses()]
         alive = sum(1 for s in statuses if s["alive"])
         active = sum(1 for s in statuses if not s["retired"])
-        return {
+        return 200, {
             "status": "ok" if alive == active and active > 0 else "degraded",
             "version": __version__,
             "uptime_s": time.monotonic() - self._started_at,
@@ -313,16 +212,18 @@ class ClusterRouter:
             "shard_version": self.supervisor.shardmap.version,
         }
 
-    def _shards(self) -> dict:
+    async def _shards(self, _path: str, _body: bytes) -> tuple[int, dict]:
         """The routing table: shard-map spec plus worker addresses."""
-        return {
+        return 200, {
             "shardmap": self.supervisor.shardmap.spec(),
             "workers": {
                 s.worker_id: s.as_dict() for s in self.supervisor.statuses()
             },
         }
 
-    async def _cluster_metrics(self) -> dict:
+    async def _cluster_metrics(
+        self, _path: str, _body: bytes
+    ) -> tuple[int, dict]:
         """Router counters plus a concurrent scrape of every live worker."""
 
         async def scrape(worker_id: str) -> "tuple[str, dict | None]":
@@ -340,7 +241,7 @@ class ClusterRouter:
         alive = sorted(self.supervisor.alive_workers())
         scraped = dict(await asyncio.gather(*(scrape(w) for w in alive)))
         workers = {w: snap for w, snap in scraped.items() if snap is not None}
-        return {
+        return 200, {
             "router": self.metrics.snapshot(),
             "workers": workers,
             "tracing": merge_tracing_snapshots(
@@ -352,11 +253,10 @@ class ClusterRouter:
 
     @staticmethod
     def _routing_key(body: bytes) -> tuple[str, int]:
-        """Extract ``(platform, seed)`` without validating the full schema.
+        """``(platform, seed)``, checked as a worker checks them.
 
-        The owning worker re-parses and validates; the router only needs
-        the key, so schema errors surface from the worker with the full
-        single-process error envelope.
+        The owning worker validates the rest of the body, so any other
+        schema error comes from the worker with its full error envelope.
         """
         try:
             parsed = json.loads(body.decode("utf-8")) if body else None
@@ -366,18 +266,7 @@ class ClusterRouter:
             UnicodeDecodeError, json.JSONDecodeError, RecursionError
         ) as exc:
             raise ServiceError(f"invalid JSON body: {exc}") from None
-        if not isinstance(parsed, dict):
-            raise ServiceError(
-                "request body must be a JSON object, got "
-                f"{type(parsed).__name__}"
-            )
-        platform = parsed.get("platform")
-        if not isinstance(platform, str):
-            raise ServiceError("missing required field 'platform'")
-        seed = parsed.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ServiceError(f"field 'seed' must be an integer, got {seed!r}")
-        return platform, seed
+        return protocol.parse_calibrate(parsed)
 
     async def _forward(
         self, path: str, body: bytes
@@ -406,7 +295,7 @@ class ClusterRouter:
                     "POST",
                     path,
                     body,
-                    timeout=self._forward_timeout_s,
+                    timeout=FORWARD_TIMEOUT_S,
                 )
             except (HttpError, OSError, asyncio.TimeoutError) as exc:
                 last_error = exc

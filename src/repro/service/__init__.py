@@ -5,9 +5,10 @@ The paper's predictor answers any ``(n, m_comp, m_comm)`` query from a
 single cheap calibration; this package turns that into a long-running
 query service:
 
-* :mod:`repro.service.server` — stdlib asyncio HTTP/1.1 front end
+* :mod:`repro.service.server` — the service's endpoints
   (``calibrate`` / ``predict`` / ``predict_grid`` / ``advise`` /
-  ``healthz`` / ``metrics``);
+  ``healthz`` / ``metrics``) on the stdlib asyncio HTTP/1.1 front end
+  of :mod:`repro.service.front`, which the cluster router shares;
 * :mod:`repro.service.registry` — LRU-bounded, single-flight cache of
   calibrated :class:`~repro.core.placement.PlacementModel` instances;
 * :mod:`repro.service.batching` — coalesces concurrent scalar

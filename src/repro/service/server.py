@@ -1,8 +1,9 @@
 """The asyncio HTTP/1.1 JSON server of the contention-prediction service.
 
-Stdlib-only: requests are parsed off an :func:`asyncio.start_server`
-stream, routed to handlers that drive the model registry / batcher, and
-answered as JSON.  Operational behaviour:
+Stdlib-only: a :class:`~repro.service.front.HttpFrontEnd` (shared with
+the cluster router) reads requests off an :func:`asyncio.start_server`
+stream and routes them to handlers that drive the model registry /
+batcher; answers are JSON.  Operational behaviour:
 
 * **per-request timeout** — a handler exceeding ``request_timeout_s``
   is cancelled and answered with 504;
@@ -13,10 +14,10 @@ answered as JSON.  Operational behaviour:
   envelope and HTTP status of :mod:`repro.service.protocol`;
 * **graceful shutdown** — :meth:`ContentionService.shutdown` stops
   accepting, closes at once every connection that is waiting for a
-  request or part-way through reading one, drains in-flight requests
-  (bounded by ``drain_timeout_s``; each answer carries
-  ``Connection: close``) and flushes the batcher, so clients never see
-  a torn response.
+  request or part-way through reading one, flushes the batcher and
+  drains in-flight requests (bounded by ``front.DRAIN_TIMEOUT_S``; each
+  answer carries ``Connection: close``), so clients never see a torn
+  response.
 
 Endpoints: ``GET /healthz``, ``GET /metrics``, ``POST /calibrate``,
 ``POST /predict``, ``POST /predict_grid``, ``POST /advise`` — schemas
@@ -37,7 +38,8 @@ from repro.topology import get_platform
 from repro.obs import span
 from repro.service import protocol
 from repro.service.batching import PredictBatcher
-from repro.service.http11 import HttpError, read_request, write_response
+from repro.service.front import HttpFrontEnd
+from repro.service.http11 import read_request, write_response
 from repro.service.metrics import ServiceMetrics
 from repro.service.registry import ModelEntry, ModelRegistry
 
@@ -56,7 +58,7 @@ def _decode_json(body: bytes) -> object:
         raise ServiceError(f"invalid JSON body: {exc}") from None
 
 
-class ContentionService:
+class ContentionService(HttpFrontEnd):
     """One serving instance: registry + batcher + HTTP front end."""
 
     def __init__(
@@ -68,15 +70,23 @@ class ContentionService:
         metrics: ServiceMetrics | None = None,
         request_timeout_s: float = 30.0,
         max_concurrency: int = 64,
-        drain_timeout_s: float = 10.0,
-        batch_window_s: float = 0.0,
         batching: bool = True,
         cache_dir: "str | None" = None,
     ) -> None:
         if registry is not None and cache_dir is not None:
             raise ServiceError("pass either registry or cache_dir, not both")
-        self._host = host
-        self._port = port
+        super().__init__(
+            {
+                ("GET", "/healthz"): self._handle_healthz,
+                ("GET", "/metrics"): self._handle_metrics,
+                ("POST", "/calibrate"): self._handle_calibrate,
+                ("POST", "/predict"): self._handle_predict,
+                ("POST", "/predict_grid"): self._handle_predict_grid,
+                ("POST", "/advise"): self._handle_advise,
+            },
+            host=host,
+            port=port,
+        )
         self.metrics = metrics or (
             registry.metrics if registry is not None else ServiceMetrics()
         )
@@ -87,181 +97,39 @@ class ContentionService:
             else ModelRegistry(metrics=self.metrics, cache_dir=cache_dir)
         )
         self.batcher: PredictBatcher | None = (
-            PredictBatcher(window_s=batch_window_s, metrics=self.metrics)
-            if batching
-            else None
+            PredictBatcher(metrics=self.metrics) if batching else None
         )
         self._request_timeout_s = request_timeout_s
         self._max_concurrency = max_concurrency
-        self._drain_timeout_s = drain_timeout_s
-        self._server: asyncio.base_events.Server | None = None
-        self._connections: set[asyncio.Task] = set()
-        #: Connection tasks waiting for, or reading, a request: nothing
-        #: of theirs is in flight, so shutdown cancels them at once.
-        self._reading: set[asyncio.Task] = set()
-        self._closing = False
-        self._shutdown = asyncio.Event()
-        self._started_at = time.monotonic()
-        self._routes = {
-            ("GET", "/healthz"): self._handle_healthz,
-            ("GET", "/metrics"): self._handle_metrics,
-            ("POST", "/calibrate"): self._handle_calibrate,
-            ("POST", "/predict"): self._handle_predict,
-            ("POST", "/predict_grid"): self._handle_predict_grid,
-            ("POST", "/advise"): self._handle_advise,
-        }
-        self._known_paths = frozenset(path for _, path in self._routes)
 
-    # ---- lifecycle -------------------------------------------------------------
+    # ---- the front end's hooks -------------------------------------------------
 
-    @property
-    def port(self) -> int:
-        """The bound port (useful with ``port=0``)."""
-        if self._server is None:
-            raise ServiceError("service is not started")
-        return self._server.sockets[0].getsockname()[1]
+    def _read(self, reader):
+        return read_request(reader)
 
-    @property
-    def host(self) -> str:
-        return self._host
+    def _write(self, writer, status, payload, *, keep_alive=False):
+        return write_response(writer, status, payload, keep_alive=keep_alive)
 
-    async def start(self) -> None:
-        self._started_at = time.monotonic()
-        self._server = await asyncio.start_server(
-            self._on_connection, self._host, self._port
-        )
-        log.info("service listening on %s:%d", self._host, self.port)
+    def _observe(self, endpoint: str, status: int, seconds: float) -> None:
+        self.metrics.observe_request(endpoint, status, seconds)
 
-    async def run_until_shutdown(self) -> None:
-        """Serve until :meth:`shutdown` is called (from any task)."""
-        if self._server is None:
-            await self.start()
-        await self._shutdown.wait()
-
-    def request_shutdown(self) -> None:
-        """Signal :meth:`run_until_shutdown` to exit (signal-handler safe)."""
-        self._shutdown.set()
-
-    async def shutdown(self) -> None:
-        """Stop accepting, close idle connections, drain in-flight
-        requests, close sockets."""
-        self._closing = True
-        if self._server is not None:
-            self._server.close()
-        for task in self._reading:
-            task.cancel()
+    async def _before_drain(self) -> None:
         if self.batcher is not None:
             await self.batcher.drain()
-        pending = {t for t in self._connections if not t.done()}
-        if pending:
-            _, stragglers = await asyncio.wait(
-                pending, timeout=self._drain_timeout_s
-            )
-            for task in stragglers:
-                task.cancel()
-            if stragglers:
-                await asyncio.gather(*stragglers, return_exceptions=True)
-        if self._server is not None:
-            # From Python 3.12.1 this also waits for every open
-            # connection, hence last.
-            await self._server.wait_closed()
-        self._shutdown.set()
 
-    # ---- connection handling ---------------------------------------------------
-
-    def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.get_running_loop().create_task(
-            self._serve_connection(reader, writer)
-        )
-        self._connections.add(task)
-        task.add_done_callback(self._connections.discard)
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        try:
-            # Serve requests until the client closes or stops asking for
-            # keep-alive, or shutdown begins; one-shot clients exit the
-            # loop after one turn.
-            while not self._closing:
-                self._reading.add(task)
-                try:
-                    method, path, body, keep_alive = await read_request(reader)
-                except HttpError as exc:
-                    await write_response(
-                        writer,
-                        exc.status,
-                        protocol.error_payload(
-                            ServiceError(str(exc)), status=exc.status
-                        ),
-                    )
-                    return
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    return  # client went away mid-request or between requests
-                finally:
-                    self._reading.discard(task)
-                await self._dispatch(
-                    writer, method, path, body, keep_alive=keep_alive
-                )
-                if not keep_alive:
-                    return
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _dispatch(
-        self,
-        writer: asyncio.StreamWriter,
-        method: str,
-        path: str,
-        body: bytes,
-        *,
-        keep_alive: bool = False,
-    ) -> None:
-        # Unknown paths share one metrics label so scanners cannot grow
-        # the metric cardinality without bound.
-        known = path in self._known_paths
-        endpoint = path.lstrip("/") if known else "_unknown"
-        handler = self._routes.get((method, path))
-        if handler is None:
-            if known:
-                status, payload = 405, protocol.error_payload(
-                    ServiceError(f"method {method} not allowed on {path}"),
-                    status=405,
-                )
-            else:
-                status, payload = 404, protocol.error_payload(
-                    ServiceError(f"unknown endpoint {path}"), status=404
-                )
-            self.metrics.observe_request(endpoint, status, 0.0)
-            await write_response(writer, status, payload, keep_alive=keep_alive)
-            return
-
+    async def _answer(
+        self, handler, endpoint: str, method: str, path: str, body: bytes
+    ) -> tuple[int, dict | bytes]:
         if self.metrics.in_flight >= self._max_concurrency:
             self.metrics.rejected_total += 1
-            self.metrics.observe_request(endpoint, 503, 0.0)
-            await write_response(
-                writer,
-                503,
-                protocol.error_payload(
-                    ServiceError(
-                        f"concurrency limit reached "
-                        f"({self._max_concurrency} requests in flight)"
-                    ),
-                    status=503,
+            return 503, protocol.error_payload(
+                ServiceError(
+                    f"concurrency limit reached "
+                    f"({self._max_concurrency} requests in flight)"
                 ),
-                keep_alive=keep_alive,
+                status=503,
             )
-            return
-
         self.metrics.in_flight += 1
-        started = time.perf_counter()
         with span("service.request", endpoint=endpoint) as request_span:
             try:
                 parsed = None
@@ -297,17 +165,7 @@ class ContentionService:
             finally:
                 self.metrics.in_flight -= 1
             request_span.tag(status=status)
-        self.metrics.observe_request(
-            endpoint, status, time.perf_counter() - started
-        )
-        # A request that was in flight when shutdown began is answered,
-        # and then its connection closes.
-        await write_response(
-            writer,
-            status,
-            payload,
-            keep_alive=keep_alive and not self._closing,
-        )
+        return status, payload
 
     # ---- endpoint handlers -----------------------------------------------------
 

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.cluster.shardmap import ShardMap
+from repro.service import front
 from repro.service.client import ServiceResponseError
 from repro.service.http11 import MAX_BODY_BYTES, MAX_RESPONSE_BYTES
 from repro.topology import get_platform
@@ -22,6 +23,7 @@ from tests.service.conftest import (
     exchange,
     keep_alive_post,
     stop_in_flight,
+    stop_past_the_drain,
     stop_with_a_reader,
 )
 from tests.service.test_bulk_parity import post
@@ -79,6 +81,37 @@ class TestRouting:
         with pytest.raises(ServiceResponseError) as excinfo:
             client._request("POST", "/predict", {"n": 4})
         assert excinfo.value.status == 400
+
+    def test_integral_float_seed_routes_as_a_worker_reads_it(
+        self, stub_fleet, router_factory
+    ):
+        """A worker serves ``"seed": 2.0`` as seed 2: so does the router."""
+        supervisor, _ = stub_fleet
+        body = {"platform": "occigen", "seed": 2.0, "n": 4, "m_comp": 0,
+                "m_comm": 0}
+        status, raw = post(router_factory().port, body)
+        assert status == 200
+        assert json.loads(raw)["worker"] == supervisor.shardmap.primary(
+            "occigen", 2
+        )
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"platform": 3, "n": 4, "m_comp": 0, "m_comm": 0},
+            {"platform": "occigen", "seed": 2.5, "n": 4},
+            {"platform": "occigen", "seed": True, "n": 4},
+            {"n": 4},
+            [1],
+        ],
+        ids=["platform-int", "seed-fraction", "seed-bool", "no-platform",
+             "list"],
+    )
+    def test_bad_routing_key_gets_the_worker_envelope(
+        self, router_factory, body
+    ):
+        with ServerThread() as worker:
+            assert post(router_factory().port, body) == post(worker.port, body)
 
     def test_unknown_path_and_bad_method(self, stub_fleet, router_factory):
         client = router_factory().client()
@@ -365,3 +398,21 @@ class TestShutdown:
         assert b"\r\nConnection: close\r\n" in head + b"\r\n"
         assert payload["echo"]["n"] == 4
         assert elapsed < 1.0
+
+    def test_shutdown_cancels_a_forward_past_the_drain_timeout(
+        self, stub_fleet, router_factory, monkeypatch
+    ):
+        """A forward still running when the drain timeout is up is
+        cancelled: its client sees a close with no partial response."""
+        monkeypatch.setattr(front, "DRAIN_TIMEOUT_S", 0.2)
+        _, workers = stub_fleet
+        for stub in workers.values():
+            stub.delay_s = 1.5
+        thread = router_factory()
+        elapsed, reply = stop_past_the_drain(
+            thread.port,
+            keep_alive_post("/predict", {"platform": "occigen", "n": 4}),
+            thread.stop,
+        )
+        assert 0.15 < elapsed < 1.0
+        assert reply == b""

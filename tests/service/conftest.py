@@ -164,6 +164,26 @@ def stop_in_flight(thread, data: bytes) -> tuple[float, bytes, dict]:
     return elapsed, head, json.loads(body)
 
 
+def stop_past_the_drain(port: int, data: bytes, stop) -> tuple[float, bytes]:
+    """Call ``stop`` 0.2 s after sending ``data``, a request that outlasts
+    the drain timeout -> (seconds ``stop`` took, every byte the client
+    read up to the close)."""
+    with socket.create_connection(("127.0.0.1", port), 10) as sock:
+        sock.sendall(data)
+        time.sleep(0.2)  # the request is now in flight
+        started = time.perf_counter()
+        stop()
+        elapsed = time.perf_counter() - started
+        sock.settimeout(5)
+        reply = b""
+        try:
+            while chunk := sock.recv(65536):
+                reply += chunk
+        except ConnectionResetError:
+            pass
+    return elapsed, reply
+
+
 DEEPLY_NESTED = (
     b"POST /predict HTTP/1.1\r\nContent-Length: 100000\r\n\r\n"
     + b"[" * 100_000

@@ -19,6 +19,7 @@ import pytest
 from repro.bench import SweepConfig
 from repro.errors import ServiceError
 from repro.evaluation import run_platform_experiment
+from repro.service import front
 from repro.service.client import ServiceResponseError
 from repro.service.registry import ModelEntry, ModelKey, ModelRegistry
 
@@ -30,6 +31,7 @@ from tests.service.conftest import (
     exchange,
     keep_alive_post,
     stop_in_flight,
+    stop_past_the_drain,
     stop_with_a_reader,
 )
 from tests.service.test_registry import CountingCalibrator
@@ -399,6 +401,29 @@ class TestOperational:
         assert b"\r\nConnection: close\r\n" in head + b"\r\n"
         assert payload["platform"] == PLATFORM
         assert elapsed < 1.0
+
+    def test_shutdown_cancels_a_request_past_the_drain_timeout(
+        self, server_factory, monkeypatch
+    ):
+        """A request still running when the drain timeout is up is
+        cancelled: its client sees a close with no partial response."""
+        monkeypatch.setattr(front, "DRAIN_TIMEOUT_S", 0.2)
+        calibrator = CountingCalibrator(delay_s=1.5)
+        server = server_factory(registry=ModelRegistry(calibrator=calibrator))
+        try:
+            elapsed, reply = stop_past_the_drain(
+                server.port,
+                keep_alive_post("/calibrate", {"platform": PLATFORM}),
+                lambda: server.run(server.service.shutdown(), timeout=5),
+            )
+            assert 0.15 < elapsed < 1.0
+            assert reply == b""
+            assert server.service.metrics.in_flight == 0
+        finally:
+            # The cancelled calibration still holds an executor thread,
+            # and the server's loop closes only once it ends.
+            calibrator.release()
+            server._thread.join(5)
 
     def test_cli_query_roundtrip(self, server, capsys):
         """`python -m repro query ...` drives a live server end to end."""
