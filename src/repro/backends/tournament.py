@@ -398,14 +398,19 @@ def run_tournament(
 
 
 def render_winner_table(runs: Mapping[str, TournamentRun | PlatformTournament]) -> str:
-    """The per-regime winner table, one row per regime."""
+    """The per-regime winner table, one row per regime.
+
+    The last line counts the regimes each backend won and the exact ties
+    among them: a regime whose best score several backends share goes to
+    the first of them in roster order.
+    """
     header = (
         f"{'platform':<16} {'placement':<10} {'band':<5} "
         f"{'cores':<9} {'winner':<22} {'score%':>8}  margin"
     )
     lines = [header, "-" * len(header)]
     totals: dict[str, int] = {}
-    n_regimes = 0
+    n_regimes = ties = 0
     for name in sorted(runs):
         run = runs[name]
         tournament = run.tournament if isinstance(run, TournamentRun) else run
@@ -416,6 +421,7 @@ def render_winner_table(runs: Mapping[str, TournamentRun | PlatformTournament]) 
                 v for v in regime.scores.values() if not np.isnan(v)
             )
             best = regime.scores.get(regime.winner, float("nan"))
+            ties += len(finite) > 1 and finite[0] == finite[1]
             margin = (
                 f"+{finite[1] - finite[0]:.1f}" if len(finite) > 1 else "-"
             )
@@ -432,7 +438,10 @@ def render_winner_table(runs: Mapping[str, TournamentRun | PlatformTournament]) 
         f"{backend}={count}"
         for backend, count in sorted(totals.items(), key=lambda kv: -kv[1])
     )
-    lines.append(f"{n_regimes} regimes; wins: {won}")
+    lines.append(
+        f"{n_regimes} regimes; wins: {won}; {ties} exact ties, each won "
+        "by the first tied backend in roster order"
+    )
     return "\n".join(lines)
 
 

@@ -199,6 +199,29 @@ class TestFullTournament:
         assert f"{n_regimes} regimes; wins:" in lines[-1]
         assert "threshold=" in lines[-1]
 
+    def test_winner_table_counts_exact_ties(self):
+        """A shared best score is a tie, however the winner was picked;
+        a margin too small to print is not."""
+
+        def regime(band: str, scores: dict, winner: str) -> RegimeScore:
+            return RegimeScore(
+                m_comp=0, m_comm=1, band=band, n_min=1, n_max=4,
+                scores=scores, winner=winner,
+            )
+
+        tournament = PlatformTournament(
+            platform="henri",
+            roster=("a", "b", "c"),
+            regimes=(
+                regime("low", {"a": 2.0, "b": 2.0, "c": 3.0}, "a"),
+                regime("high", {"a": 2.0, "b": 2.0 + 1e-12, "c": 3.0}, "a"),
+                regime("mid", {"a": float("nan"), "b": 1.0, "c": 1.0}, "b"),
+                regime("top", {"a": 1.0, "b": float("nan"), "c": 5.0}, "a"),
+            ),
+        )
+        last = render_winner_table({"henri": tournament}).splitlines()[-1]
+        assert last.startswith("4 regimes; wins: a=3, b=1; 2 exact ties")
+
     def test_winner_table_accepts_bare_tournaments(self, henri_run):
         from_run = render_winner_table({"henri": henri_run})
         from_tournament = render_winner_table(
