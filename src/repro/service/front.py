@@ -190,7 +190,24 @@ class HttpFrontEnd:
                     return  # client went away mid-request or between requests
                 finally:
                     self._reading.discard(task)
-                await self._dispatch(writer, method, path, body, keep_alive)
+                started = time.perf_counter()
+                handler = self._routes.get((method, path))
+                if handler is None:
+                    endpoint, status, payload = self._refuse(method, path)
+                else:
+                    endpoint = path.lstrip("/")
+                    status, payload = await self._answer(
+                        handler, endpoint, method, path, body
+                    )
+                self._observe(endpoint, status, time.perf_counter() - started)
+                # A request that was in flight when shutdown began is
+                # answered, and then its connection closes.
+                await self._write(
+                    writer,
+                    status,
+                    payload,
+                    keep_alive=keep_alive and not self._closing,
+                )
                 if not keep_alive:
                     return
         finally:
@@ -200,38 +217,15 @@ class HttpFrontEnd:
             except (ConnectionError, OSError):
                 pass
 
-    async def _dispatch(
-        self,
-        writer: asyncio.StreamWriter,
-        method: str,
-        path: str,
-        body: bytes,
-        keep_alive: bool,
-    ) -> None:
-        started = time.perf_counter()
-        handler = self._routes.get((method, path))
-        if handler is not None:
-            endpoint = path.lstrip("/")
-            status, payload = await self._answer(
-                handler, endpoint, method, path, body
+    def _refuse(self, method: str, path: str) -> tuple[str, int, dict]:
+        """``(metrics label, status, payload)`` of a request no route
+        names: 405 on a known path, else 404."""
+        if path in self._known_paths:
+            exc = ServiceError(f"method {method} not allowed on {path}")
+            return path.lstrip("/"), 405, protocol.error_payload(
+                exc, status=405
             )
-        elif path in self._known_paths:
-            endpoint = path.lstrip("/")
-            status, payload = 405, protocol.error_payload(
-                ServiceError(f"method {method} not allowed on {path}"),
-                status=405,
-            )
-        else:
-            endpoint = "_unknown"
-            status, payload = 404, protocol.error_payload(
-                ServiceError(f"unknown endpoint {path}"), status=404
-            )
-        self._observe(endpoint, status, time.perf_counter() - started)
-        # A request that was in flight when shutdown began is answered,
-        # and then its connection closes.
-        await self._write(
-            writer,
-            status,
-            payload,
-            keep_alive=keep_alive and not self._closing,
-        )
+        # Unknown paths share one label so scanners cannot grow the
+        # metric cardinality without bound.
+        exc = ServiceError(f"unknown endpoint {path}")
+        return "_unknown", 404, protocol.error_payload(exc, status=404)
