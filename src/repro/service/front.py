@@ -208,6 +208,10 @@ class HttpFrontEnd:
                     payload,
                     keep_alive=keep_alive and not self._closing,
                 )
+                # A bulk body and its answer are megabytes: free both
+                # before the connection closes or waits for its next
+                # request.
+                del body, payload
                 if not keep_alive:
                     return
         finally:
