@@ -421,7 +421,8 @@ def render_winner_table(runs: Mapping[str, TournamentRun | PlatformTournament]) 
                 v for v in regime.scores.values() if not np.isnan(v)
             )
             best = regime.scores.get(regime.winner, float("nan"))
-            ties += len(finite) > 1 and finite[0] == finite[1]
+            if len(finite) > 1 and finite[0] == finite[1]:
+                ties += 1
             margin = (
                 f"+{finite[1] - finite[0]:.1f}" if len(finite) > 1 else "-"
             )
