@@ -12,12 +12,9 @@ batcher; answers are JSON.  Operational behaviour:
   unbounded queueing for a latency-bound service);
 * **structured errors** — every :class:`ReproError` maps to the JSON
   envelope and HTTP status of :mod:`repro.service.protocol`;
-* **graceful shutdown** — :meth:`ContentionService.shutdown` stops
-  accepting, closes at once every connection that is waiting for a
-  request or part-way through reading one, flushes the batcher and
-  drains in-flight requests (bounded by ``front.DRAIN_TIMEOUT_S``; each
-  answer carries ``Connection: close``), so clients never see a torn
-  response.
+* **graceful shutdown** — the front end's, bounded by
+  ``front.DRAIN_TIMEOUT_S``; the batcher is flushed before in-flight
+  requests drain, so clients never see a torn response.
 
 Endpoints: ``GET /healthz``, ``GET /metrics``, ``POST /calibrate``,
 ``POST /predict``, ``POST /predict_grid``, ``POST /advise`` — schemas
