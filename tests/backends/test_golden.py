@@ -8,6 +8,10 @@ bytes; the router's digest also covers its ``route_counts``
 afterwards.  A change to any model's arithmetic, to the placement
 selection, to the router's choice of winner or to how it counts routes
 moves a digest.
+
+One more digest covers the six platforms' winner table at seed 1, as
+``render_winner_table`` prints it: every regime's winner, score and
+margin, and the win and tie counts.
 """
 
 from __future__ import annotations
@@ -18,7 +22,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.backends.tournament import TournamentRouter, run_platform_tournament
+from repro.backends.tournament import (
+    TournamentRouter,
+    render_winner_table,
+    run_platform_tournament,
+)
 from repro.topology import platform_names
 
 CORE_COUNTS = [*range(257), 300, 1000, 4096]
@@ -154,6 +162,11 @@ GOLDEN = {
     ),
 }
 
+#: sha256 of ``render_winner_table`` over every platform at seed 1.
+GOLDEN_WINNER_TABLE = (
+    "b68142eb0ead26b901c22dcdee1dd62f29a94d827981fc7dfa00048f5fcbf354"
+)
+
 
 def _queries(k: int) -> np.ndarray:
     return np.array(
@@ -198,3 +211,12 @@ def test_every_surface_answers_its_golden_columns(
     assert len(digests) == 7
     for surface, digest in digests.items():
         assert digest == GOLDEN[(platform, surface)], (platform, surface)
+
+
+def test_winner_table_is_golden(all_experiments, seeded_config):
+    runs = {
+        name: run_platform_tournament(experiment, config=seeded_config)
+        for name, experiment in all_experiments.items()
+    }
+    table = render_winner_table(runs)
+    assert hashlib.sha256(table.encode()).hexdigest() == GOLDEN_WINNER_TABLE
