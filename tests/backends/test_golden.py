@@ -28,6 +28,7 @@ from repro.backends.tournament import (
     run_platform_tournament,
 )
 from repro.topology import platform_names
+from tests.tie_order import digest_hint
 
 CORE_COUNTS = [*range(257), 300, 1000, 4096]
 
@@ -210,7 +211,11 @@ def test_every_surface_answers_its_golden_columns(
     digests = _surface_digests(all_experiments[platform], seeded_config)
     assert len(digests) == 7
     for surface, digest in digests.items():
-        assert digest == GOLDEN[(platform, surface)], (platform, surface)
+        assert digest == GOLDEN[(platform, surface)], (
+            platform,
+            surface,
+            digest_hint(),
+        )
 
 
 def test_winner_table_is_golden(all_experiments, seeded_config):
@@ -219,4 +224,5 @@ def test_winner_table_is_golden(all_experiments, seeded_config):
         for name, experiment in all_experiments.items()
     }
     table = render_winner_table(runs)
-    assert hashlib.sha256(table.encode()).hexdigest() == GOLDEN_WINNER_TABLE
+    digest = hashlib.sha256(table.encode()).hexdigest()
+    assert digest == GOLDEN_WINNER_TABLE, digest_hint()

@@ -19,6 +19,7 @@ import pytest
 from repro.bench import SweepConfig, measure_curves, run_placement_grid
 from repro.errors import BenchmarkError, SimulationError, TopologyError
 from repro.topology import get_platform, platform_names
+from tests.tie_order import digest_hint
 
 CONFIGS = {
     "seed1": SweepConfig(seed=1),
@@ -123,7 +124,8 @@ def test_every_platform_is_pinned():
 def test_grid_bytes_never_move(name, config):
     dataset = run_placement_grid(get_platform(name), config=CONFIGS[config])
     csv = dataset.to_csv(full_precision=True)
-    assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_GRID[name, config]
+    digest = hashlib.sha256(csv.encode()).hexdigest()
+    assert digest == GOLDEN_GRID[name, config], digest_hint()
 
 
 @pytest.mark.parametrize("placement", sorted(GOLDEN_PYXIS_CURVES))
@@ -135,7 +137,7 @@ def test_pyxis_curves_never_move(pyxis, placement):
         m_comm=placement[1],
         core_counts=[1, 2, 32],
     )
-    assert curves_digest(curves) == GOLDEN_PYXIS_CURVES[placement]
+    assert curves_digest(curves) == GOLDEN_PYXIS_CURVES[placement], digest_hint()
 
 
 @pytest.mark.parametrize("name", platform_names())

@@ -31,6 +31,7 @@ from repro.memsim import (
     solve_scenario,
 )
 from repro.topology import get_platform, platform_names
+from tests.tie_order import digest_hint
 
 #: ``platform -> sha256`` over its single-job solves.
 GOLDEN = {
@@ -134,8 +135,8 @@ def test_every_platform_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_single_job_answers_are_unchanged(name):
-    assert platform_digest(name) == GOLDEN[name]
+    assert platform_digest(name) == GOLDEN[name], digest_hint()
 
 
 def test_henri_sweeps_are_unchanged():
-    assert sweeps_digest() == GOLDEN_SWEEPS
+    assert sweeps_digest() == GOLDEN_SWEEPS, digest_hint()

@@ -29,6 +29,7 @@ from repro.memsim import (
     solve_tenant_scenario,
 )
 from repro.topology import get_platform, platform_names
+from tests.tie_order import digest_hint
 
 #: Scenarios drawn per platform.
 SCENARIOS = 24
@@ -141,4 +142,4 @@ def test_every_platform_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_tenant_answers_are_unchanged(name):
-    assert platform_digest(name) == GOLDEN[name]
+    assert platform_digest(name) == GOLDEN[name], digest_hint()

@@ -23,6 +23,7 @@ from repro.evaluation import run_platform_experiment
 from repro.obs import tracing
 from repro.pipeline import ArtifactStore
 from repro.topology import platform_names
+from tests.tie_order import digest_hint
 
 SEEDS = (1, 7)
 
@@ -89,7 +90,7 @@ class TestGoldenResults:
             )
             for seed in SEEDS
         )
-        assert digests == RESULT_DIGESTS[platform]
+        assert digests == RESULT_DIGESTS[platform], digest_hint()
 
 
 def span_sequence(tracer) -> list[tuple[str, str | None, str | None]]:
@@ -237,7 +238,7 @@ class TestGoldenStoreRun:
             "discards": 0,
             "duplicates": 0,
         }
-        assert manifests(store) == MANIFESTS
+        assert manifests(store) == MANIFESTS, digest_hint()
 
         with tracing() as warm:
             warm_result = run_platform_experiment(
@@ -252,6 +253,8 @@ class TestGoldenStoreRun:
             "discards": 0,
             "duplicates": 0,
         }
-        assert manifests(store) == MANIFESTS
+        assert manifests(store) == MANIFESTS, digest_hint()
         assert result_digest(warm_result) == result_digest(cold_result)
-        assert result_digest(cold_result) == RESULT_DIGESTS["henri"][0]
+        assert result_digest(cold_result) == RESULT_DIGESTS["henri"][0], (
+            digest_hint()
+        )
