@@ -13,14 +13,13 @@ placement by equations 6 and 7.  So every calibrated backend is a
 kind (:class:`~repro.core.placement.Side`), and answers every query
 through that model's one table lookup.
 
-* :class:`ModelBackend` — the uncalibrated family: a stable
-  ``backend_id``, a code ``version`` (bumped whenever calibration or
-  prediction changes for identical inputs), a config mapping folded
-  into the artifact :meth:`~ModelBackend.fingerprint`, and
-  ``calibrate(dataset, platform) -> PlacementModel``;
-* :class:`SideBackend` — the family of one side class: it fits both
-  sample placements (``calibrate``) and rebuilds a model from its
-  ``state_dict`` (``from_state``).
+:class:`SideBackend` is the family of one side class, uncalibrated: a
+stable ``backend_id``, a code ``version`` (bumped whenever calibration
+or prediction changes for identical inputs), an artifact
+:meth:`~SideBackend.fingerprint`, ``calibrate(dataset, platform)``,
+which fits both sample placements through
+:func:`~repro.core.calibration.calibrate_placement_model`, and
+``from_state``, which rebuilds a model from its ``state_dict``.
 
 One calibration persists as one artifact (:func:`backend_key`,
 :func:`encode_backend`, :func:`decode_backend`) served by the store's
@@ -31,27 +30,25 @@ calibration is the pipeline's ``calibrate`` artifact.
 
 from __future__ import annotations
 
-import abc
 from typing import TYPE_CHECKING, Any, Mapping
 
+from repro.core.calibration import calibrate_placement_model
 from repro.core.placement import PlacementModel
 from repro.errors import ModelError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.bench.results import ModeCurves, PlatformDataset
+    from repro.bench.results import PlatformDataset
     from repro.pipeline.store import ArtifactStore, StageKey
     from repro.topology.platforms import Platform
 
 __all__ = [
     "BACKEND_FORMAT_VERSION",
-    "ModelBackend",
     "SideBackend",
     "backend_key",
     "decode_backend",
     "encode_backend",
     "fit_error",
     "load_or_calibrate",
-    "sample_curves",
 ]
 
 #: Bumped whenever the ``backend.json`` layout changes; older artifacts
@@ -59,25 +56,6 @@ __all__ = [
 BACKEND_FORMAT_VERSION = 1
 
 _STATE_FILE = "backend.json"
-
-
-def sample_curves(
-    dataset: "PlatformDataset", platform: "Platform"
-) -> "list[tuple[tuple[int, int], ModeCurves]]":
-    """The two calibration placements (§IV-A2) and their curves, local
-    then remote.  Raises :class:`ModelError` naming the missing
-    placement when the dataset lacks one."""
-    from repro.bench.sweep import sample_placements
-
-    out = []
-    for key in sample_placements(platform):
-        if key not in dataset.sweep:
-            raise ModelError(
-                f"dataset for {dataset.platform_name!r} lacks the sample "
-                f"placement {key}; measured: {dataset.sweep.placements()}"
-            )
-        out.append((key, dataset.sweep[key]))
-    return out
 
 
 def fit_error(
@@ -94,60 +72,7 @@ def fit_error(
     return ModelError(f"cannot {what} for {where}{at}: {reason}")
 
 
-class ModelBackend(abc.ABC):
-    """One backend family, uncalibrated."""
-
-    @property
-    @abc.abstractmethod
-    def backend_id(self) -> str:
-        """Stable identifier — artifact keys and API selectors use it."""
-
-    @property
-    @abc.abstractmethod
-    def version(self) -> int:
-        """Bumped whenever calibration or prediction changes for
-        identical inputs; participates in the artifact stage version."""
-
-    def config(self) -> Mapping[str, Any]:
-        """Backend configuration folded into :meth:`fingerprint`."""
-        return {}
-
-    def fingerprint(self, config_fp: str) -> str:
-        """Artifact fingerprint: sweep-config fingerprint + backend config.
-
-        Backend id and version live in the stage name / stage version
-        of the :class:`~repro.pipeline.store.StageKey`, so the
-        fingerprint only has to capture what *else* influenced the
-        calibration: the measurement config and the backend's own knobs.
-        """
-        from repro.pipeline.fingerprint import fingerprint_mapping
-
-        return fingerprint_mapping(
-            {"config_fp": config_fp, "backend_config": dict(self.config())}
-        )
-
-    @abc.abstractmethod
-    def calibrate(
-        self, dataset: "PlatformDataset", platform: "Platform"
-    ) -> PlacementModel:
-        """Calibrate from a platform's measured curves.
-
-        Backends calibrate from the same two sample placements as the
-        paper's model (§IV-A2); the rest of the dataset is evaluation
-        data and must not leak into calibration.
-        """
-
-    @abc.abstractmethod
-    def from_state(self, state: Mapping[str, Any]) -> PlacementModel:
-        """Rebuild a calibrated instance from ``state_dict`` output.
-
-        Raise :class:`~repro.errors.ModelError` on any defect so the
-        store discards and recalibrates instead of serving a corrupt
-        artifact.
-        """
-
-
-class SideBackend(ModelBackend):
+class SideBackend:
     """The backend of one side class: calibrated, it is a
     :class:`~repro.core.placement.PlacementModel` over two sides.
 
@@ -158,35 +83,43 @@ class SideBackend(ModelBackend):
     :class:`ModelError` on any defect.
     """
 
+    #: Bumped whenever calibration or prediction changes for identical
+    #: inputs; part of the artifact stage version and of the
+    #: tournament's roster fingerprint.
+    version = 1
+
     def __init__(self, backend_id: str, side: type) -> None:
-        self._backend_id = backend_id
+        #: Stable identifier — artifact keys and API selectors use it.
+        self.backend_id = backend_id
         self._side = side
 
-    @property
-    def backend_id(self) -> str:
-        return self._backend_id
+    def fingerprint(self, config_fp: str) -> str:
+        """Artifact fingerprint: the sweep-config fingerprint.
 
-    @property
-    def version(self) -> int:
-        return 1
+        Backend id and version live in the stage name / stage version
+        of the :class:`~repro.pipeline.store.StageKey`, so the
+        fingerprint only has to capture what *else* influenced the
+        calibration: the measurement config.  No backend has knobs of
+        its own, so its ``backend_config`` is empty.
+        """
+        from repro.pipeline.fingerprint import fingerprint_mapping
+
+        return fingerprint_mapping(
+            {"config_fp": config_fp, "backend_config": {}}
+        )
 
     def calibrate(
         self, dataset: "PlatformDataset", platform: "Platform"
     ) -> PlacementModel:
-        local, remote = (
-            self._side.fit(
-                curves, platform=dataset.platform_name, placement=key
-            )
-            for key, curves in sample_curves(dataset, platform)
-        )
-        return PlacementModel(
-            local,
-            remote,
-            nodes_per_socket=platform.nodes_per_socket,
-            n_numa_nodes=platform.machine.n_numa_nodes,
-        )
+        """Calibrate from the two sample placements of a platform's
+        measured curves (§IV-A2); the rest of the dataset is evaluation
+        data and does not leak into calibration."""
+        return calibrate_placement_model(dataset, platform, self._side)
 
     def from_state(self, state: Mapping[str, Any]) -> PlacementModel:
+        """Rebuild a calibrated model from ``state_dict`` output; any
+        defect raises :class:`ModelError`, so the store discards and
+        recalibrates instead of serving a corrupt artifact."""
         try:
             return PlacementModel(
                 self._side.from_dict(state["local"]),
@@ -196,7 +129,7 @@ class SideBackend(ModelBackend):
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(
-                f"{self._backend_id} backend state is malformed: {exc}"
+                f"{self.backend_id} backend state is malformed: {exc}"
             ) from exc
 
 
@@ -204,11 +137,11 @@ class SideBackend(ModelBackend):
 
 
 def backend_key(
-    platform: str, backend: ModelBackend, fingerprint: str
+    platform: str, backend: SideBackend, fingerprint: str
 ) -> "StageKey":
     """The store address of one backend's calibration for one platform:
     stage ``backend-<id>``, the code version as stage version, and
-    :meth:`ModelBackend.fingerprint` of the sweep-config fingerprint."""
+    :meth:`SideBackend.fingerprint` of the sweep-config fingerprint."""
     from repro.pipeline.store import StageKey
 
     return StageKey(
@@ -219,7 +152,7 @@ def backend_key(
     )
 
 
-def _envelope(backend: ModelBackend) -> dict[str, Any]:
+def _envelope(backend: SideBackend) -> dict[str, Any]:
     return {
         "format_version": BACKEND_FORMAT_VERSION,
         "backend_id": backend.backend_id,
@@ -228,7 +161,7 @@ def _envelope(backend: ModelBackend) -> dict[str, Any]:
 
 
 def encode_backend(
-    backend: ModelBackend, calibrated: PlacementModel
+    backend: SideBackend, calibrated: PlacementModel
 ) -> dict[str, str]:
     """The ``backend.json`` payload of one calibration."""
     from repro.pipeline.store import json_payload
@@ -239,7 +172,7 @@ def encode_backend(
 
 
 def decode_backend(
-    backend: ModelBackend, payloads: Mapping[str, str]
+    backend: SideBackend, payloads: Mapping[str, str]
 ) -> PlacementModel:
     """Rebuild the calibration :func:`encode_backend` stored for
     ``backend``; a skewed format version, id or code version raises."""
@@ -251,7 +184,7 @@ def decode_backend(
 
 def load_or_calibrate(
     store: "ArtifactStore | None",
-    backend: ModelBackend,
+    backend: SideBackend,
     dataset: "PlatformDataset",
     platform: "Platform",
     fingerprint: str,

@@ -2,34 +2,33 @@
 
 The registry is the single source of truth for ``--backend`` CLI
 flags, the service's ``backend=`` selector, and the tournament roster.
-Registered ids (one :class:`~repro.backends.base.ModelBackend` each):
+Registered ids, each a :class:`~repro.backends.base.SideBackend` of its
+side class:
 
-* ``threshold`` — the paper's §III model (the reference backend);
+* ``threshold`` — the paper's §III model (the reference backend; its
+  sides are :class:`~repro.core.parameters.ModelParameters`);
 * ``naive`` / ``queueing-ps`` / ``langguth-threadfair`` — the §II-D /
   §V baselines;
 * ``overlap-afzal`` — Afzal/Hager/Wellein shared saturation curve;
 * ``cxlmem-messagefree`` — CXL.mem-style leftover-bandwidth model.
-
-Every backend but ``threshold`` is a
-:class:`~repro.backends.base.SideBackend` of its side class.
 """
 
 from __future__ import annotations
 
-from repro.backends.base import ModelBackend, SideBackend
+from repro.backends.base import SideBackend
 from repro.backends.baseline import LangguthSide, NaiveSide, QueueingSide
 from repro.backends.cxlmem import LeftoverSide
 from repro.backends.overlap import SaturationSide
-from repro.backends.threshold import ThresholdBackend
+from repro.core.parameters import ModelParameters
 from repro.errors import ModelError
 
-__all__ = ["BACKENDS", "backend_ids", "get_backend"]
+__all__ = ["BACKENDS", "get_backend"]
 
 
-def _build_registry() -> dict[str, ModelBackend]:
-    backends: dict[str, ModelBackend] = {}
+def _build_registry() -> dict[str, SideBackend]:
+    backends: dict[str, SideBackend] = {}
     for backend in (
-        ThresholdBackend(),
+        SideBackend("threshold", ModelParameters),
         SideBackend("naive", NaiveSide),
         SideBackend("queueing-ps", QueueingSide),
         SideBackend("langguth-threadfair", LangguthSide),
@@ -45,15 +44,10 @@ def _build_registry() -> dict[str, ModelBackend]:
 
 
 #: id -> backend, in registration order (threshold first).
-BACKENDS: dict[str, ModelBackend] = _build_registry()
+BACKENDS: dict[str, SideBackend] = _build_registry()
 
 
-def backend_ids() -> tuple[str, ...]:
-    """Every registered backend id, registration order."""
-    return tuple(BACKENDS)
-
-
-def get_backend(backend_id: str) -> ModelBackend:
+def get_backend(backend_id: str) -> SideBackend:
     """Look a backend up by id, listing the valid ids on a miss."""
     try:
         return BACKENDS[backend_id]

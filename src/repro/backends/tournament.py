@@ -35,9 +35,8 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.backends.base import ModelBackend, load_or_calibrate
+from repro.backends.base import SideBackend, load_or_calibrate
 from repro.backends.registry import BACKENDS
-from repro.backends.threshold import ThresholdBackend
 from repro.core.placement import PlacementModel
 from repro.errors import ModelError
 from repro.evaluation.metrics import mape
@@ -243,7 +242,7 @@ def score_backends(
 
 
 def tournament_key(
-    platform: str, config_fp: str, backends: Mapping[str, ModelBackend]
+    platform: str, config_fp: str, backends: Mapping[str, SideBackend]
 ) -> "StageKey":
     """The store address of one platform's winner table.  Its
     fingerprint covers the sweep config and the full roster (ids and
@@ -318,7 +317,7 @@ def run_platform_tournament(
     *,
     config: "SweepConfig | None" = None,
     store: "ArtifactStore | None" = None,
-    backends: Mapping[str, ModelBackend] | None = None,
+    backends: Mapping[str, SideBackend] | None = None,
 ) -> TournamentRun:
     """Calibrate the roster and score it on one platform's archive.
 
@@ -339,7 +338,7 @@ def run_platform_tournament(
     calibrated: dict[str, PlacementModel] = {}
     backend_cached: dict[str, bool] = {}
     for backend_id, backend in roster.items():
-        if isinstance(backend, ThresholdBackend):
+        if backend_id == "threshold":
             calibrated[backend_id] = result.model
             continue
         calibrated[backend_id], backend_cached[backend_id] = (
@@ -372,7 +371,7 @@ def run_tournament(
     config: "SweepConfig | None" = None,
     cache_dir: "str | None" = None,
     store: "ArtifactStore | None" = None,
-    backends: Mapping[str, ModelBackend] | None = None,
+    backends: Mapping[str, SideBackend] | None = None,
 ) -> dict[str, TournamentRun]:
     """The full tournament: every archived platform, every backend."""
     from repro.bench.config import SweepConfig
@@ -462,8 +461,6 @@ class TournamentRouter(PlacementModel):
     merges them into ``/metrics``).
     """
 
-    BACKEND_ID = "tournament"
-
     def __init__(
         self,
         tournament: PlatformTournament,
@@ -517,10 +514,6 @@ class TournamentRouter(PlacementModel):
             k,
         )
         self.route_counts: dict[str, int] = {}
-
-    @property
-    def backend_id(self) -> str:
-        return self.BACKEND_ID
 
     @property
     def tournament(self) -> PlatformTournament:

@@ -110,20 +110,22 @@ def calibrate(curves: ModeCurves) -> ModelParameters:
 
 
 def calibrate_placement_model(
-    dataset: PlatformDataset, platform: Platform
+    dataset: PlatformDataset, platform: Platform, side: type = ModelParameters
 ) -> PlacementModel:
-    """Calibrate the local and remote models from a platform dataset.
+    """Calibrate a model's local and remote sides from a platform dataset.
 
-    The dataset must contain the two sample placements of §IV-A2
-    (local/local on the first node of socket 0, remote/remote on the
-    first node of socket 1); any additional placements are ignored —
-    they are evaluation data, not calibration data.
+    Every model is calibrated this way, from the two sample placements
+    of §IV-A2 (local/local on the first node of socket 0, remote/remote
+    on the first node of socket 1); any additional placements are
+    ignored — they are evaluation data, not calibration data.  ``side``
+    is the model's side class: the paper's :class:`ModelParameters`, or
+    a backend's (:class:`~repro.backends.base.SideBackend`).  Its
+    ``fit(curves, *, platform, placement)`` fits one placement.
     """
     local_node = platform.sample_local_node()
     remote_node = platform.sample_remote_node()
-    local_key = (local_node, local_node)
-    remote_key = (remote_node, remote_node)
-    for key in (local_key, remote_key):
+    keys = ((local_node, local_node), (remote_node, remote_node))
+    for key in keys:
         if key not in dataset.sweep:
             raise CalibrationError(
                 f"dataset for {dataset.platform_name!r} lacks the sample "
@@ -132,12 +134,17 @@ def calibrate_placement_model(
     log.debug(
         "calibrating %s from sample placements %s and %s",
         dataset.platform_name,
-        local_key,
-        remote_key,
+        *keys,
+    )
+    local, remote = (
+        side.fit(
+            dataset.sweep[key], platform=dataset.platform_name, placement=key
+        )
+        for key in keys
     )
     return PlacementModel(
-        local=calibrate(dataset.sweep[local_key]),
-        remote=calibrate(dataset.sweep[remote_key]),
+        local,
+        remote,
         nodes_per_socket=platform.nodes_per_socket,
         n_numa_nodes=platform.machine.n_numa_nodes,
     )

@@ -39,6 +39,8 @@ from repro.errors import ModelError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
+    from repro.bench.results import ModeCurves
+
 __all__ = ["ModelParameters"]
 
 
@@ -103,6 +105,23 @@ class ModelParameters:
         from repro.core import evaluation
 
         return evaluation.curves(self, ns)
+
+    @classmethod
+    def fit(
+        cls,
+        curves: "ModeCurves",
+        *,
+        platform: str | None = None,
+        placement: "tuple[int, int] | None" = None,
+    ) -> "ModelParameters":
+        """Fit one placement's measured curves by the §IV-A2 analysis
+        (:func:`repro.core.calibration.calibrate`): this instantiation
+        as a side.  ``platform`` and ``placement`` complete the side
+        protocol; the analysis's errors do not name them."""
+        # Imported here: the calibration module imports this one.
+        from repro.core.calibration import calibrate
+
+        return calibrate(curves)
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)

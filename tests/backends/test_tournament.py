@@ -237,9 +237,6 @@ class TestRouter:
             henri_run.tournament, dict(henri_run.calibrated)
         )
 
-    def test_backend_id(self, router):
-        assert router.backend_id == "tournament"
-
     def test_routes_follow_the_winner_table(self, henri_run, router):
         for regime in henri_run.tournament.regimes:
             for n in (regime.n_min, regime.n_max):

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import backend_ids
+from repro import backends
 from repro.core.placement import TABLE_N_MAX
 from repro.service import protocol
 from repro.topology import get_platform
@@ -39,7 +39,7 @@ FIELDS = (
     "comm_alone",
 )
 #: ``None`` is the default model; ``threshold`` names it explicitly.
-BACKENDS = [None, *backend_ids(), "tournament"]
+BACKENDS = [None, *backends.BACKENDS, "tournament"]
 
 
 def per_row_body(echo: dict, columns: dict) -> bytes:
