@@ -17,8 +17,9 @@ Commands
     Cross-model tournament: calibrate every registered model backend,
     score each on every platform × placement × core-band regime, and
     print the per-regime winner table (docs/BACKENDS.md).
-``figure <figN>``
-    Regenerate a paper figure as ASCII (and optionally CSV).
+``figure <figN> [--csv PATH] [--svg PATH]``
+    Regenerate a paper figure as ASCII, or write its series as CSV
+    and/or its plot as SVG (``fig2`` is drawn as ASCII only).
 ``table1`` / ``table2``
     Regenerate the paper tables.
 ``advise <platform> --comp-bytes B --comm-bytes B``
@@ -70,6 +71,11 @@ trace-event JSON when the path ends in ``.json``).  ``serve`` accepts
 flag configures the root ``repro`` logger once, surfacing the
 ``repro.<package>`` subsystem logs.
 
+Every ``--csv``, ``--svg`` and ``--output`` path is checked before the
+command runs, and written by one helper: a path that cannot be written
+ends the command on an ``error:`` line with exit code 1, before any
+experiment when the check can tell.
+
 Exit codes
 ----------
 ``0`` success; every :class:`~repro.errors.ReproError` subclass maps to
@@ -87,6 +93,7 @@ from pathlib import Path
 
 from repro.advisor import Advisor, Workload
 from repro.bench import SweepConfig, run_placement_grid
+from repro.bench.results import PlacementSweep, PlatformDataset
 from repro.bench.runner import measure_curves
 from repro.core import calibrate_placement_model
 from repro.errors import (
@@ -161,6 +168,36 @@ def _resolve_cache_dir(args: argparse.Namespace) -> Path | None:
         return args.cache_dir
     env = os.environ.get("REPRO_CACHE_DIR")
     return Path(env) if env else None
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Refuse, before the command runs, an output flag's path that
+    cannot be written: a directory, or a file in a missing or read-only
+    directory."""
+    for flag in ("csv", "svg", "output"):
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        if path.is_dir():
+            reason = "it is a directory"
+        elif not path.parent.is_dir():
+            reason = f"no directory {path.parent}"
+        elif not os.access(path if path.exists() else path.parent, os.W_OK):
+            reason = "permission denied"
+        else:
+            continue
+        raise ReproError(f"cannot write --{flag} {path}: {reason}")
+
+
+def _write_output(path: Path, text: str) -> str:
+    """Write one ``--csv``/``--svg``/``--output`` file.  An
+    :class:`OSError` becomes a :class:`~repro.errors.ReproError`, so the
+    command ends on an ``error:`` line, not a traceback."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ReproError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    return f"wrote {path}"
 
 
 def _pipeline_kwargs(args: argparse.Namespace) -> dict:
@@ -655,6 +692,11 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
             m_comm=m_comm,
             config=config,
         )
+        if args.csv:
+            sweep = PlacementSweep({(m_comp, m_comm): curves})
+            return _write_output(
+                args.csv, PlatformDataset(platform.name, sweep).to_csv()
+            )
         lines = [
             f"{'n':>3} {'comp_alone':>11} {'comm_alone':>11} "
             f"{'comp_par':>9} {'comm_par':>9}"
@@ -668,8 +710,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         return "\n".join(lines)
     dataset = run_placement_grid(platform, config=config)
     if args.csv:
-        args.csv.write_text(dataset.to_csv())
-        return f"wrote {args.csv}"
+        return _write_output(args.csv, dataset.to_csv())
     return dataset.to_csv()
 
 
@@ -819,6 +860,10 @@ def _cmd_tournament(args: argparse.Namespace) -> str:
 
 def _cmd_figure(args: argparse.Namespace) -> str:
     if args.figure_id == "fig2":
+        if args.csv or args.svg:
+            raise ReproError(
+                "figure fig2 is drawn as ASCII only: it takes no --csv or --svg"
+            )
         result = run_platform_experiment(
             "henri-subnuma",
             config=SweepConfig(seed=args.seed),
@@ -845,15 +890,15 @@ def _cmd_figure(args: argparse.Namespace) -> str:
     result = run_platform_experiment(
         platform_name, config=SweepConfig(seed=args.seed), **_pipeline_kwargs(args)
     )
+    written = []
     if args.csv:
-        args.csv.write_text(series_to_csv(figure_series(result)))
-        return f"wrote {args.csv}"
+        csv = series_to_csv(figure_series(result))
+        written.append(_write_output(args.csv, csv))
     if args.svg:
         from repro.evaluation.svg import figure_svg
 
-        args.svg.write_text(figure_svg(result))
-        return f"wrote {args.svg}"
-    return render_figure_ascii(result)
+        written.append(_write_output(args.svg, figure_svg(result)))
+    return "\n".join(written) if written else render_figure_ascii(result)
 
 
 def _cmd_table1(_args: argparse.Namespace) -> str:
@@ -1003,8 +1048,7 @@ def _cmd_export_platform(args: argparse.Namespace) -> str:
 
     text = platform_to_json(get_platform(args.platform))
     if args.output:
-        args.output.write_text(text)
-        return f"wrote {args.output}"
+        return _write_output(args.output, text)
     return text
 
 
@@ -1023,8 +1067,7 @@ def _cmd_report(args: argparse.Namespace) -> str:
     )
     report = generate_experiments_report(results)
     if args.output:
-        args.output.write_text(report)
-        return f"wrote {args.output}"
+        return _write_output(args.output, report)
     return report
 
 
@@ -1493,6 +1536,7 @@ def main(argv: list[str] | None = None) -> int:
     trace_path: Path | None = getattr(args, "trace", None)
     tracer = obs.enable() if trace_path is not None else None
     try:
+        _check_outputs(args)
         output = _COMMANDS[args.command](args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

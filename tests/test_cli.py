@@ -1,11 +1,13 @@
 """CLI tests (argument parsing, command outputs, exit codes)."""
 
+import errno
 import json
 import logging
+from pathlib import Path
 
 import pytest
 
-from repro import errors, obs
+from repro import cli, errors, obs
 from repro.cli import EXIT_CODES, build_parser, exit_code_for, main
 
 
@@ -180,6 +182,93 @@ class TestCommands:
         assert main(["--seed", "1", "check"]) == 0
         out = capsys.readouterr().out
         assert "7/7 structural claims hold" in out
+
+
+class TestOutputFiles:
+    """Every --csv, --svg and --output flag writes its file, or the
+    command refuses with an error line before it runs any experiment."""
+
+    @pytest.fixture
+    def no_experiments(self, monkeypatch):
+        """Fail the test if the command measures anything."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an experiment ran")
+
+        for name in (
+            "run_placement_grid",
+            "run_platform_experiment",
+            "run_all_experiments",
+        ):
+            monkeypatch.setattr(cli, name, refuse)
+
+    def test_single_placement_sweep_writes_its_csv(self, tmp_path, capsys):
+        target = tmp_path / "curves.csv"
+        argv = ["sweep", "occigen", "--placement", "0", "1", "--csv", str(target)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.strip() == f"wrote {target}"
+        rows = target.read_text().splitlines()
+        assert rows[0].startswith("platform,m_comp,m_comm")
+        assert len(rows) == 15  # header + 14 cores
+        assert all(row.startswith("occigen,0,1,") for row in rows[1:])
+
+    def test_figure_writes_both_csv_and_svg(self, tmp_path, capsys):
+        csv, svg = tmp_path / "fig6.csv", tmp_path / "fig6.svg"
+        argv = ["figure", "fig6", "--csv", str(csv), "--svg", str(svg)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.split() == [
+            "wrote", str(csv), "wrote", str(svg)
+        ]
+        assert csv.read_text().startswith("m_comp,m_comm,series")
+        assert svg.read_text().lstrip().startswith("<")
+
+    @pytest.mark.parametrize("flag", ["--csv", "--svg"])
+    def test_fig2_refuses_file_output(
+        self, flag, tmp_path, capsys, no_experiments
+    ):
+        target = tmp_path / "fig2.out"
+        assert main(["figure", "fig2", flag, str(target)]) == 1
+        assert "error: figure fig2" in capsys.readouterr().err
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["export-platform", "henri", "--output"],
+            ["sweep", "occigen", "--csv"],
+            ["figure", "fig6", "--svg"],
+            ["report", "--output"],
+        ],
+        ids=["export-platform", "sweep", "figure", "report"],
+    )
+    def test_missing_directory_is_refused_up_front(
+        self, argv, tmp_path, capsys, no_experiments
+    ):
+        target = tmp_path / "missing" / "out"
+        assert main([*argv, str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {argv[-1]} {target}")
+        assert "no directory" in err
+
+    def test_directory_is_refused_up_front(
+        self, tmp_path, capsys, no_experiments
+    ):
+        assert main(["report", "--output", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot write --output {tmp_path}" in err
+        assert "it is a directory" in err
+
+    def test_failed_write_is_an_error_line(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def full(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", full)
+        target = tmp_path / "henri.json"
+        assert main(["export-platform", "henri", "--output", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {target}: No space left on device\n"
 
 
 class TestExitCodes:
