@@ -11,12 +11,13 @@ machine:
 * :mod:`repro.kernels.intensity` — the roofline-style demand model
   turning arithmetic intensity into per-core bandwidth demand;
 * :mod:`repro.kernels.sweep` — a kernel's benchmark scenario and the
-  arithmetic-intensity sweep;
-* :mod:`repro.kernels.cache` — the LLC traffic filter of temporal
-  working sets.
+  arithmetic-intensity sweep.
+
+The last-level cache is not modelled here: the arbiter's LLC pre-pass
+(:mod:`repro.memsim.llc`) water-fills each socket's cache across the
+streams that declare a working set.
 """
 
-from repro.kernels.cache import CacheModel, dram_traffic_factor, llc_bytes_per_thread
 from repro.kernels.intensity import demand_gbps
 from repro.kernels.memops import (
     KERNELS,
@@ -29,17 +30,14 @@ from repro.kernels.memops import (
 from repro.kernels.sweep import IntensityPoint, intensity_sweep, kernel_scenario
 
 __all__ = [
-    "CacheModel",
     "IntensityPoint",
     "KERNELS",
     "Kernel",
     "copy_kernel",
     "demand_gbps",
-    "dram_traffic_factor",
     "get_kernel",
     "intensity_sweep",
     "kernel_scenario",
-    "llc_bytes_per_thread",
     "memset_nt",
     "triad_kernel",
 ]
